@@ -38,7 +38,6 @@ from .distributions import (
 from .errors import (
     EqualRatesError,
     IllConditionedError,
-    IllConditionedWarning,
     NonConvergedError,
     UnsupportedConvolutionError,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Exponential",
     "GeneralCumulativeModel",
     "IllConditionedError",
-    "IllConditionedWarning",
     "NonConvergedError",
     "PartialFractionExpansion",
     "QuadraturePolicy",

@@ -2,16 +2,19 @@
 
 Failure time is min(X1, Y1), the smaller of the two first interarrival times,
 so the survival probability factorizes into the product of the two marginal
-survival functions.  Closed-form means exist for Erlang pairs where one shape
-is 1 or the shapes match, and for Weibull pairs with a common shape; every
-other combination (and the equal-shape Erlang branch as a cross-check) goes
-through adaptive quadrature of the survival curve.
+survival functions.  The mean failure time has one closed form for every pair
+of Erlang (or exponential) processes and one for Weibull pairs with a common
+shape; every other pair, which includes a Weibull, goes through adaptive
+quadrature of the survival curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
 
 from .distributions import Distribution, Erlang, Exponential, Weibull
 from .numerics import QuadraturePolicy, integrate_decaying
@@ -23,10 +26,6 @@ __all__ = [
     "mean_fptf",
     "mean_fptf_quadrature",
 ]
-
-# Agreement required between the equal-shape Erlang closed form and the
-# quadrature value before the closed form is trusted.
-_BRANCH_CHECK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,51 +67,31 @@ def _as_erlang(dist: Distribution) -> Erlang | None:
     return None
 
 
-def _erlang_single_shape_mean(m1: int, rate1: float, rate2: float) -> float:
-    # sum_{l < m1} rate1^l / (rate1+rate2)^(l+1), by term recurrence
-    lam = rate1 + rate2
-    term = 1.0 / lam
-    acc = term
-    for _ in range(1, m1):
-        term *= rate1 / lam
-        acc += term
-    return acc
+def _erlang_pair_mean(first: Erlang, second: Erlang) -> float:
+    """E[min] = (1/L) sum_{i<m1, j<m2} C(i+j, i) p^i (1-p)^j, p = rate1/L, L = rate1 + rate2.
 
-
-def _erlang_equal_shape_mean(m: int, rate1: float, rate2: float) -> float:
-    # Expand the product of the two truncated exponential series: the inner
-    # index is confined to max(0, n-m+1) <= l <= min(n, m-1), each term
-    # weighted by a single binomial coefficient.
-    lam = rate1 + rate2
-    acc = 0.0
-    for n in range(0, 2 * (m - 1) + 1):
-        for l in range(max(0, n - m + 1), min(n, m - 1) + 1):
-            acc += math.comb(n, l) * rate1 ** (n - l) * rate2 ** l / lam ** (n + 1)
-    return acc
+    In the merged Poisson stream each event belongs to process 1 with
+    probability p, and min(X1, Y1) is the arrival time of the first event
+    that completes either shape.  The inner sum over j is a negative binomial
+    CDF: sum_{j<m2} C(i+j, i) p^(i+1) (1-p)^j = nbdtr(m2-1, i+1, p).
+    """
+    p = first.rate / (first.rate + second.rate)
+    counts = np.arange(1, first.shape + 1)
+    return float(special.nbdtr(second.shape - 1, counts, p).sum()) / first.rate
 
 
 def mean_fptf(model: CatastrophicModel,
               policy: QuadraturePolicy | None = None) -> float:
     """Mean time to first failure.
 
-    Closed forms are used where available: Erlang pairs with one shape equal
-    to 1, Erlang pairs with matching shapes (validated against quadrature and
-    replaced by it on disagreement), and Weibull pairs with a common shape.
-    All remaining combinations integrate the survival curve.
+    Closed forms cover every Erlang/exponential pair and Weibull pairs with
+    a common shape; all remaining pairs integrate the survival curve.
     """
     e1, e2 = _as_erlang(model.proc1), _as_erlang(model.proc2)
     if e1 is not None and e2 is not None:
-        if e2.shape == 1:
-            return _erlang_single_shape_mean(e1.shape, e1.rate, e2.rate)
-        if e1.shape == 1:
-            return _erlang_single_shape_mean(e2.shape, e2.rate, e1.rate)
-        if e1.shape == e2.shape:
-            closed = _erlang_equal_shape_mean(e1.shape, e1.rate, e2.rate)
-            reference = mean_fptf_quadrature(model, policy)
-            if abs(closed - reference) <= _BRANCH_CHECK_RTOL * abs(reference):
-                return closed
-            return reference
-        return mean_fptf_quadrature(model, policy)
+        # One summation order for both argument orders keeps the mean symmetric.
+        first, second = sorted((e1, e2), key=lambda e: (e.shape, e.rate))
+        return _erlang_pair_mean(first, second)
 
     if isinstance(model.proc1, Weibull) and isinstance(model.proc2, Weibull):
         if model.proc1.shape == model.proc2.shape:

@@ -1,6 +1,6 @@
 """Command-line front end: evaluate model quantities on grids, simulate, compare.
 
-Exit codes: 0 success, 1 usage or model-validation failure, 2 numerical
+Exit codes: 0 success, 1 usage, model-validation or file failure, 2 numerical
 failure (non-convergence / ill-conditioning), with the offending quantity
 named on standard error.  Reports go to standard output or --out; all
 diagnostics go to standard error.  A fixed invocation produces byte-identical
@@ -337,12 +337,30 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
+    if args.out is None:
         sys.stdout.write(report)
+        return 0
+    try:
+        _write_atomic(args.out, report)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 if __name__ == "__main__":

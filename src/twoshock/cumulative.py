@@ -1,26 +1,32 @@
 """Cumulative damage model: the unit fails when total damage exceeds a threshold.
 
-Two marked shock streams contribute additive damage.  With Poisson arrivals
-and Erlang (or exponential) magnitudes, the damage CDF is a double series of
-two-Erlang-sum CDFs weighted by Poisson probabilities; with general renewal
-arrivals the weights become k-fold-convolution increments of the interarrival
-CDF.  Both series are truncated with a rigorous bound: each bracketed CDF
-factor lies in [0, 1], so the discarded weight mass bounds the absolute error.
+Two marked shock streams contribute additive damage with Erlang (or
+exponential) magnitudes.  With mu_f the larger mark rate, each mark is a
+random number of Exp(mu_f) phases (see twoshock.gamma_convolution), so the
+total damage is Erlang(S, mu_f) for a random phase count S with pmf g, and
+
+    P(damage <= x) = sum_s g(s) P(Erlang(s, mu_f) <= x).
+
+Under Poisson arrivals g is a compound-Poisson pmf, computed by the Panjer
+(1981) recursion; under renewal arrivals it is the convolution over the two
+streams of sum_k P(N_i(t) = k) f_i^{*k}, with f_i the phase pmf of one mark.
+The mean failure time uses the renewal sequence of the per-shock phase pmf
+and needs no quadrature.  Every term is positive, and each series stops at
+the first S whose Erlang CDF is below the requested bound.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .distributions import Distribution, Erlang, Exponential, erlang_survival
 from .errors import NonConvergedError, UnsupportedConvolutionError
-from .gamma_convolution import _cdf_value
-from .numerics import QuadraturePolicy, integrate_decaying
+from .gamma_convolution import _erlang_cdfs, _phase_pmf
+from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
 
 __all__ = [
     "TruncationPolicy",
@@ -35,14 +41,21 @@ __all__ = [
     "compound_poisson_exponential_cdf",
 ]
 
+# The Panjer recursion starts from exp(-mean), which underflows past ~745; a
+# larger Poisson mean is halved until it is at most this, and the pmf squared
+# back up.
+_PANJER_MAX_MEAN = 500.0
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Contract for cutting the infinite damage series.
 
-    Truncation indices are chosen per axis so the discarded weight mass is
-    below tail_epsilon/2 on each axis, giving an absolute series error below
-    tail_epsilon.  Hitting max_terms_per_axis first raises NonConvergedError.
+    A damage series stops at the first phase count whose Erlang CDF is
+    below its share of tail_epsilon, and renewal-count series where their
+    discarded weight mass is below theirs, giving an absolute error below
+    tail_epsilon.  Needing more than max_terms_per_axis phases or renewal
+    counts raises NonConvergedError.
     """
 
     tail_epsilon: float = 1e-10
@@ -110,37 +123,36 @@ class GeneralCumulativeModel:
 
 
 def _check_nonneg(value: float, name: str) -> None:
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _poisson_weights(mean: float, tail_half: float, max_terms: int) -> np.ndarray:
-    """Poisson pmf through the smallest index with cumulative mass >= 1 - tail_half."""
-    p = math.exp(-mean)
-    cum = p
-    out = [p]
+    """Poisson(mean) pmf through the first index K with P(N > K) < tail_half.
+
+    The weights come from log space, so exp(-mean) may underflow; the tail
+    test uses the complemented CDF, so any tail_half a double holds is met.
+    """
     k = 0
-    while cum < 1.0 - tail_half:
+    while special.pdtrc(k, mean) >= tail_half:
         k += 1
         if k >= max_terms:
             raise NonConvergedError(
                 f"Poisson tail bound not met within {max_terms} terms (mean {mean})")
-        p *= mean / k
-        out.append(p)
-        cum += p
-    return np.asarray(out)
+    ks = np.arange(k + 1, dtype=float)
+    return np.exp(special.xlogy(ks, mean) - mean - special.gammaln(ks + 1.0))
 
 
-def _renewal_weights(inter: Distribution, t: float, tail_half: float,
+def _renewal_weights(inter: Distribution, t: float, tail: float,
                      max_terms: int) -> np.ndarray:
-    """Increments F^(k)(t) - F^(k+1)(t); the telescoped remainder F^(K+1)(t) < tail_half."""
+    """Increments F^(k)(t) - F^(k+1)(t); the telescoped remainder F^(K+1)(t) < tail."""
     out = []
     f_prev = 1.0
     k = 0
     while True:
         f_next = inter.kfold_cdf(k + 1, t)
         out.append(f_prev - f_next)
-        if f_next < tail_half:
+        if f_next < tail:
             return np.asarray(out)
         k += 1
         if k >= max_terms:
@@ -149,38 +161,36 @@ def _renewal_weights(inter: Distribution, t: float, tail_half: float,
         f_prev = f_next
 
 
-class _ConvolutionTable:
-    """Lazily grown table of two-Erlang-sum CDF values at a fixed damage level.
+def _phase_setup(mag1: Distribution, mag2: Distribution, x: float, eps: float,
+                 max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Erlang CDFs at x, phase pmf of mark 1, of mark 2), all over the same S phases."""
+    (m1, mu1), (m2, mu2) = _mark_params(mag1), _mark_params(mag2)
+    fast = max(mu1, mu2)
+    cdfs = _erlang_cdfs(fast * x, eps, max_terms)
+    n = len(cdfs)
+    return cdfs, _phase_pmf(m1, mu1, fast, n), _phase_pmf(m2, mu2, fast, n)
 
-    Cell (k1, k2) holds the CDF of Gamma(m1*k1, mu1) + Gamma(m2*k2, mu2) at x.
-    Growth is guarded by a lock; readers receive plain ndarray slices.
+
+def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
+    """pmf of a Poisson(mean) sum of i.i.d. phase jumps (jumps[0] == 0), cut at len(jumps).
+
+    Panjer: g(0) = exp(-mean), g(s) = (mean/s) sum_j j jumps(j) g(s-j).  The
+    first n values of a convolution need only the first n of each factor,
+    so squaring the pmf at mean/2 is exact on the kept range.
     """
-
-    def __init__(self, m1: int, mu1: float, m2: int, mu2: float, x: float):
-        self._m1, self._mu1, self._m2, self._mu2, self._x = m1, mu1, m2, mu2, x
-        self._values = np.empty((0, 0))
-        self._lock = threading.Lock()
-
-    def block(self, n1: int, n2: int) -> np.ndarray:
-        with self._lock:
-            r, c = self._values.shape
-            if n1 > r or n2 > c:
-                nr, nc = max(n1, r), max(n2, c)
-                grown = np.empty((nr, nc))
-                grown[:r, :c] = self._values
-                for k1 in range(nr):
-                    for k2 in range(nc):
-                        if k1 < r and k2 < c:
-                            continue
-                        grown[k1, k2] = _cdf_value(
-                            self._m1 * k1, self._mu1, self._m2 * k2, self._mu2, self._x)
-                self._values = grown
-            return self._values[:n1, :n2]
-
-
-@lru_cache(maxsize=None)
-def _conv_table(m1: int, mu1: float, m2: int, mu2: float, x: float) -> _ConvolutionTable:
-    return _ConvolutionTable(m1, mu1, m2, mu2, x)
+    halvings = 0
+    while mean > _PANJER_MAX_MEAN:
+        mean /= 2.0
+        halvings += 1
+    n = len(jumps)
+    weighted = mean * np.arange(n) * jumps
+    g = np.zeros(n)
+    g[0] = math.exp(-mean)
+    for s in range(1, n):
+        g[s] = weighted[1:s + 1] @ g[s - 1::-1] / s
+    for _ in range(halvings):
+        g = np.convolve(g, g)[:n]
+    return g
 
 
 def damage_cdf(model: CumulativeModel, t: float, x: float,
@@ -189,13 +199,11 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    m1, mu1 = _mark_params(model.mag1)
-    m2, mu2 = _mark_params(model.mag2)
-    half = policy.tail_epsilon / 2.0
-    w1 = _poisson_weights(model.rate1 * t, half, policy.max_terms_per_axis)
-    w2 = _poisson_weights(model.rate2 * t, half, policy.max_terms_per_axis)
-    table = _conv_table(m1, mu1, m2, mu2, float(x)).block(len(w1), len(w2))
-    value = float(w1 @ table @ w2)
+    cdfs, f1, f2 = _phase_setup(model.mag1, model.mag2, x, policy.tail_epsilon,
+                                policy.max_terms_per_axis)
+    total = model.rate1 + model.rate2
+    jumps = (model.rate1 * f1 + model.rate2 * f2) / total
+    value = float(_compound_poisson_pmf(total * t, jumps) @ cdfs)
     return min(1.0, max(0.0, value))
 
 
@@ -214,30 +222,61 @@ def model2_fptf_cdf(model: CumulativeModel, t: float,
 
 
 def model2_fptf_mean(model: CumulativeModel,
-                     truncation: TruncationPolicy | None = None,
-                     quadrature: QuadraturePolicy | None = None) -> float:
-    """Mean failure time: the integral over t of P(damage <= threshold)."""
+                     truncation: TruncationPolicy | None = None) -> float:
+    """Mean failure time, exact: E[T] = (1/L) sum_s U(s) P(Erlang(s, mu_f) <= K).
+
+    Shocks of the merged stream arrive at rate L = rate1 + rate2, and the
+    unit outlives shock n when the damage D_n of the first n shocks is at
+    most K, so E[T] = (1/L) sum_n P(D_n <= K).  U is the renewal sequence
+    of the per-shock phase pmf f: U(0) = 1, U(s) = sum_j f(j) U(s-j).  The
+    series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
+    past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
+    so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
+    """
     truncation = truncation or TruncationPolicy()
-    damage_rate = damage_mean(model, 1.0)
-    scale = max(model.threshold / damage_rate, 1.0 / (model.rate1 + model.rate2))
-    return integrate_decaying(
-        lambda t: damage_cdf(model, t, model.threshold, truncation),
-        quadrature, initial_scale=scale)
+    cdfs, f1, f2 = _phase_setup(model.mag1, model.mag2, model.threshold,
+                                truncation.tail_epsilon, truncation.max_terms_per_axis)
+    total = model.rate1 + model.rate2
+    jumps = (model.rate1 * f1 + model.rate2 * f2) / total
+    renewal = np.zeros(len(cdfs))
+    renewal[0] = 1.0
+    for s in range(1, len(cdfs)):
+        renewal[s] = jumps[1:s + 1] @ renewal[s - 1::-1]
+    return float(renewal @ cdfs) / total
+
+
+def _random_sum_pmf(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Phase pmf of a random sum of marks: sum_k counts[k] mark^{*k}, cut at len(mark)."""
+    n = len(mark)
+    power = np.zeros(n)
+    power[0] = 1.0
+    out = counts[0] * power
+    for weight in counts[1:]:
+        power = np.convolve(power, mark)[:n]
+        if not power.any():  # k marks take at least k phases: none fit any more
+            break
+        out += weight * power
+    return out
 
 
 def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
                        policy: TruncationPolicy | None = None) -> float:
-    """P(total damage by t is <= x) under renewal arrivals, within tail_epsilon."""
+    """P(total damage by t is <= x) under renewal arrivals, within tail_epsilon.
+
+    Half the bound goes to the phase series and a quarter to each stream's
+    renewal counts.
+    """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    m1, mu1 = _mark_params(model.mag1)
-    m2, mu2 = _mark_params(model.mag2)
-    half = policy.tail_epsilon / 2.0
-    w1 = _renewal_weights(model.inter1, t, half, policy.max_terms_per_axis)
-    w2 = _renewal_weights(model.inter2, t, half, policy.max_terms_per_axis)
-    table = _conv_table(m1, mu1, m2, mu2, float(x)).block(len(w1), len(w2))
-    value = float(w1 @ table @ w2)
+    cdfs, f1, f2 = _phase_setup(model.mag1, model.mag2, x, policy.tail_epsilon / 2.0,
+                                policy.max_terms_per_axis)
+    quarter = policy.tail_epsilon / 4.0
+    g1 = _random_sum_pmf(
+        _renewal_weights(model.inter1, t, quarter, policy.max_terms_per_axis), f1)
+    g2 = _random_sum_pmf(
+        _renewal_weights(model.inter2, t, quarter, policy.max_terms_per_axis), f2)
+    value = float(np.convolve(g1, g2)[:len(cdfs)] @ cdfs)
     return min(1.0, max(0.0, value))
 
 
@@ -284,7 +323,8 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
 
     This is the merged-process reduction: two exponential-mark streams with a
     common magnitude rate collapse into one stream with the summed arrival
-    rate, and this evaluation must agree with the two-stream series.
+    rate, and this evaluation must agree with the two-stream series.  It sums
+    its own Poisson weights, apart from the phase-count kernel.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")

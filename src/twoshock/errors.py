@@ -1,4 +1,4 @@
-"""Exceptions and warnings shared across the toolkit."""
+"""Exceptions shared across the toolkit."""
 
 
 class NonConvergedError(RuntimeError):
@@ -15,7 +15,3 @@ class IllConditionedError(ValueError):
 
 class UnsupportedConvolutionError(ValueError):
     """A k-fold convolution was requested where no closed form exists."""
-
-
-class IllConditionedWarning(UserWarning):
-    """Near-equal rates were merged into a single-rate evaluation."""

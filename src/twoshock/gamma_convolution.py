@@ -1,53 +1,53 @@
-"""CDF of a sum of two independent Erlang variables with different rates.
+"""CDF of a sum of two independent Erlang variables, by counting phases.
 
-The transform of Gamma(a, mu1) + Gamma(b, mu2) is the rational function
-(mu1/(s+mu1))^a (mu2/(s+mu2))^b.  For mu1 != mu2 it expands into partial
-fractions over the two pole stacks,
+Let mu_f be the larger of the two rates.  An Exp(mu) stage with mu <= mu_f is
+a Geometric(mu/mu_f) number of Exp(mu_f) phases, so an Erlang(m, mu) variable
+is Erlang(m + N, mu_f) with an extra phase count N ~ NegBin(m, mu/mu_f).  Any
+sum of such marks is then Erlang(S, mu_f) for a random phase count S with
+pmf g, and its CDF is a series of positive terms,
+
+    P(total <= x) = sum_s g(s) P(Erlang(s, mu_f) <= x).
+
+For Gamma(a, mu1) + Gamma(b, mu2) this is the Moschopoulos (1985) series: g
+is the convolution of the two marks' phase pmfs (_phase_pmf).  The cumulative
+damage model uses the same two pieces with other phase-count pmfs.  The
+Erlang CDF falls as s grows and g has mass at most 1, so stopping at the
+first S whose Erlang CDF is below eps (_erlang_cdfs) discards less than eps.
+Equal rates need no series: the sum is Erlang(a+b).
+
+expand() gives the paper's partial-fraction form of the same CDF.  For
+mu1 != mu2 the transform (mu1/(s+mu1))^a (mu2/(s+mu2))^b splits over the two
+pole stacks,
 
     sum_{j=1..a} c_j (mu1/(s+mu1))^j  +  sum_{j=1..b} d_j (mu2/(s+mu2))^j,
 
-so the CDF is the same signed combination of plain Erlang CDFs.  The repeated-
-pole derivative formula gives, with delta = mu2 - mu1,
+and the repeated-pole derivative formula gives, with delta = mu2 - mu1,
 
     c_j = C(a+b-j-1, a-j) * mu1^(a-j) * mu2^b * (-1)^(a-j) / delta^(a+b-j)
 
-and symmetrically for d_j.  Coefficients alternate in sign and grow
-combinatorially with the shapes, so evaluation tracks their magnitude: the
-plain float path is used only while the coefficient mass keeps cancellation
-below ~1e-9 absolute, and larger expansions are evaluated in arbitrary
-precision (mpmath) with the working precision sized from the coefficient
-log-magnitudes.
-
-Equal rates collapse to a single Erlang(a+b) evaluation.  Nearly equal rates
-(relative gap below 1e-6) are merged the same way, with the mean-preserving
-rate (a+b)/(a/mu1 + b/mu2), after emitting IllConditionedWarning: the pole
-collision makes the expansion meaningless while the CDF itself is continuous
-in the rates.
+and symmetrically d_j, so the CDF is 1 - sum_j c_j S_j(mu1 x) - sum_j d_j
+S_j(mu2 x) with S_j the unit-rate Erlang(j) survival.  The weights alternate
+in sign and grow combinatorially with the shapes, so no CDF is evaluated
+through them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
+import numpy as np
 from scipy import special
 
-from .distributions import erlang_cdf, erlang_survival
-from .errors import EqualRatesError, IllConditionedError, IllConditionedWarning
+from .distributions import erlang_cdf
+from .errors import EqualRatesError, IllConditionedError, NonConvergedError
 
 __all__ = ["ErlangProduct", "PartialFractionExpansion", "expand", "convolution_cdf"]
 
-# Relative rate gap below which the expansion is refused / merged.
+# Relative rate gap below which the expansion is refused.
 _RATE_GAP = 1e-6
-# Total |coefficient| mass admissible for float evaluation; keeps the
-# cancellation error near 1e6 * eps ~ 2e-10 absolute.
-_FLOAT_SAFE_MASS = 1e6
-# CDF values provably below this floor are reported as 0 (and symmetrically
-# survival below it reports the CDF as 1); keeps far-tail lattice cells cheap.
-_VALUE_FLOOR = 1e-18
+# Truncation bound of convolution_cdf: below the resolution of a double near 1.
+_CDF_TAIL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ class PartialFractionExpansion:
     rate_b: float
 
 
-def _relative_gap(rate_a: float, rate_b: float) -> float:
-    return abs(rate_a - rate_b) / max(rate_a, rate_b)
-
-
 def _signed_coefficient(j: int, a: int, ra: float, b: int, rb: float) -> float:
     """Float c_j for pole stack a; saturates to +-inf instead of overflowing."""
     delta = rb - ra
@@ -103,20 +99,6 @@ def _log10_coefficient(j: int, a: int, ra: float, b: int, rb: float) -> float:
         + (a - j) * math.log(ra) + b * math.log(rb)
         - (a + b - j) * math.log(delta)
     ) / math.log(10.0)
-
-
-@lru_cache(maxsize=None)
-def _expansion_stats(a: int, ra: float, b: int, rb: float):
-    """(coeffs_a, coeffs_b, max_log10, float_safe) for an unequal-rate product."""
-    log10s = [_log10_coefficient(j, a, ra, b, rb) for j in range(1, a + 1)]
-    log10s += [_log10_coefficient(j, b, rb, a, ra) for j in range(1, b + 1)]
-    max_log10 = max(log10s)
-
-    coeffs_a = tuple(_signed_coefficient(j, a, ra, b, rb) for j in range(1, a + 1))
-    coeffs_b = tuple(_signed_coefficient(j, b, rb, a, ra) for j in range(1, b + 1))
-    mass = sum(abs(c) for c in coeffs_a) + sum(abs(d) for d in coeffs_b)
-    float_safe = math.isfinite(mass) and mass <= _FLOAT_SAFE_MASS
-    return coeffs_a, coeffs_b, max_log10, float_safe
 
 
 def _coefficient_sign(j: int, a: int, b: int, delta: float) -> float:
@@ -139,8 +121,7 @@ def expand(product: ErlangProduct) -> PartialFractionExpansion:
     Requires both shapes >= 1.  Raises EqualRatesError when the rates
     coincide (merge to a single Erlang(a+b) instead) and IllConditionedError
     when their relative gap is below 1e-6.  For very large shapes individual
-    weights can exceed the float range and saturate to +-inf; CDF evaluation
-    does not go through these floats in that regime (see convolution_cdf).
+    weights can exceed the float range and saturate to +-inf.
     """
     a, b = product.shape_a, product.shape_b
     ra, rb = product.rate_a, product.rate_b
@@ -148,95 +129,72 @@ def expand(product: ErlangProduct) -> PartialFractionExpansion:
         raise ValueError("expand requires both shapes >= 1")
     if ra == rb:
         raise EqualRatesError("equal rates: merge to a single Erlang instead")
-    if _relative_gap(ra, rb) < _RATE_GAP:
+    if abs(ra - rb) / max(ra, rb) < _RATE_GAP:
         raise IllConditionedError(
             f"rates {ra} and {rb} are too close for a stable expansion")
-    coeffs_a, coeffs_b, _, _ = _expansion_stats(a, ra, b, rb)
-    return PartialFractionExpansion(coeffs_a=coeffs_a, coeffs_b=coeffs_b,
-                                    rate_a=ra, rate_b=rb)
+    return PartialFractionExpansion(
+        coeffs_a=tuple(_signed_coefficient(j, a, ra, b, rb) for j in range(1, a + 1)),
+        coeffs_b=tuple(_signed_coefficient(j, b, rb, a, ra) for j in range(1, b + 1)),
+        rate_a=ra, rate_b=rb)
 
 
-def _merged_rate(a: int, ra: float, b: int, rb: float) -> float:
-    # Mean-preserving single rate: keeps (a+b)/mu equal to a/ra + b/rb.
-    return (a + b) / (a / ra + b / rb)
+def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
+    """pmf of the Exp(fast) phase count of one Erlang(shape, rate) mark, cut at length.
+
+    The count is shape + NegBin(shape, rate/fast); the pmf is taken from
+    log-gamma terms, so it neither overflows nor underflows at large shapes.
+    """
+    out = np.zeros(length)
+    if shape >= length:
+        return out
+    if rate == fast:
+        out[shape] = 1.0
+        return out
+    n = np.arange(length - shape, dtype=float)
+    out[shape:] = np.exp(special.gammaln(shape + n) - special.gammaln(n + 1.0)
+                         - special.gammaln(shape) + shape * math.log(rate / fast)
+                         + n * math.log((fast - rate) / fast))
+    return out
 
 
-def _float_cdf(a: int, ra: float, b: int, rb: float, x: float) -> float:
-    coeffs_a, coeffs_b, _, _ = _expansion_stats(a, ra, b, rb)
-    terms = [c * erlang_survival(j, ra * x) for j, c in enumerate(coeffs_a, start=1)]
-    terms += [d * erlang_survival(j, rb * x) for j, d in enumerate(coeffs_b, start=1)]
-    return 1.0 - math.fsum(terms)
+def _erlang_cdfs(z: float, eps: float, max_terms: float = math.inf) -> np.ndarray:
+    """P(Erlang(s, 1) <= z) for s = 0..S-1, where S is the first s with a value below eps.
 
-
-def _mp_erlang_survival(shape: int, z) -> mp.mpf:
-    term = mp.mpf(1)
-    acc = mp.mpf(1)
-    for l in range(1, shape):
-        term = term * z / l
-        acc += term
-    return mp.exp(-z) * acc
-
-
-def _mp_cdf(a: int, ra: float, b: int, rb: float, x: float, max_log10: float) -> float:
-    with mp.workdps(int(max(max_log10, 0.0)) + 30):
-        ra_m, rb_m, x_m = mp.mpf(ra), mp.mpf(rb), mp.mpf(x)
-        delta = rb_m - ra_m
-        total = mp.mpf(0)
-        for j in range(1, a + 1):
-            c = (mp.mpf(math.comb(a + b - j - 1, a - j))
-                 * ra_m ** (a - j) * rb_m ** b / delta ** (a + b - j))
-            if (a - j) % 2:
-                c = -c
-            total += c * _mp_erlang_survival(j, ra_m * x_m)
-        for j in range(1, b + 1):
-            d = (mp.mpf(math.comb(a + b - j - 1, b - j))
-                 * rb_m ** (b - j) * ra_m ** a / (-delta) ** (a + b - j))
-            if (b - j) % 2:
-                d = -d
-            total += d * _mp_erlang_survival(j, rb_m * x_m)
-        return float(1 - total)
-
-
-@lru_cache(maxsize=None)
-def _cdf_value(a: int, ra: float, b: int, rb: float, x: float) -> float:
-    if a == 0 and b == 0:
-        return 1.0
-    if a == 0 or b == 0:
-        shape, rate = (b, rb) if a == 0 else (a, ra)
-        # Complemented survival cannot resolve CDF values below one ulp, so
-        # screen the deep lower tail first (the component bound is exact here).
-        if special.gammainc(shape, rate * x) < _VALUE_FLOOR:
-            return 0.0
-        return erlang_cdf(shape, rate * x)
-
-    # Cheap rigorous screens keep far-tail lattice cells exact and fast:
-    # P(A+B <= x) <= min of the component CDFs, and
-    # P(A+B > x) <= P(A > x/2) + P(B > x/2).
-    if min(special.gammainc(a, ra * x), special.gammainc(b, rb * x)) < _VALUE_FLOOR:
-        return 0.0
-    if special.gammaincc(a, ra * x / 2.0) + special.gammaincc(b, rb * x / 2.0) < _VALUE_FLOOR:
-        return 1.0
-
-    gap = _relative_gap(ra, rb)
-    if gap == 0.0:
-        return erlang_cdf(a + b, ra * x)
-    if gap < _RATE_GAP:
-        warnings.warn(
-            f"rates {ra} and {rb} nearly equal; merged to a single Erlang",
-            IllConditionedWarning, stacklevel=3)
-        return erlang_cdf(a + b, _merged_rate(a, ra, b, rb) * x)
-
-    _, _, max_log10, float_safe = _expansion_stats(a, ra, b, rb)
-    if float_safe:
-        value = _float_cdf(a, ra, b, rb, x)
-    else:
-        value = _mp_cdf(a, ra, b, rb, x, max_log10)
-    return min(1.0, max(0.0, value))
+    s = 0 is the unit step.  P(Erlang(s, 1) <= z) = P(N >= s) for N ~
+    Poisson(z), and Bernstein's bound P(N >= z + d) <= exp(-d^2 / (2(z + d/3)))
+    gives the length to evaluate.  Raises NonConvergedError when S would
+    exceed max_terms.
+    """
+    log_eps = -math.log(eps)
+    reach = z + log_eps / 3.0 + math.sqrt(log_eps ** 2 / 9.0 + 2.0 * log_eps * z)
+    cdfs = special.gammainc(np.arange(int(min(reach, max_terms)) + 2, dtype=float), z)
+    cdfs[0] = 1.0
+    below = np.flatnonzero(cdfs < eps)
+    if not below.size or below[0] > max_terms:
+        raise NonConvergedError(
+            f"phase series needs more than {max_terms} terms "
+            f"(Erlang CDF bound {eps} at rate * x = {z})")
+    return cdfs[:below[0]]
 
 
 def convolution_cdf(product: ErlangProduct, x: float) -> float:
     """CDF of Gamma(shape_a, rate_a) + Gamma(shape_b, rate_b) at x >= 0."""
     if not x >= 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    return _cdf_value(product.shape_a, product.rate_a,
-                      product.shape_b, product.rate_b, float(x))
+    a, ra, b, rb = product.shape_a, product.rate_a, product.shape_b, product.rate_b
+    if a == 0 and b == 0:
+        return 1.0
+    if b == 0:
+        return erlang_cdf(a, ra * x)
+    if a == 0:
+        return erlang_cdf(b, rb * x)
+    if ra == rb:
+        return erlang_cdf(a + b, ra * x)
+    # P(A+B > x) <= P(A > x/2) + P(B > x/2): far upper tail, and x = inf.
+    if special.gammaincc(a, ra * x / 2.0) + special.gammaincc(b, rb * x / 2.0) < _CDF_TAIL:
+        return 1.0
+    fast = max(ra, rb)
+    cdfs = _erlang_cdfs(fast * x, _CDF_TAIL)
+    n = len(cdfs)
+    phases = np.convolve(_phase_pmf(a, ra, fast, n), _phase_pmf(b, rb, fast, n))[:n]
+    return min(1.0, float(phases @ cdfs))

@@ -1,12 +1,13 @@
 """Independent numerical oracles shared by the test modules.
 
 Everything here deliberately avoids the library's own evaluation paths:
-Erlang pieces come straight from scipy.special, convolutions are numerical
-quadrature, and integrals use scipy's adaptive QUADPACK wrapper.
+Erlang pieces come straight from scipy.special, Poisson weights from
+scipy.stats, convolutions are numerical quadrature, and integrals use scipy's
+adaptive QUADPACK wrapper.
 """
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 
 def erlang_pdf_grid(shape: int, rate: float, y: np.ndarray) -> np.ndarray:
@@ -39,6 +40,19 @@ def trapezoid_convolution_cdf(shape_a: int, rate_a: float,
     integrand = erlang_pdf_grid(shape_a, rate_a, y) * erlang_cdf_grid(
         shape_b, rate_b, x - y)
     return float(integrate.trapezoid(integrand, y))
+
+
+def compound_poisson_exponential_reference(mean: float, mark_rate: float,
+                                           x: float) -> float:
+    """P(sum of N Exp(mark_rate) marks <= x) for N ~ Poisson(mean).
+
+    Given N = n the sum is Erlang(n, mark_rate); Poisson weights past the
+    1e-16 upper quantile are dropped.
+    """
+    n = np.arange(int(stats.poisson.isf(1e-16, mean)) + 2)
+    cdfs = special.gammainc(n, mark_rate * x)
+    cdfs[0] = 1.0
+    return float(stats.poisson.pmf(n, mean) @ cdfs)
 
 
 def quad_mean_of_min(survival1, survival2, upper: float) -> float:

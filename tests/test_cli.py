@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -256,6 +259,22 @@ class TestOutputFile:
         assert capsys.readouterr().out == ""
         assert out.read_text().splitlines()[0] == "t,value"
 
+    def test_failed_replace_keeps_old_report(self, model_file, tmp_path, capsys,
+                                             monkeypatch):
+        model = model_file(CATASTROPHIC)
+        out = tmp_path / "report.csv"
+        out.write_text("previous report\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        rc = main(["survival", "--model", model, "--grid", "0:1:2", "--out", str(out)])
+        assert rc == 1
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text() == "previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "report.csv"]
+
     def test_no_partial_output_on_bad_model(self, model_file, tmp_path, capsys):
         bad = model_file({"kind": "catastrophic", "proc1": {"type": "nope"}},
                          name="bad.json")
@@ -291,3 +310,12 @@ class TestUsageErrors:
     def test_grid_required(self, model_file, capsys):
         rc = main(["survival", "--model", model_file(CATASTROPHIC)])
         assert rc == 1
+
+
+def test_import_loads_neither_mpmath_nor_scipy_stats():
+    code = ("import sys, twoshock, twoshock.cli; "
+            "print(sorted(m for m in ('mpmath', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

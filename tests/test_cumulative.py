@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from _oracles import compound_poisson_exponential_reference
 from twoshock.cumulative import (
     CumulativeModel,
     GeneralCumulativeModel,
@@ -18,7 +19,6 @@ from twoshock.cumulative import (
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
 from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
-from twoshock.numerics import QuadraturePolicy
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
 MIXED = CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Erlang(1, 1.0), threshold=5.0)
@@ -59,11 +59,28 @@ class TestDamageCdf:
             damage_cdf(SYMMETRIC, 5.0, 1.0, TruncationPolicy(tail_epsilon=1e-10,
                                                              max_terms_per_axis=3))
 
+    def test_poisson_mean_past_exp_underflow(self):
+        # exp(-800) underflows; the value is still well defined.
+        model = CumulativeModel(799.5, 0.5, Exponential(1.0), Exponential(1.0),
+                                threshold=900.0)
+        reference = compound_poisson_exponential_reference(800.0, 1.0, 800.0)
+        assert damage_cdf(model, 1.0, 800.0) == pytest.approx(reference, abs=1e-9)
+
+    def test_tail_epsilon_below_double_resolution_is_honoured(self):
+        for t, x in [(1.0, 2.0), (2.0, 5.0)]:
+            loose = damage_cdf(MIXED, t, x, TruncationPolicy(tail_epsilon=1e-12))
+            tiny = damage_cdf(MIXED, t, x, TruncationPolicy(tail_epsilon=1e-300))
+            assert abs(tiny - loose) <= 1e-15
+
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             damage_cdf(SYMMETRIC, -1.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             damage_cdf(SYMMETRIC, 1.0, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            damage_cdf(SYMMETRIC, math.inf, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            damage_cdf(SYMMETRIC, 1.0, math.inf)
 
 
 class TestDamageMean:
@@ -117,9 +134,15 @@ class TestModel2Fptf:
         ]
         assert means[0] <= means[1] <= means[2]
 
-    def test_mean_propagates_budget_exhaustion(self):
+    def test_mean_large_threshold_closed_form(self):
+        # Equal Exp(1) marks: E(T) = (1 + K) / lambda, here with exp(-K) underflowing.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
+                                threshold=800.0)
+        assert model2_fptf_mean(model) == pytest.approx(400.5, rel=1e-9)
+
+    def test_mean_raises_when_term_budget_exhausted(self):
         with pytest.raises(NonConvergedError):
-            model2_fptf_mean(SYMMETRIC, quadrature=QuadraturePolicy(max_evals=15))
+            model2_fptf_mean(SYMMETRIC, TruncationPolicy(max_terms_per_axis=3))
 
 
 class TestMergedProcessReduction:
@@ -130,6 +153,15 @@ class TestMergedProcessReduction:
         for t, x in [(0.5, 0.5), (1.0, 2.0), (2.0, 4.0), (3.0, 1.0)]:
             two = damage_cdf(model, t, x, policy)
             one = compound_poisson_exponential_cdf(3.0, 1.5, t, x, policy)
+            assert abs(two - one) <= 2.0 * policy.tail_epsilon
+
+    def test_poisson_mean_past_exp_underflow(self):
+        policy = TruncationPolicy(tail_epsilon=1e-10)
+        model = CumulativeModel(400.0, 400.0, Exponential(1.0), Exponential(1.0),
+                                threshold=1.0)
+        for x in (760.0, 800.0, 840.0):
+            two = damage_cdf(model, 1.0, x, policy)
+            one = compound_poisson_exponential_cdf(800.0, 1.0, 1.0, x, policy)
             assert abs(two - one) <= 2.0 * policy.tail_epsilon
 
     def test_erlang_shape_one_equals_exponential_marks(self):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from _oracles import trapezoid_convolution_cdf
-from twoshock.distributions import Erlang
-from twoshock.errors import EqualRatesError, IllConditionedError, IllConditionedWarning
+from twoshock.distributions import Erlang, erlang_survival
+from twoshock.errors import EqualRatesError, IllConditionedError
 from twoshock.gamma_convolution import ErlangProduct, convolution_cdf, expand
 
 
@@ -54,6 +54,17 @@ class TestExpand:
         with pytest.raises(IllConditionedError):
             expand(ErlangProduct(2, 1.0, 3, 1.0 + 1e-8))
 
+    def test_expansion_matches_phase_series(self):
+        for (a, ra, b, rb) in [(1, 1.0, 1, 2.0), (2, 1.0, 1, 3.0), (4, 0.5, 3, 2.0),
+                               (4, 3.0, 4, 0.5), (2, 2.0, 5, 1.0)]:
+            product = ErlangProduct(a, ra, b, rb)
+            ex = expand(product)
+            for x in (0.2, 1.0, a / ra + b / rb, 10.0):
+                inverted = 1.0 - math.fsum(
+                    [c * erlang_survival(j, ra * x) for j, c in enumerate(ex.coeffs_a, 1)]
+                    + [d * erlang_survival(j, rb * x) for j, d in enumerate(ex.coeffs_b, 1)])
+                assert abs(inverted - convolution_cdf(product, x)) <= 1e-10
+
     def test_zero_shape_rejected(self):
         with pytest.raises(ValueError, match="shapes >= 1"):
             expand(ErlangProduct(0, 1.0, 3, 2.0))
@@ -89,10 +100,13 @@ class TestConvolutionCdf:
             assert convolution_cdf(ErlangProduct(2, 1.5, 0, 1.0), x) == \
                 Erlang(2, 1.5).cdf(x)
 
-    def test_near_equal_rates_merge_with_warning(self):
-        with pytest.warns(IllConditionedWarning):
+    def test_near_equal_rates_exact_without_warning(self):
+        # The phase series is exact at any rate gap; the equal-rate limit
+        # differs from it by O(gap).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value = convolution_cdf(ErlangProduct(2, 1.0, 2, 1.0 + 1e-9), 3.0)
-        assert value == pytest.approx(Erlang(4, 1.0).cdf(3.0), rel=1e-6)
+        assert abs(value - Erlang(4, 1.0).cdf(3.0)) <= 1e-8
 
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -18,6 +18,7 @@ the first S whose Erlang CDF is below the requested bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from scipy import special
 
 from .distributions import Distribution, Erlang, Exponential, erlang_survival
 from .errors import NonConvergedError, UnsupportedConvolutionError
-from .gamma_convolution import _erlang_cdfs, _phase_pmf
+from .gamma_convolution import _erlang_cdf_terms, _erlang_cdfs, _phase_pmf
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
 
 __all__ = [
@@ -55,7 +56,8 @@ class TruncationPolicy:
     below its share of tail_epsilon, and renewal-count series where their
     discarded weight mass is below theirs, giving an absolute error below
     tail_epsilon.  Needing more than max_terms_per_axis phases or renewal
-    counts raises NonConvergedError.
+    counts raises NonConvergedError, except in damage_cdf when the phase
+    counts past the cap carry less than tail_epsilon of probability.
     """
 
     tail_epsilon: float = 1e-10
@@ -164,11 +166,20 @@ def _renewal_weights(inter: Distribution, t: float, tail: float,
 def _phase_setup(mag1: Distribution, mag2: Distribution, x: float, eps: float,
                  max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Erlang CDFs at x, phase pmf of mark 1, of mark 2), all over the same S phases."""
+    cdfs = _erlang_cdfs(_fast_rate(mag1, mag2) * x, eps, max_terms)
+    return (cdfs, *_phase_pmfs(mag1, mag2, len(cdfs)))
+
+
+def _fast_rate(mag1: Distribution, mag2: Distribution) -> float:
+    return max(_mark_params(mag1)[1], _mark_params(mag2)[1])
+
+
+def _phase_pmfs(mag1: Distribution, mag2: Distribution,
+                length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase pmfs of both marks in units of the faster mark rate, cut at length."""
     (m1, mu1), (m2, mu2) = _mark_params(mag1), _mark_params(mag2)
     fast = max(mu1, mu2)
-    cdfs = _erlang_cdfs(fast * x, eps, max_terms)
-    n = len(cdfs)
-    return cdfs, _phase_pmf(m1, mu1, fast, n), _phase_pmf(m2, mu2, fast, n)
+    return _phase_pmf(m1, mu1, fast, length), _phase_pmf(m2, mu2, fast, length)
 
 
 def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
@@ -195,15 +206,31 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
 
 def damage_cdf(model: CumulativeModel, t: float, x: float,
                policy: TruncationPolicy | None = None) -> float:
-    """P(total damage by time t is <= x), within tail_epsilon absolute."""
+    """P(total damage by time t is <= x), within tail_epsilon absolute.
+
+    When the Erlang-CDF stop needs more than max_terms_per_axis phases, the
+    series is cut at the cap if the phase-count pmf g has mass at least
+    1 - tail_epsilon below it: each dropped term is at most g(s).  The mass
+    must clear that bound by a rounding allowance of one double epsilon per
+    term; otherwise NonConvergedError is raised.
+    """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    cdfs, f1, f2 = _phase_setup(model.mag1, model.mag2, x, policy.tail_epsilon,
-                                policy.max_terms_per_axis)
+    z = _fast_rate(model.mag1, model.mag2) * x
+    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon, policy.max_terms_per_axis)
+    f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
     total = model.rate1 + model.rate2
     jumps = (model.rate1 * f1 + model.rate2 * f2) / total
-    value = float(_compound_poisson_pmf(total * t, jumps) @ cdfs)
+    g = _compound_poisson_pmf(total * t, jumps)
+    if not converged:
+        mass = math.fsum(g) - len(g) * sys.float_info.epsilon
+        if mass < 1.0 - policy.tail_epsilon:
+            raise NonConvergedError(
+                f"phase series needs more than {policy.max_terms_per_axis} terms "
+                f"(Erlang CDF bound {policy.tail_epsilon} at rate * x = {z}), and "
+                f"the phase-count mass below the cap, {mass!r}, does not show it")
+    value = float(g @ cdfs)
     return min(1.0, max(0.0, value))
 
 

@@ -157,13 +157,13 @@ def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     return out
 
 
-def _erlang_cdfs(z: float, eps: float, max_terms: float = math.inf) -> np.ndarray:
+def _erlang_cdf_terms(z: float, eps: float, max_terms: float) -> tuple[np.ndarray, bool]:
     """P(Erlang(s, 1) <= z) for s = 0..S-1, where S is the first s with a value below eps.
 
     s = 0 is the unit step.  P(Erlang(s, 1) <= z) = P(N >= s) for N ~
     Poisson(z), and Bernstein's bound P(N >= z + d) <= exp(-d^2 / (2(z + d/3)))
-    gives the length to evaluate.  Raises NonConvergedError when S would
-    exceed max_terms.
+    gives the length to evaluate.  Returns (values, True); when S would
+    exceed max_terms, returns (the first max_terms values, False).
     """
     log_eps = -math.log(eps)
     reach = z + log_eps / 3.0 + math.sqrt(log_eps ** 2 / 9.0 + 2.0 * log_eps * z)
@@ -171,10 +171,18 @@ def _erlang_cdfs(z: float, eps: float, max_terms: float = math.inf) -> np.ndarra
     cdfs[0] = 1.0
     below = np.flatnonzero(cdfs < eps)
     if not below.size or below[0] > max_terms:
+        return cdfs[:int(max_terms)], False
+    return cdfs[:below[0]], True
+
+
+def _erlang_cdfs(z: float, eps: float, max_terms: float = math.inf) -> np.ndarray:
+    """The values of _erlang_cdf_terms; raises NonConvergedError when S exceeds max_terms."""
+    cdfs, converged = _erlang_cdf_terms(z, eps, max_terms)
+    if not converged:
         raise NonConvergedError(
             f"phase series needs more than {max_terms} terms "
             f"(Erlang CDF bound {eps} at rate * x = {z})")
-    return cdfs[:below[0]]
+    return cdfs
 
 
 def convolution_cdf(product: ErlangProduct, x: float) -> float:

@@ -1,5 +1,22 @@
 """Monte Carlo oracle: marked renewal-process simulation with deterministic streams.
 
+Two independent Poisson streams with rates rate1 and rate2 superpose into
+one Poisson stream of rate L = rate1 + rate2 in which each shock comes from
+stream 1 with probability rate1 / L, independently of everything else.  The
+simulators use that in two ways:
+
+* Crossing times (simulate_fptf_cumulative) draw the merged marks with
+  Bernoulli source labels until the damage exceeds the threshold at shock N.
+  The merged interarrivals are i.i.d. Exp(L) and independent of the labels
+  and marks, so the crossing time is one Gamma(N, L) draw.
+* Damage paths (simulate_cumulative) draw each stream's arrival count in
+  every grid interval as a Poisson variable, draw that many marks and sum
+  them per interval.  Renewal arrivals (simulate_general_cumulative) are
+  simulated in time and counted per interval instead.
+
+Marks are always drawn by each stream's own sampler; nothing comes from the
+analytic kernels, so the oracle stays independent of them.
+
 Determinism contract: every summary depends only on (replications,
 master_seed).  Replications are partitioned into fixed-size blocks; block j
 draws from an independent substream seeded by SeedSequence([master_seed, j]),
@@ -10,6 +27,7 @@ can never change an output bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,6 +36,7 @@ import numpy as np
 from .cumulative import CumulativeModel, GeneralCumulativeModel
 from .catastrophic import CatastrophicModel
 from .distributions import Distribution, Exponential
+from .errors import NonConvergedError
 
 __all__ = [
     "SimulationConfig",
@@ -32,8 +51,8 @@ __all__ = [
 ]
 
 _BLOCK_SIZE = 1 << 14
-# Extension rounds for event-horizon growth; each round extends geometrically,
-# so hitting the cap means a pathological model rather than bad luck.
+# Chunk rounds of _running_sums; chunks grow geometrically, so hitting the
+# cap means a pathological model rather than bad luck.
 _MAX_EXTENSION_ROUNDS = 64
 
 
@@ -122,6 +141,13 @@ def _block_sizes(replications: int) -> list:
     return sizes
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_blocks(cfg: SimulationConfig, worker) -> list:
     """worker(rng, size) per block; results returned in block order."""
     sizes = _block_sizes(cfg.replications)
@@ -130,9 +156,10 @@ def _run_blocks(cfg: SimulationConfig, worker) -> list:
         rng = np.random.default_rng([cfg.master_seed, j])
         return worker(rng, sizes[j])
 
-    if cfg.workers == 1 or len(sizes) == 1:
+    threads = min(cfg.workers, len(sizes), _usable_cpus())
+    if threads == 1:
         return [run(j) for j in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(run, j) for j in range(len(sizes))]
         return [f.result() for f in futures]
 
@@ -171,49 +198,68 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
         fptf_mean=_mean_estimate(total, total_sq, n, "fptf_mean"))
 
 
-def _extend_until(draw_cols, matrix: np.ndarray, done) -> np.ndarray:
-    """Append column chunks (cumulative along axis 1) until done(matrix) is true."""
+def _running_sums(draw, size: int, cols: int, limit: float):
+    """Yield (rows, sums): running row sums of draw(len(rows), cols) increments.
+
+    Each row's sum is carried from chunk to chunk until it exceeds limit;
+    only the rows still at or below it are drawn again.  Each chunk is half
+    as wide again as the one before.
+    """
+    carried = np.zeros(size)
+    rows = np.arange(size)
     rounds = 0
-    while not done(matrix):
+    while rows.size:
         rounds += 1
         if rounds > _MAX_EXTENSION_ROUNDS:
-            raise RuntimeError("event horizon extension cap exceeded; "
-                               "check the model's mark/interarrival scales")
-        extra = draw_cols(max(4, matrix.shape[1] // 2))
-        extra = matrix[:, -1:] + np.cumsum(extra, axis=1)
-        matrix = np.concatenate([matrix, extra], axis=1)
-    return matrix
+            raise NonConvergedError("extension cap exceeded before every replication "
+                                    "passed its limit; check the model's scales")
+        sums = draw(rows.size, cols)
+        sums[:, 0] += carried[rows]
+        np.cumsum(sums, axis=1, out=sums)
+        yield rows, sums
+        carried[rows] = sums[:, -1]
+        rows = rows[sums[:, -1] <= limit]
+        cols += cols // 2
 
 
-def _cumulative_arrivals(inter: Distribution, rng, size: int, n0: int) -> np.ndarray:
-    draws = inter.sample_n(rng, size * n0).reshape(size, n0)
-    return np.cumsum(draws, axis=1)
+def _interval_counts(inter: Distribution, grid: np.ndarray, rng, size: int) -> np.ndarray:
+    """Arrivals of one stream per replication in each (grid[i-1], grid[i]]: (size, len(grid)).
+
+    The first interval starts at 0.  Poisson arrivals fall in disjoint
+    intervals independently, so their counts are Poisson(rate * width);
+    renewal arrivals are simulated past the last grid point and binned.
+    """
+    if isinstance(inter, Exponential):
+        return rng.poisson(inter.rate * np.diff(grid, prepend=0.0), size=(size, grid.size))
+    t_max = float(grid[-1])
+    # Column grid.size collects the arrivals after t_max.
+    counts = np.zeros(size * (grid.size + 1), dtype=np.int64)
+    for rows, times in _running_sums(
+            lambda n, k: inter.sample_n(rng, n * k).reshape(n, k),
+            size, max(4, int(t_max / inter.mean()) + 1), t_max):
+        # An arrival at time s belongs to the first grid point >= s.
+        bins = np.searchsorted(grid, times, side="left")
+        bins += (grid.size + 1) * rows[:, None]
+        counts += np.bincount(bins.ravel(), minlength=counts.size)
+    return counts.reshape(size, grid.size + 1)[:, :-1]
 
 
-def _initial_columns(target: float, per_event_mean: float) -> int:
-    base = target / per_event_mean
-    return int(base + 8.0 * math.sqrt(base + 1.0) + 16.0)
+def _stream_damage(inter: Distribution, mag: Distribution, grid: np.ndarray, rng,
+                   size: int) -> np.ndarray:
+    """One stream's damage per replication at each grid time: (size, len(grid))."""
+    counts = _interval_counts(inter, grid, rng, size)
+    marks = mag.sample_n(rng, int(counts.sum()))
+    owner = np.repeat(np.arange(counts.size), counts.ravel())
+    # bincount, not np.add.reduceat: an interval without arrivals must sum to 0.
+    sums = np.bincount(owner, weights=marks, minlength=counts.size).reshape(counts.shape)
+    return np.cumsum(sums, axis=1, out=sums)
 
 
 def _damage_paths(inter1, mag1, inter2, mag2, grid: np.ndarray, rng, size: int) -> np.ndarray:
     """Damage totals per replication at each grid time: (len(grid), size)."""
-    t_max = float(grid[-1])
-    out = np.zeros((grid.size, size))
-    for inter, mag in ((inter1, mag1), (inter2, mag2)):
-        n0 = _initial_columns(t_max, inter.mean()) if t_max > 0.0 else 4
-        times = _cumulative_arrivals(inter, rng, size, n0)
-        times = _extend_until(
-            lambda k: inter.sample_n(rng, size * k).reshape(size, k),
-            times, lambda m: m[:, -1].min() > t_max)
-        n_events = times.shape[1]
-        marks = mag.sample_n(rng, size * n_events).reshape(size, n_events)
-        cum_marks = np.cumsum(marks, axis=1)
-        counts = (times[:, :, None] <= grid[None, None, :]).sum(axis=1)  # (size, grid)
-        idx = np.maximum(counts - 1, 0)
-        damage = np.take_along_axis(cum_marks, idx, axis=1)
-        damage[counts == 0] = 0.0
-        out += damage.T
-    return out
+    damage = _stream_damage(inter1, mag1, grid, rng, size)
+    damage += _stream_damage(inter2, mag2, grid, rng, size)
+    return damage.T
 
 
 def _simulate_damage(inter1, mag1, inter2, mag2, t_grid, cfg: SimulationConfig,
@@ -222,22 +268,26 @@ def _simulate_damage(inter1, mag1, inter2, mag2, t_grid, cfg: SimulationConfig,
     if not grid.size:
         raise ValueError("t_grid must contain at least one point")
 
-    parts = _run_blocks(cfg, lambda rng, size: _damage_paths(
-        inter1, mag1, inter2, mag2, grid, rng, size))
-    samples = np.concatenate(parts, axis=1)  # block order
+    samples = np.concatenate(_run_blocks(cfg, lambda rng, size: _damage_paths(
+        inter1, mag1, inter2, mag2, grid, rng, size)), axis=1)  # block order
     n = cfg.replications
     means = tuple(
         _mean_estimate(float(row.sum()), float((row * row).sum()), n,
                        f"{tag}_mean@t={t!r}")
         for t, row in zip(grid, samples))
-    sorted_samples = tuple(np.sort(row) for row in samples)
+    samples.sort(axis=1)  # in place: the draws are held once
     return DamageSimulation(grid=tuple(float(t) for t in grid),
-                            means=means, _samples=sorted_samples)
+                            means=means, _samples=tuple(samples))
 
 
 def simulate_cumulative(model: CumulativeModel, t_grid,
                         cfg: SimulationConfig) -> DamageSimulation:
-    """Sum the marks of two Poisson streams over [0, t] for each grid t."""
+    """Sum the marks of two Poisson streams over [0, t] for each grid t.
+
+    Each stream's arrival count in every grid interval is a Poisson draw;
+    that many marks are drawn and summed per interval, then accumulated
+    along the grid.
+    """
     return _simulate_damage(Exponential(model.rate1), model.mag1,
                             Exponential(model.rate2), model.mag2,
                             t_grid, cfg, tag="damage")
@@ -245,65 +295,56 @@ def simulate_cumulative(model: CumulativeModel, t_grid,
 
 def simulate_general_cumulative(model: GeneralCumulativeModel, t_grid,
                                 cfg: SimulationConfig) -> DamageSimulation:
-    """Renewal-arrival variant of simulate_cumulative; any sampleable interarrivals."""
+    """Renewal-arrival variant of simulate_cumulative; any sampleable interarrivals.
+
+    Arrival times are simulated and counted per grid interval; Exponential
+    interarrivals take the Poisson-count path, drawing exactly what
+    simulate_cumulative draws.
+    """
     return _simulate_damage(model.inter1, model.mag1, model.inter2, model.mag2,
                             t_grid, cfg, tag="general_damage")
 
 
+def _merged_marks(model: CumulativeModel, p1: float, rng, rows: int, cols: int) -> np.ndarray:
+    """Marks of the merged stream, (rows, cols): each from stream 1 with probability p1."""
+    from_first = rng.random(rows * cols) < p1
+    # Integer positions scatter the draws several times faster than a mask.
+    first, second = np.flatnonzero(from_first), np.flatnonzero(~from_first)
+    marks = np.empty(rows * cols)
+    marks[first] = model.mag1.sample_n(rng, first.size)
+    marks[second] = model.mag2.sample_n(rng, second.size)
+    return marks.reshape(rows, cols)
+
+
 def _crossing_times(model: CumulativeModel, rng, size: int) -> np.ndarray:
-    """First instants at which merged-stream cumulative damage exceeds the threshold."""
-    threshold = model.threshold
+    """First instants at which the merged stream's cumulative damage exceeds the threshold.
 
-    # Process-1 events alone must cross the threshold in every row; that both
-    # guarantees a merged crossing and pins the time horizon the second
-    # process has to cover.
-    n1 = _initial_columns(threshold, model.mag1.mean())
-    inter1 = Exponential(model.rate1)
-    times1 = _cumulative_arrivals(inter1, rng, size, n1)
-    marks1 = model.mag1.sample_n(rng, times1.size).reshape(size, -1)
-    rounds = 0
-    # The same cumulative sum decides both the extension guard and the
-    # crossing index, so every row is guaranteed a detected crossing.
-    while np.cumsum(marks1, axis=1)[:, -1].min() <= threshold:
-        rounds += 1
-        if rounds > _MAX_EXTENSION_ROUNDS:
-            raise RuntimeError("event horizon extension cap exceeded")
-        k = max(4, times1.shape[1] // 2)
-        ext_t = times1[:, -1:] + np.cumsum(
-            inter1.sample_n(rng, size * k).reshape(size, k), axis=1)
-        ext_m = model.mag1.sample_n(rng, size * k).reshape(size, k)
-        times1 = np.concatenate([times1, ext_t], axis=1)
-        marks1 = np.concatenate([marks1, ext_m], axis=1)
-
-    first_cross = (np.cumsum(marks1, axis=1) > threshold).argmax(axis=1)
-    horizon = np.take_along_axis(times1, first_cross[:, None], axis=1).ravel()
-
-    inter2 = Exponential(model.rate2)
-    n2 = _initial_columns(float(horizon.max()), inter2.mean())
-    times2 = _cumulative_arrivals(inter2, rng, size, n2)
-    times2 = _extend_until(
-        lambda k: inter2.sample_n(rng, size * k).reshape(size, k),
-        times2, lambda m: bool(np.all(m[:, -1] > horizon)))
-    marks2 = model.mag2.sample_n(rng, times2.size).reshape(size, -1)
-
-    times = np.concatenate([times1, times2], axis=1)
-    marks = np.concatenate([marks1, marks2], axis=1)
-    order = np.argsort(times, axis=1)
-    sorted_times = np.take_along_axis(times, order, axis=1)
-    sorted_marks = np.take_along_axis(marks, order, axis=1)
-    if not np.all(sorted_times[:, 1:] > sorted_times[:, :-1]):
-        raise RuntimeError("tied event times in merged streams")
-
-    cum = np.cumsum(sorted_marks, axis=1)
-    if not bool(np.all(cum[:, -1] > threshold)):
-        raise RuntimeError("threshold crossing missing from generated horizon")
-    idx = (cum > threshold).argmax(axis=1)
-    return np.take_along_axis(sorted_times, idx[:, None], axis=1).ravel()
+    Marks are drawn in chunks of columns, the first about threshold / mean
+    mark wide and each later one half as wide again; only the rows that have
+    not yet crossed are carried into the next chunk.  Given the index N of the
+    crossing shock, the crossing time is a sum of N Exp(total rate)
+    interarrivals, independent of the marks: one Gamma(N) draw scaled by
+    1/total.
+    """
+    total = model.rate1 + model.rate2
+    p1 = model.rate1 / total
+    mark_mean = p1 * model.mag1.mean() + (1.0 - p1) * model.mag2.mean()
+    shocks = np.zeros(size, dtype=np.int64)
+    for rows, damage in _running_sums(
+            lambda n, k: _merged_marks(model, p1, rng, n, k),
+            size, max(4, int(model.threshold / mark_mean) + 1), model.threshold):
+        over = damage > model.threshold
+        shocks[rows] += np.where(over[:, -1], over.argmax(axis=1) + 1, over.shape[1])
+    return rng.standard_gamma(shocks) / total
 
 
 def simulate_fptf_cumulative(model: CumulativeModel,
                              cfg: SimulationConfig) -> FptfSimulation:
-    """Merge both event streams in time order and record the first threshold crossing."""
+    """First time the summed damage of both streams exceeds the threshold, per replication.
+
+    The time is Gamma(N, rate1 + rate2), with N the index of the crossing
+    shock in the merged stream.
+    """
     parts = _run_blocks(cfg, lambda rng, size: _crossing_times(model, rng, size))
     times = np.concatenate(parts)
     n = cfg.replications

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from twoshock import montecarlo
 from twoshock.cli import load_model_file, main, parse_grid, parse_points
 
 CATASTROPHIC = {
@@ -232,6 +233,16 @@ class TestSimulationCommands:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert all(abs(float(line.split(",")[4])) <= 4.5 for line in lines[1:])
+
+    def test_simulator_extension_cap_exits_two(self, model_file, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_EXTENSION_ROUNDS", 0)
+        rc = main(["compare", "--model", model_file(CUMULATIVE),
+                   "--points", "1,2", "--reps", "1000", "--seed", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure in compare" in captured.err
+        assert "extension cap" in captured.err
 
     def test_identical_invocations_identical_output(self, model_file, capsys):
         argv = ["compare", "--model", model_file(CATASTROPHIC),

@@ -72,6 +72,16 @@ class TestDamageCdf:
             tiny = damage_cdf(MIXED, t, x, TruncationPolicy(tail_epsilon=1e-300))
             assert abs(tiny - loose) <= 1e-15
 
+    def test_level_past_phase_cap_cut_by_pmf_mass(self):
+        # mu_f * x = 9400 needs more phases than the default cap; the
+        # compound-Poisson pmf (mean 2) has all its mass far below it.
+        value = damage_cdf(SYMMETRIC, 1.0, 9400.0)
+        assert 1.0 - 1e-10 <= value <= 1.0
+
+    def test_level_past_phase_cap_raises_when_mass_cannot_show_bound(self):
+        with pytest.raises(NonConvergedError):
+            damage_cdf(SYMMETRIC, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
+
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             damage_cdf(SYMMETRIC, -1.0, 1.0)

@@ -1,10 +1,12 @@
 """Simulator tests: determinism, statistical agreement, estimate contracts."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from twoshock import montecarlo
 from twoshock.catastrophic import CatastrophicModel, mean_fptf
 from twoshock.cumulative import (
     CumulativeModel,
@@ -65,6 +67,38 @@ class TestDeterminism:
         other = simulate_fptf_cumulative(DAMAGE, config(workers=8, n=30_000))
         assert base.mean == other.mean
         assert np.array_equal(base._times, other._times)
+
+    def test_thread_pool_capped_at_blocks_and_cpus(self, monkeypatch):
+        requested = []
+
+        class InlineExecutor:
+            """Runs each task at submit time; starts no thread."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        five_blocks = 5 * montecarlo._BLOCK_SIZE
+        base = simulate_catastrophic(EXP_PAIR, config(workers=1, n=five_blocks), [0.5])
+        assert requested == []
+        wide = simulate_catastrophic(EXP_PAIR, config(workers=50_000, n=five_blocks), [0.5])
+        assert requested == [3]
+        assert wide == base
+        two_blocks = 2 * montecarlo._BLOCK_SIZE
+        simulate_catastrophic(EXP_PAIR, config(workers=50_000, n=two_blocks), [0.5])
+        assert requested == [3, 2]
 
 
 class TestCatastrophicSimulation:
@@ -142,6 +176,22 @@ class TestCrossingSimulation:
         sim = simulate_fptf_cumulative(model, config(n=200_000))
         expected = model2_fptf_mean(model)
         assert abs(sim.mean.mean - expected) <= 3.5 * sim.mean.std_error
+
+    def test_unequal_rates_and_mark_families(self):
+        model = CumulativeModel(0.2, 3.0, Erlang(4, 0.5), Exponential(4.0), threshold=6.0)
+        sim = simulate_fptf_cumulative(model, config(n=400_000))
+        expected = model2_fptf_mean(model)
+        assert abs(sim.mean.mean - expected) <= 3.5 * sim.mean.std_error
+        for t in (0.5 * expected, expected, 2.0 * expected):
+            est = sim.ecdf(t)
+            assert abs(est.mean - model2_fptf_cdf(model, t)) <= 3.5 * est.std_error
+
+    def test_many_chunks_against_exact_mean(self):
+        # Equal Exp(1) marks: N - 1 is Poisson(K), so E(T) = (1 + K) / lambda.
+        # Rows carry over several chunks of marks at this threshold.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=60.0)
+        sim = simulate_fptf_cumulative(model, config(n=100_000))
+        assert abs(sim.mean.mean - 61.0 / 2.0) <= 3.5 * sim.mean.std_error
 
 
 class TestGeneralSimulation:

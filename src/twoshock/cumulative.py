@@ -56,8 +56,9 @@ class TruncationPolicy:
     below its share of tail_epsilon, and renewal-count series where their
     discarded weight mass is below theirs, giving an absolute error below
     tail_epsilon.  Needing more than max_terms_per_axis phases or renewal
-    counts raises NonConvergedError, except in damage_cdf when the phase
-    counts past the cap carry less than tail_epsilon of probability.
+    counts raises NonConvergedError, except in damage_cdf and
+    general_damage_cdf when the phase counts past the cap carry less than
+    tail_epsilon of probability.
     """
 
     tail_epsilon: float = 1e-10
@@ -163,13 +164,6 @@ def _renewal_weights(inter: Distribution, t: float, tail: float,
         f_prev = f_next
 
 
-def _phase_setup(mag1: Distribution, mag2: Distribution, x: float, eps: float,
-                 max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Erlang CDFs at x, phase pmf of mark 1, of mark 2), all over the same S phases."""
-    cdfs = _erlang_cdfs(_fast_rate(mag1, mag2) * x, eps, max_terms)
-    return (cdfs, *_phase_pmfs(mag1, mag2, len(cdfs)))
-
-
 def _fast_rate(mag1: Distribution, mag2: Distribution) -> float:
     return max(_mark_params(mag1)[1], _mark_params(mag2)[1])
 
@@ -204,15 +198,30 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
     return g
 
 
+def _check_mass_below_cap(g: np.ndarray, policy: TruncationPolicy, z: float) -> None:
+    """Allow cutting the phase series at the cap, or raise NonConvergedError.
+
+    The cut is allowed when the phase-count pmf g, as computed below the
+    cap, has mass at least 1 - tail_epsilon: every term of the exact series
+    is g(s) times a CDF, so it falls short of the exact value by at most the
+    mass g misses.  The mass must clear that bound by a rounding allowance
+    of one double epsilon per term.
+    """
+    mass = math.fsum(g) - len(g) * sys.float_info.epsilon
+    if mass < 1.0 - policy.tail_epsilon:
+        raise NonConvergedError(
+            f"phase series needs more than {policy.max_terms_per_axis} terms "
+            f"at rate * x = {z}, and the phase-count mass below the cap, "
+            f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
+
+
 def damage_cdf(model: CumulativeModel, t: float, x: float,
                policy: TruncationPolicy | None = None) -> float:
     """P(total damage by time t is <= x), within tail_epsilon absolute.
 
     When the Erlang-CDF stop needs more than max_terms_per_axis phases, the
-    series is cut at the cap if the phase-count pmf g has mass at least
-    1 - tail_epsilon below it: each dropped term is at most g(s).  The mass
-    must clear that bound by a rounding allowance of one double epsilon per
-    term; otherwise NonConvergedError is raised.
+    series is cut at the cap if the phase-count pmf has mass at least
+    1 - tail_epsilon below it (_check_mass_below_cap).
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
@@ -224,12 +233,7 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     jumps = (model.rate1 * f1 + model.rate2 * f2) / total
     g = _compound_poisson_pmf(total * t, jumps)
     if not converged:
-        mass = math.fsum(g) - len(g) * sys.float_info.epsilon
-        if mass < 1.0 - policy.tail_epsilon:
-            raise NonConvergedError(
-                f"phase series needs more than {policy.max_terms_per_axis} terms "
-                f"(Erlang CDF bound {policy.tail_epsilon} at rate * x = {z}), and "
-                f"the phase-count mass below the cap, {mass!r}, does not show it")
+        _check_mass_below_cap(g, policy, z)
     value = float(g @ cdfs)
     return min(1.0, max(0.0, value))
 
@@ -261,8 +265,9 @@ def model2_fptf_mean(model: CumulativeModel,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
     """
     truncation = truncation or TruncationPolicy()
-    cdfs, f1, f2 = _phase_setup(model.mag1, model.mag2, model.threshold,
-                                truncation.tail_epsilon, truncation.max_terms_per_axis)
+    cdfs = _erlang_cdfs(_fast_rate(model.mag1, model.mag2) * model.threshold,
+                        truncation.tail_epsilon, truncation.max_terms_per_axis)
+    f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
     total = model.rate1 + model.rate2
     jumps = (model.rate1 * f1 + model.rate2 * f2) / total
     renewal = np.zeros(len(cdfs))
@@ -291,19 +296,26 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     """P(total damage by t is <= x) under renewal arrivals, within tail_epsilon.
 
     Half the bound goes to the phase series and a quarter to each stream's
-    renewal counts.
+    renewal counts.  Past max_terms_per_axis phases the series is cut as in
+    damage_cdf: the mass test there bounds the renewal cuts and the phase
+    cut together.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    cdfs, f1, f2 = _phase_setup(model.mag1, model.mag2, x, policy.tail_epsilon / 2.0,
-                                policy.max_terms_per_axis)
+    z = _fast_rate(model.mag1, model.mag2) * x
+    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon / 2.0,
+                                        policy.max_terms_per_axis)
+    f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
     quarter = policy.tail_epsilon / 4.0
     g1 = _random_sum_pmf(
         _renewal_weights(model.inter1, t, quarter, policy.max_terms_per_axis), f1)
     g2 = _random_sum_pmf(
         _renewal_weights(model.inter2, t, quarter, policy.max_terms_per_axis), f2)
-    value = float(np.convolve(g1, g2)[:len(cdfs)] @ cdfs)
+    g = np.convolve(g1, g2)[:len(cdfs)]
+    if not converged:
+        _check_mass_below_cap(g, policy, z)
+    value = float(g @ cdfs)
     return min(1.0, max(0.0, value))
 
 

@@ -4,6 +4,13 @@ Each family exposes the CDF, survival function, density, mean, exact k-fold
 convolution CDFs where a closed form exists, and inverse-CDF sampling from an
 injected uniform stream (a numpy Generator).  Evaluation methods are pure;
 sampling touches only the stream passed in.
+
+Draw layout: an exponential or Weibull draw of n values consumes n uniforms
+u, transformed in place through log1p(-u).  An Erlang(shape) draw of n values
+consumes shape * n uniforms stage-major, as a (shape, n) block whose row i is
+stage i of every draw, each stage an exponential by inverse CDF; the rows
+are summed.  So Erlang(1, r) draws exactly what Exponential(r) draws, and so
+does Weibull(1, 1/r) when 1/r is a power of two.
 """
 
 from __future__ import annotations
@@ -42,6 +49,12 @@ def _check_time(t: float) -> None:
 def _check_fold(k: int) -> None:
     if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0):
         raise ValueError(f"convolution order must be a nonnegative integer, got {k}")
+
+
+def _log_complement(u: np.ndarray) -> np.ndarray:
+    """log1p(-u), written over the uniforms u and returned: minus Exp(1) draws."""
+    np.negative(u, out=u)
+    return np.log1p(u, out=u)
 
 
 def erlang_survival(shape: int, x: float) -> float:
@@ -89,7 +102,15 @@ class Distribution(ABC):
 
     @abstractmethod
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n inverse-CDF draws from the given uniform stream."""
+        """n inverse-CDF draws from the given uniform stream, as a new float64 array.
+
+        Exponential and Weibull draws take n uniforms, one per draw.  An
+        Erlang(shape) draw of n values takes shape * n uniforms, stage-major:
+        the first n are stage 1 of every draw, the next n stage 2, and so
+        on; each stage is an exponential by inverse CDF, and the stages are
+        summed.  The array is computed in place in one buffer, which the
+        caller owns and may overwrite.
+        """
 
     def cdf(self, t: float) -> float:
         """P(X <= t)."""
@@ -128,8 +149,9 @@ class Exponential(Distribution):
         return erlang_cdf(int(k), self.rate * t)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        return -np.log1p(-u) / self.rate
+        draws = _log_complement(rng.random(n))
+        draws /= -self.rate
+        return draws
 
 
 @dataclass(frozen=True)
@@ -177,8 +199,9 @@ class Erlang(Distribution):
         return erlang_cdf(int(k) * self.shape, self.rate * t)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random((n, self.shape))
-        return -np.log1p(-u).sum(axis=1) / self.rate
+        draws = _log_complement(rng.random((self.shape, n))).sum(axis=0)
+        draws /= -self.rate
+        return draws
 
 
 @dataclass(frozen=True)
@@ -223,8 +246,11 @@ class Weibull(Distribution):
             "no closed-form k-fold convolution for Weibull with k >= 2")
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
+        draws = _log_complement(rng.random(n))
+        np.negative(draws, out=draws)
+        draws **= 1.0 / self.shape
+        draws *= self.scale
+        return draws
 
 
 def _positive_number(value, name: str) -> float:

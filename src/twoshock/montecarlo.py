@@ -105,7 +105,7 @@ class DamageSimulation:
         count = int(np.searchsorted(samples, x, side="right"))
         return _proportion_estimate(
             count, len(samples),
-            f"damage_ecdf@t={self.grid[grid_index]!r},x={x!r}")
+            f"damage_ecdf@t={self.grid[grid_index]!r},x={float(x)!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class FptfSimulation:
 
     def ecdf(self, t: float) -> SimulationEstimate:
         count = int(np.searchsorted(self._times, t, side="right"))
-        return _proportion_estimate(count, len(self._times), f"fptf_ecdf@t={t!r}")
+        return _proportion_estimate(count, len(self._times), f"fptf_ecdf@t={float(t)!r}")
 
 
 def _proportion_estimate(count: int, n: int, tag: str) -> SimulationEstimate:
@@ -177,12 +177,12 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
     grid = _check_grid(t_grid)
 
     def worker(rng, size):
-        x = model.proc1.sample_n(rng, size)
-        y = model.proc2.sample_n(rng, size)
-        first = np.minimum(x, y)
-        counts = ((first[None, :] > grid[:, None]).sum(axis=1)
-                  if grid.size else np.zeros(0, dtype=np.int64))
-        return float(first.sum()), float((first * first).sum()), counts
+        first = model.proc1.sample_n(rng, size)
+        np.minimum(first, model.proc2.sample_n(rng, size), out=first)
+        counts = np.array([np.count_nonzero(first > t) for t in grid], dtype=np.int64)
+        total = float(first.sum())
+        first *= first
+        return total, float(first.sum()), counts
 
     parts = _run_blocks(cfg, worker)
     total = math.fsum(p[0] for p in parts)
@@ -190,7 +190,7 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
     counts = sum((p[2] for p in parts), np.zeros(grid.size, dtype=np.int64))
     n = cfg.replications
     survival = tuple(
-        _proportion_estimate(int(c), n, f"survival@t={t!r}")
+        _proportion_estimate(int(c), n, f"survival@t={float(t)!r}")
         for t, c in zip(grid, counts))
     return CatastrophicSimulation(
         grid=tuple(float(t) for t in grid),
@@ -273,7 +273,7 @@ def _simulate_damage(inter1, mag1, inter2, mag2, t_grid, cfg: SimulationConfig,
     n = cfg.replications
     means = tuple(
         _mean_estimate(float(row.sum()), float((row * row).sum()), n,
-                       f"{tag}_mean@t={t!r}")
+                       f"{tag}_mean@t={float(t)!r}")
         for t, row in zip(grid, samples))
     samples.sort(axis=1)  # in place: the draws are held once
     return DamageSimulation(grid=tuple(float(t) for t in grid),

@@ -55,6 +55,13 @@ class TestSurvivalProbability:
         with pytest.raises(ValueError, match="nonnegative"):
             survival_probability(model, -1.0)
 
+    def test_readme_library_example(self):
+        # The values the README's Library section prints for its `unit` model.
+        unit = CatastrophicModel(Erlang(2, 1.0), Exponential(1.0))
+        assert survival_probability(unit, 1.0) == pytest.approx(2.0 * math.exp(-2.0),
+                                                                 abs=1e-16)
+        assert mean_fptf(unit) == pytest.approx(0.75, rel=1e-15)
+
 
 class TestFptfCdf:
     def test_zero_at_origin(self):

@@ -192,6 +192,15 @@ class TestGeneralEvaluators:
         assert general_damage_cdf(g, 0.0, 1.0) == 1.0
         assert general_damage_mean(g, 0.0) == 0.0
 
+    def test_level_past_phase_cap_cut_by_pmf_mass(self):
+        # As in damage_cdf: mu_f * x = 9400 needs more phases than the default
+        # cap, and the phase-count pmf at t = 1 has all its mass far below it.
+        g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=2.0)
+        assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9400.0) <= 1.0
+        with pytest.raises(NonConvergedError):
+            general_damage_cdf(g, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
+
     def test_exponential_interarrivals_reduce_to_poisson_series(self):
         policy = TruncationPolicy(tail_epsilon=1e-10)
         g = GeneralCumulativeModel(Exponential(1.0), Exponential(2.0),

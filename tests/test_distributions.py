@@ -191,12 +191,24 @@ class TestSampling:
         expo = Exponential(2.0).sample_n(rng_for(3), 2000)
         assert np.array_equal(weib, expo)
 
+    @pytest.mark.parametrize("dist", [Exponential(2.0), Erlang(3, 1.0), Weibull(0.8, 2.0)])
+    @pytest.mark.parametrize("n", [0, 1, 64])
+    def test_draws_are_new_writable_float_arrays(self, dist, n):
+        # Callers such as simulate_catastrophic write into the returned array.
+        draws = dist.sample_n(rng_for(5), n)
+        assert isinstance(draws, np.ndarray)
+        assert draws.dtype == np.float64
+        assert draws.shape == (n,)
+        assert draws.flags.owndata
+        assert draws.flags.writeable
+
     def test_law_of_large_numbers(self):
         draws = Exponential(1.0).sample_n(rng_for(99), 1_000_000)
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) <= 3.5 * stderr
 
-    @pytest.mark.parametrize("dist", [Exponential(1.5), Erlang(3, 2.0), Weibull(1.5, 1.0)])
+    @pytest.mark.parametrize("dist", [Exponential(1.5), Erlang(3, 2.0), Weibull(1.5, 1.0),
+                                      Erlang(50, 20.0), Weibull(0.6, 2.0)])
     def test_empirical_cdf_matches_analytic(self, dist):
         n = 1_000_000
         draws = np.sort(dist.sample_n(rng_for(17), n))

@@ -250,6 +250,13 @@ class TestEstimateContract:
         with pytest.raises(ValueError):
             SimulationConfig(replications=100, master_seed=0, workers=0)
 
+    def test_quantity_tags_print_plain_floats(self):
+        cat = simulate_catastrophic(EXP_PAIR, config(n=100), [0.5, 1.0])
+        assert cat.survival[1].quantity_tag == "survival@t=1.0"
+        damage = simulate_cumulative(DAMAGE, [0.5], config(n=100))
+        assert damage.means[0].quantity_tag == "damage_mean@t=0.5"
+        assert damage.ecdf(0, np.float64(2.0)).quantity_tag == "damage_ecdf@t=0.5,x=2.0"
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_catastrophic(EXP_PAIR, config(n=100), [1.0, 1.0])

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .distributions import Distribution, Erlang, Exponential, Weibull
+from .gamma_convolution import _phase_pmf
 from .numerics import QuadraturePolicy, integrate_decaying
 
 __all__ = [
@@ -68,16 +68,21 @@ def _as_erlang(dist: Distribution) -> Erlang | None:
 
 
 def _erlang_pair_mean(first: Erlang, second: Erlang) -> float:
-    """E[min] = (1/L) sum_{i<m1, j<m2} C(i+j, i) p^i (1-p)^j, p = rate1/L, L = rate1 + rate2.
+    """E[min] = E[M] / L, L = rate1 + rate2, from negative-binomial pmf terms.
 
-    In the merged Poisson stream each event belongs to process 1 with
-    probability p, and min(X1, Y1) is the arrival time of the first event
-    that completes either shape.  The inner sum over j is a negative binomial
-    CDF: sum_{j<m2} C(i+j, i) p^(i+1) (1-p)^j = nbdtr(m2-1, i+1, p).
+    In the merged Poisson stream of rate L each event belongs to process i
+    with probability p_i = rate_i / L, and min(X1, Y1) is the arrival time
+    of event M, the first that completes either shape.  Process i completes
+    its shape m_i at event T_i = m_i + NegBin(m_i, p_i), the phase count of
+    an Erlang(m_i, rate_i) mark at rate L, and M = T_i for the one i with
+    T_i < m1 + m2.  So E[M] = sum_{s < m1+m2} s (P(T1 = s) + P(T2 = s)): a
+    sum of positive terms, symmetric in the two processes.
     """
-    p = first.rate / (first.rate + second.rate)
-    counts = np.arange(1, first.shape + 1)
-    return float(special.nbdtr(second.shape - 1, counts, p).sum()) / first.rate
+    total = first.rate + second.rate
+    length = first.shape + second.shape
+    pmf = (_phase_pmf(first.shape, first.rate, total, length)
+           + _phase_pmf(second.shape, second.rate, total, length))
+    return float(np.arange(length, dtype=float) @ pmf) / total
 
 
 def mean_fptf(model: CatastrophicModel,
@@ -89,9 +94,7 @@ def mean_fptf(model: CatastrophicModel,
     """
     e1, e2 = _as_erlang(model.proc1), _as_erlang(model.proc2)
     if e1 is not None and e2 is not None:
-        # One summation order for both argument orders keeps the mean symmetric.
-        first, second = sorted((e1, e2), key=lambda e: (e.shape, e.rate))
-        return _erlang_pair_mean(first, second)
+        return _erlang_pair_mean(e1, e2)
 
     if isinstance(model.proc1, Weibull) and isinstance(model.proc2, Weibull):
         if model.proc1.shape == model.proc2.shape:

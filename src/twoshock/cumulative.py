@@ -22,9 +22,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .distributions import Distribution, Erlang, Exponential, erlang_survival
+from .distributions import Distribution, Erlang, Exponential, _poisson_pmf, erlang_survival
 from .errors import NonConvergedError, UnsupportedConvolutionError
 from .gamma_convolution import _erlang_cdf_terms, _erlang_cdfs, _phase_pmf
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
@@ -133,17 +132,14 @@ def _check_nonneg(value: float, name: str) -> None:
 def _poisson_weights(mean: float, tail_half: float, max_terms: int) -> np.ndarray:
     """Poisson(mean) pmf through the first index K with P(N > K) < tail_half.
 
-    The weights come from log space, so exp(-mean) may underflow; the tail
-    test uses the complemented CDF, so any tail_half a double holds is met.
+    P(N > k) = P(Erlang(k + 1, 1) <= mean) comes from _erlang_cdf_terms as a
+    sum of positive terms, so any tail_half a double holds is met.
     """
-    k = 0
-    while special.pdtrc(k, mean) >= tail_half:
-        k += 1
-        if k >= max_terms:
-            raise NonConvergedError(
-                f"Poisson tail bound not met within {max_terms} terms (mean {mean})")
-    ks = np.arange(k + 1, dtype=float)
-    return np.exp(special.xlogy(ks, mean) - mean - special.gammaln(ks + 1.0))
+    tails, converged = _erlang_cdf_terms(mean, tail_half, max_terms)
+    if not converged:
+        raise NonConvergedError(
+            f"Poisson tail bound not met within {max_terms} terms (mean {mean})")
+    return _poisson_pmf(mean, len(tails))
 
 
 def _renewal_weights(inter: Distribution, t: float, tail: float,
@@ -188,11 +184,12 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
         mean /= 2.0
         halvings += 1
     n = len(jumps)
-    weighted = mean * np.arange(n) * jumps
-    g = np.zeros(n)
-    g[0] = math.exp(-mean)
+    weighted = mean * np.arange(1, n) * jumps[1:]  # weighted[j - 1] = mean j jumps(j)
+    rev = np.zeros(n)  # g reversed, so each step dots two forward slices
+    rev[-1] = math.exp(-mean)
     for s in range(1, n):
-        g[s] = weighted[1:s + 1] @ g[s - 1::-1] / s
+        rev[n - 1 - s] = weighted[:s].dot(rev[n - s:]) / s
+    g = rev[::-1]
     for _ in range(halvings):
         g = np.convolve(g, g)[:n]
     return g
@@ -270,24 +267,34 @@ def model2_fptf_mean(model: CumulativeModel,
     f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
     total = model.rate1 + model.rate2
     jumps = (model.rate1 * f1 + model.rate2 * f2) / total
-    renewal = np.zeros(len(cdfs))
-    renewal[0] = 1.0
-    for s in range(1, len(cdfs)):
-        renewal[s] = jumps[1:s + 1] @ renewal[s - 1::-1]
-    return float(renewal @ cdfs) / total
+    n = len(cdfs)
+    steps = jumps[1:]
+    rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
+    rev[-1] = 1.0
+    for s in range(1, n):
+        rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
+    return float(rev @ cdfs[::-1]) / total
 
 
 def _random_sum_pmf(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """Phase pmf of a random sum of marks: sum_k counts[k] mark^{*k}, cut at len(mark)."""
+    """Phase pmf of a random sum of marks: sum_k counts[k] mark^{*k}, cut at len(mark).
+
+    The mark is convolved only over its support, and each power only as
+    far as its own, cut at len(mark): every product left out is an exact 0.
+    """
     n = len(mark)
-    power = np.zeros(n)
-    power[0] = 1.0
-    out = counts[0] * power
+    out = np.zeros(n)
+    out[0] = counts[0]
+    support = np.flatnonzero(mark)
+    if not support.size:  # no mark fits below n phases
+        return out
+    mark = mark[:support[-1] + 1]
+    power = np.ones(1)
     for weight in counts[1:]:
         power = np.convolve(power, mark)[:n]
         if not power.any():  # k marks take at least k phases: none fit any more
             break
-        out += weight * power
+        out[:len(power)] += weight * power
     return out
 
 

@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import UnsupportedConvolutionError
 
@@ -35,10 +34,11 @@ __all__ = [
     "distribution_to_dict",
 ]
 
-# Beyond this value of rate*t the explicit survival series is replaced by the
-# regularized incomplete gamma route; the largest series term is ~e^(rate*t)
-# and would overflow soon after.
+# Up to this value of rate*t, exp(-rate*t) is a normal double and the largest
+# survival-series term, about e^(rate*t), is finite, so Poisson terms are run
+# up from k = 0.  Past it they are anchored at the mode (_poisson_pmf).
 _SERIES_LIMIT = 700.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _check_time(t: float) -> None:
@@ -57,17 +57,120 @@ def _log_complement(u: np.ndarray) -> np.ndarray:
     return np.log1p(u, out=u)
 
 
+def _stirling_error(k: int) -> float:
+    """lgamma(k + 1) - (k + 1/2) log k + k - log(2 pi) / 2, for k >= 1.
+
+    Past k = 15 five terms of Stirling's series are exact to a double; up to
+    it lgamma is below 28, so the difference keeps about 1e-14.
+    """
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+
+
+def _deviance(k: int, z: float) -> float:
+    """k log(k / z) + z - k, for k >= 1 and z > 0.
+
+    Near k = z the two parts cancel, so there it is summed as
+    (k - z) v + 2k (v^3/3 + v^5/5 + ...), v = (k - z) / (k + z), whose
+    later terms add up to less than 4% of the first: nothing cancels.
+    """
+    d = k - z
+    if abs(d) >= 0.1 * (k + z):
+        return k * math.log(k / z) - d
+    v = d / (k + z)
+    total, power, j = d * v, 2.0 * k * v, 1
+    while True:
+        power *= v * v
+        j += 2
+        step = total + power / j
+        if step == total:
+            return total
+        total = step
+
+
+def _log_poisson_term(k: int, z: float) -> float:
+    """log P(N = k) for N ~ Poisson(z), z > 0, in Loader's (2000) saddle-point form.
+
+    The parts keep their relative accuracy, so the log is good to a few ulps
+    of its own size, where k log z - z - lgamma(k + 1) loses about k log z
+    ulps.
+    """
+    if k == 0:
+        return -z
+    return -_stirling_error(k) - _deviance(k, z) - _HALF_LOG_2PI - 0.5 * math.log(k)
+
+
+def _recur_outward(ratios: np.ndarray, m: int, anchor: float) -> np.ndarray:
+    """Terms t[m] = anchor, t[k] = t[k-1] * ratios[k]; written over ratios and returned.
+
+    One cumulative product runs up from m and one cumulative quotient down,
+    each starting from the anchor, so every partial result is itself a term
+    and none overflows when the terms are probabilities; ratios[0] is not
+    read.  A term lost to underflow takes the terms beyond it along, so the
+    anchor is t[0] while that is a normal double, else the mode or the last
+    index below it.
+    """
+    if m:
+        down = np.empty(m + 1)  # anchor, then the divisors of t[m-1], ..., t[0]
+        down[0] = anchor
+        down[1:] = ratios[m:0:-1]
+        ratios[:m] = np.divide.accumulate(down)[:0:-1]
+    ratios[m] = anchor
+    np.multiply.accumulate(ratios[m:], out=ratios[m:])
+    return ratios
+
+
+def _poisson_pmf(z: float, n: int) -> np.ndarray:
+    """P(N = k) for k < n, N ~ Poisson(z) with 0 <= z < inf and n >= 1.
+
+    t[k] = t[k-1] z / k.  Up to _SERIES_LIMIT the recurrence starts from
+    t[0] = exp(-z); past it, from min(floor(z), n - 1), at or below the
+    mode, whose term comes from _log_poisson_term.  All terms are positive
+    or underflowed to 0.
+    """
+    ratios = np.arange(n, dtype=float)
+    ratios[1:] = z / ratios[1:]
+    if z <= _SERIES_LIMIT:
+        return _recur_outward(ratios, 0, math.exp(-z))
+    m = min(int(z), n - 1)
+    return _recur_outward(ratios, m, math.exp(_log_poisson_term(m, z)))
+
+
+def _poisson_reach(z: float, n: int) -> int:
+    """Number of Poisson(z) terms that carry P(N >= s), s < n, to a double.
+
+    Past a = max(n - 1, floor(z)) each term is at most z / k times the one
+    before, so 10 sqrt(z) + 40 terms beyond a they are below e^-50 t[a], and
+    for z up to 1e8 the terms left out sum to less than 1e-18 of t[a].
+    """
+    return max(n, int(z) + 1) + int(10.0 * math.sqrt(z)) + 40
+
+
+def _poisson_tail(z: float, n: int) -> np.ndarray:
+    """P(N >= s) for s < n, N ~ Poisson(z): reverse cumulative sums of _poisson_pmf.
+
+    Nothing cancels, so small tails keep their relative accuracy.
+    """
+    pmf = _poisson_pmf(z, _poisson_reach(z, n))
+    return np.add.accumulate(pmf[::-1])[::-1][:n]
+
+
 def erlang_survival(shape: int, x: float) -> float:
     """Survival of a unit-rate Erlang at x (pass x = rate * t).
 
-    Evaluates exp(-x) * sum_{l < shape} x^l / l! with a multiplicative term
-    recurrence; for x past the overflow-safe range the regularized upper
-    incomplete gamma takes over.  Requires shape >= 1.
+    Evaluates exp(-x) * sum_{l < shape} x^l / l! = P(Poisson(x) < shape)
+    with a multiplicative term recurrence; past _SERIES_LIMIT, where that
+    overflows, the sum of the Poisson pmf terms from _poisson_pmf, up to
+    _poisson_reach.  Requires shape >= 1.
     """
     if x == 0.0:
         return 1.0
     if x > _SERIES_LIMIT:
-        return float(special.gammaincc(shape, x))
+        if x == math.inf:
+            return 0.0
+        return float(_poisson_pmf(x, min(shape, _poisson_reach(x, 1))).sum())
     term = 1.0
     acc = 1.0
     for l in range(1, shape):

@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .distributions import erlang_cdf
+from .distributions import (_SERIES_LIMIT, _log_poisson_term, _poisson_tail, _recur_outward,
+                            erlang_cdf, erlang_survival)
 from .errors import EqualRatesError, IllConditionedError, NonConvergedError
 
 __all__ = ["ErlangProduct", "PartialFractionExpansion", "expand", "convolution_cdf"]
@@ -141,8 +141,13 @@ def expand(product: ErlangProduct) -> PartialFractionExpansion:
 def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     """pmf of the Exp(fast) phase count of one Erlang(shape, rate) mark, cut at length.
 
-    The count is shape + NegBin(shape, rate/fast); the pmf is taken from
-    log-gamma terms, so it neither overflows nor underflows at large shapes.
+    The count is shape + K with K ~ NegBin(shape, p = rate/fast), whose
+    terms follow t[k] = t[k-1] q (shape + k - 1) / k with q = 1 - p.  As in
+    _poisson_pmf the recurrence starts from t[0] = p^shape while that is a
+    normal double, otherwise from m = min(mode, length - shape - 1)
+    with t[m] = (shape/s) Pois(shape; s p) Pois(m; s q) / Pois(s; s),
+    s = shape + m: three Poisson terms near their own modes, so no term
+    overflows or loses accuracy at any shape.
     """
     out = np.zeros(length)
     if shape >= length:
@@ -150,10 +155,18 @@ def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     if rate == fast:
         out[shape] = 1.0
         return out
-    n = np.arange(length - shape, dtype=float)
-    out[shape:] = np.exp(special.gammaln(shape + n) - special.gammaln(n + 1.0)
-                         - special.gammaln(shape) + shape * math.log(rate / fast)
-                         + n * math.log((fast - rate) / fast))
+    p, q = rate / fast, (fast - rate) / fast
+    n = length - shape
+    terms = out[shape:]
+    terms[1:] = q * np.arange(shape, length - 1) / np.arange(1, n)
+    if shape * math.log(p) >= -_SERIES_LIMIT:
+        _recur_outward(terms, 0, p ** shape)
+        return out
+    m = min(int((shape - 1) * q / p), n - 1)
+    s = shape + m
+    anchor = math.exp(math.log(shape / s) + _log_poisson_term(shape, s * p)
+                      + _log_poisson_term(m, s * q) - _log_poisson_term(s, s))
+    _recur_outward(terms, m, anchor)
     return out
 
 
@@ -167,7 +180,7 @@ def _erlang_cdf_terms(z: float, eps: float, max_terms: float) -> tuple[np.ndarra
     """
     log_eps = -math.log(eps)
     reach = z + log_eps / 3.0 + math.sqrt(log_eps ** 2 / 9.0 + 2.0 * log_eps * z)
-    cdfs = special.gammainc(np.arange(int(min(reach, max_terms)) + 2, dtype=float), z)
+    cdfs = _poisson_tail(z, int(min(reach, max_terms)) + 2)
     cdfs[0] = 1.0
     below = np.flatnonzero(cdfs < eps)
     if not below.size or below[0] > max_terms:
@@ -199,7 +212,7 @@ def convolution_cdf(product: ErlangProduct, x: float) -> float:
     if ra == rb:
         return erlang_cdf(a + b, ra * x)
     # P(A+B > x) <= P(A > x/2) + P(B > x/2): far upper tail, and x = inf.
-    if special.gammaincc(a, ra * x / 2.0) + special.gammaincc(b, rb * x / 2.0) < _CDF_TAIL:
+    if erlang_survival(a, ra * x / 2.0) + erlang_survival(b, rb * x / 2.0) < _CDF_TAIL:
         return 1.0
     fast = max(ra, rb)
     cdfs = _erlang_cdfs(fast * x, _CDF_TAIL)

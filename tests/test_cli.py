@@ -325,7 +325,7 @@ class TestUsageErrors:
 
 def test_import_loads_neither_mpmath_nor_scipy_stats():
     code = ("import sys, twoshock, twoshock.cli; "
-            "print(sorted(m for m in ('mpmath', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in ('mpmath', 'scipy', 'scipy.stats') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr

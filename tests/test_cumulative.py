@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from _oracles import compound_poisson_exponential_reference
@@ -9,6 +10,11 @@ from twoshock.cumulative import (
     CumulativeModel,
     GeneralCumulativeModel,
     TruncationPolicy,
+    _compound_poisson_pmf,
+    _fast_rate,
+    _phase_pmfs,
+    _random_sum_pmf,
+    _renewal_weights,
     compound_poisson_exponential_cdf,
     damage_cdf,
     damage_mean,
@@ -19,6 +25,7 @@ from twoshock.cumulative import (
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
 from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
+from twoshock.gamma_convolution import _erlang_cdf_terms
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
 MIXED = CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Erlang(1, 1.0), threshold=5.0)
@@ -91,6 +98,26 @@ class TestDamageCdf:
             damage_cdf(SYMMETRIC, math.inf, 1.0)
         with pytest.raises(ValueError, match="finite"):
             damage_cdf(SYMMETRIC, 1.0, math.inf)
+
+
+def test_panjer_forward_slices_match_reversed_recursion():
+    # g(s) = (mean / s) sum_j j jumps(j) g(s - j), as a loop over g reversed in place
+    jumps = np.zeros(60)
+    jumps[1:] = np.exp(-0.3 * np.arange(1, 60))
+    jumps /= jumps.sum()
+    for mean in (0.5, 7.0, 600.0):  # the last is halved and squared back up
+        got = _compound_poisson_pmf(mean, jumps)
+        part, halvings = mean, 0
+        while part > 500.0:
+            part, halvings = part / 2.0, halvings + 1
+        ref = np.zeros(len(jumps))
+        ref[0] = math.exp(-part)
+        weighted = part * np.arange(len(jumps)) * jumps
+        for s in range(1, len(jumps)):
+            ref[s] = weighted[1:s + 1] @ ref[s - 1::-1] / s
+        for _ in range(halvings):
+            ref = np.convolve(ref, ref)[:len(jumps)]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
 
 
 class TestDamageMean:
@@ -200,6 +227,37 @@ class TestGeneralEvaluators:
         assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9400.0) <= 1.0
         with pytest.raises(NonConvergedError):
             general_damage_cdf(g, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
+
+    @pytest.mark.parametrize("model,t,x", [
+        (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(3, 2.0),
+                                Erlang(2, 1.0), Exponential(1.5), threshold=2.0), 2.0, 3.0),
+        (GeneralCumulativeModel(Exponential(1.0), Erlang(2, 0.5),
+                                Erlang(3, 2.0), Erlang(2, 2.0), threshold=2.0), 4.0, 6.0),
+        # past the phase cap, with equal and with unequal mark rates
+        (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                Exponential(1.0), Exponential(1.0), threshold=2.0), 1.0, 9400.0),
+        (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                Exponential(1.0), Exponential(1.3), threshold=2.0), 1.0, 7300.0),
+    ])
+    def test_random_sum_over_support_matches_full_convolutions(self, model, t, x):
+        def full_length_reference(counts, mark):
+            n = len(mark)
+            power = np.zeros(n)
+            power[0] = 1.0
+            out = counts[0] * power
+            for weight in counts[1:]:
+                power = np.convolve(power, mark)[:n]
+                if not power.any():
+                    break
+                out += weight * power
+            return out
+
+        cdfs, _ = _erlang_cdf_terms(_fast_rate(model.mag1, model.mag2) * x, 5e-11, 10_000)
+        marks = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
+        for inter, mark in zip((model.inter1, model.inter2), marks):
+            counts = _renewal_weights(inter, t, 2.5e-11, 10_000)
+            np.testing.assert_allclose(_random_sum_pmf(counts, mark),
+                                       full_length_reference(counts, mark), rtol=1e-14, atol=0)
 
     def test_exponential_interarrivals_reduce_to_poisson_series(self):
         policy = TruncationPolicy(tail_epsilon=1e-10)

@@ -1,0 +1,111 @@
+"""Poisson and negative-binomial kernels against their scipy counterparts.
+
+The library computes these sums with numpy alone; scipy, installed with the
+test extra, serves only as the reference here.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy import special, stats
+
+from twoshock.catastrophic import CatastrophicModel, mean_fptf
+from twoshock.cumulative import _poisson_weights
+from twoshock.distributions import Erlang, _poisson_tail, erlang_survival
+from twoshock.gamma_convolution import _phase_pmf
+
+
+@pytest.mark.parametrize("z", [1e-3, 0.5, 4.0, 100.0, 699.0, 701.0, 800.0, 9400.0])
+def test_poisson_tail_matches_gammainc(z):
+    n = int(z + 12.0 * math.sqrt(z)) + 60  # reaches tails far below 1e-300
+    got = _poisson_tail(z, n)
+    ref = special.gammainc(np.arange(n, dtype=float), z)
+    ref[0] = 1.0  # P(N >= 0); gammainc(0, z) is 1 only for z > 0
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    normal = ref > 1e-300  # the damage series stops on tails this small
+    np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-11)
+
+
+@pytest.mark.parametrize("x", [700.5, 701.0, 800.0, 2000.0, 9400.0])
+def test_erlang_survival_past_series_limit_matches_gammaincc(x):
+    for shape in sorted({1, 2, 10, int(0.9 * x), int(x) - 5, int(x), int(x) + 1,
+                         int(1.1 * x), int(1.3 * x), 10 ** 9}):
+        got = erlang_survival(shape, x)
+        ref = special.gammaincc(shape, x)
+        if ref > 0.0:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), shape
+        else:  # scipy underflows to 0 below the normal range
+            assert 0.0 <= got < 1e-300, shape
+
+
+@pytest.mark.parametrize("shape", [2, 120, 200])
+@pytest.mark.parametrize("rate", [0.01, 0.3, 0.77, 0.999])
+def test_phase_pmf_matches_log_gamma_formula(shape, rate):
+    length = shape + 3000
+    got = _phase_pmf(shape, rate, 1.0, length)
+    k = np.arange(length - shape, dtype=float)
+    ref = np.zeros(length)
+    ref[shape:] = np.exp(special.gammaln(shape + k) - special.gammaln(k + 1.0)
+                         - special.gammaln(shape) + shape * math.log(rate)
+                         + k * math.log(1.0 - rate))
+    assert not got[:shape].any()
+    # The reference itself loses about eps * gammaln(shape + k), ~1e-11 here.
+    kept = ref > 1e-280
+    np.testing.assert_allclose(got[kept], ref[kept], rtol=5e-11)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a,ra,b,rb", [
+    (2, 1.0, 1, 1.0), (3, 1.0, 3, 2.0), (4, 1.0, 1, 2.0), (50, 10.0, 3, 1.0),
+    (200, 1.0, 7, 1e-3), (5000, 1.0, 5000, 1.1), (10_000, 1.0, 10_000, 1.0),
+    (10_000, 1.0, 3, 1e-3),
+])
+def test_erlang_pair_mean_matches_nbdtr(a, ra, b, rb):
+    # E[min] = (1/rate1) sum_{i <= m1} P(NegBin(i, p) <= m2 - 1), p = rate1 / L
+    p = ra / (ra + rb)
+    ref = float(special.nbdtr(b - 1, np.arange(1, a + 1), p).sum()) / ra
+    model = CatastrophicModel(Erlang(a, ra), Erlang(b, rb))
+    assert mean_fptf(model) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-3, 0.7, 5.0, 100.0, 745.3, 2000.0])
+def test_poisson_weights_match_scipy_stats(mean):
+    tail_half = 1e-11
+    weights = _poisson_weights(mean, tail_half, 10_000)
+    cut = len(weights) - 1
+    ref = stats.poisson.pmf(np.arange(len(weights)), mean)
+    np.testing.assert_allclose(weights, ref, rtol=1e-11, atol=1e-300)
+    assert stats.poisson.sf(cut, mean) < tail_half
+    if cut:
+        assert stats.poisson.sf(cut - 1, mean) >= tail_half
+
+
+def test_runs_without_scipy():
+    code = """
+import math, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import twoshock, twoshock.cli
+from twoshock import (
+    CatastrophicModel, CumulativeModel, Erlang, Exponential,
+    SimulationConfig, damage_cdf, mean_fptf, model2_fptf_mean,
+    simulate_catastrophic, survival_probability,
+)
+unit = CatastrophicModel(Erlang(2, 1.0), Exponential(1.0))
+assert abs(survival_probability(unit, 1.0) - 2.0 * math.exp(-2.0)) <= 1e-15
+assert abs(mean_fptf(unit) - 0.75) <= 1e-15
+dam = CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Erlang(1, 1.0), threshold=5.0)
+assert 0.0 < damage_cdf(dam, t=2.0, x=5.0) < 1.0
+assert model2_fptf_mean(dam) > 0.0
+cfg = SimulationConfig(replications=1_000_000, master_seed=42, workers=4)
+sim = simulate_catastrophic(unit, cfg, t_grid=[0.5, 1.0, 2.0])
+assert abs(sim.fptf_mean.mean - 0.75) <= 6.0 * sim.fptf_mean.std_error
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -16,6 +16,7 @@ does Weibull(1, 1/r) when 1/r is a power of two.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
 # up from k = 0.  Past it they are anchored at the mode (_poisson_pmf).
 _SERIES_LIMIT = 700.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_time(t: float) -> None:
@@ -287,9 +289,7 @@ class Erlang(Distribution):
             for l in range(1, self.shape):
                 term *= x / l
             return self.rate * math.exp(-x) * term
-        log_pdf = (math.log(self.rate) + (self.shape - 1) * math.log(x)
-                   - x - math.lgamma(self.shape))
-        return math.exp(log_pdf)
+        return self.rate * math.exp(_log_poisson_term(self.shape - 1, x))
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -336,7 +336,11 @@ class Weibull(Distribution):
         return (self.shape / self.scale) * z ** (self.shape - 1.0) * math.exp(-(z ** self.shape))
 
     def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+        inverse = 1.0 / self.shape
+        if inverse < 170.0:  # Gamma(1 + inverse) is a finite double
+            return self.scale * math.gamma(1.0 + inverse)
+        log_mean = math.log(self.scale) + math.lgamma(1.0 + inverse)
+        return math.exp(log_mean) if log_mean < _LOG_MAX else math.inf
 
     def kfold_cdf(self, k: int, t: float) -> float:
         _check_fold(k)

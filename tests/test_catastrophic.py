@@ -118,6 +118,16 @@ class TestMeanFptf:
         reference = mean_fptf_quadrature(model)
         assert mean_fptf(model) == pytest.approx(reference, rel=1e-8)
 
+    def test_weibull_tiny_shape_mixed_pair(self):
+        # The Weibull mean is past the double range; the pair's is finite.
+        model = CatastrophicModel(Erlang(2, 1.0), Weibull(0.005, 1.0))
+        assert mean_fptf(model) == pytest.approx(0.73604290516537, rel=1e-10)
+
+    def test_two_infinite_means_raise(self):
+        model = CatastrophicModel(Weibull(0.005, 1.0), Weibull(0.004, 1.0))
+        with pytest.raises(NonConvergedError, match="initial_scale"):
+            mean_fptf(model)
+
     def test_monotone_in_rates(self):
         base = mean_fptf(CatastrophicModel(Erlang(2, 1.0), Exponential(1.0)))
         for rate in (1.5, 2.0, 4.0):
@@ -142,10 +152,26 @@ class TestMeanFptfQuadrature:
         model = CatastrophicModel(Weibull(1.0, 1.0), Weibull(1.0, 0.5))
         assert mean_fptf_quadrature(model) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
-    def test_against_scipy_reference(self):
-        model = CatastrophicModel(Erlang(2, 1.0), Erlang(2, 1.0))
+    @pytest.mark.parametrize("model, upper", [
+        (CatastrophicModel(Erlang(2, 1.0), Erlang(2, 1.0)), 80.0),
+        (CatastrophicModel(Weibull(0.3, 1.0), Weibull(0.5, 2.0)), 1e4),
+        (CatastrophicModel(Erlang(3, 1.14), Weibull(1.4, 1 / 1.52)), 80.0),
+        (CatastrophicModel(Erlang(6, 1.46), Weibull(1.8, 1 / 1.28)), 80.0),
+        # the peak lies below the larger mean and near the smaller one
+        (CatastrophicModel(Erlang(200, 1.0), Weibull(0.6, 500.0)), 1e3),
+    ], ids=["erlang-pair", "weibull-pair", "erlang3-weibull", "erlang6-weibull",
+            "erlang200-weibull"])
+    def test_against_scipy_reference(self, model, upper):
+        reference = quad_mean_of_min(model.proc1.survival, model.proc2.survival, upper)
+        assert mean_fptf_quadrature(model) == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("factor", [1e-20, 1e20])
+    def test_scale_invariance(self, factor):
+        # Multiplying every rate by factor divides every time by it.
+        model = CatastrophicModel(Erlang(3, 1.14), Weibull(1.4, 1 / 1.52))
+        scaled = CatastrophicModel(Erlang(3, 1.14 * factor), Weibull(1.4, 1 / (1.52 * factor)))
         reference = quad_mean_of_min(model.proc1.survival, model.proc2.survival, 80.0)
-        assert mean_fptf_quadrature(model) == pytest.approx(reference, rel=1e-9)
+        assert mean_fptf_quadrature(scaled) * factor == pytest.approx(reference, rel=1e-10)
 
     def test_budget_exhaustion_raises(self):
         model = CatastrophicModel(Exponential(1.0), Exponential(1.0))

@@ -122,6 +122,26 @@ class TestAnalyticCommands:
         assert rc == 0
         assert capsys.readouterr().out == "0.75\n"
 
+    def test_mean_fptf_tiny_weibull_shape(self, model_file, capsys):
+        # Gamma(1 + 1/0.005) is past the double range: the Weibull mean is
+        # infinite, the pair's mean is not.
+        model = {"kind": "catastrophic",
+                 "proc1": {"type": "erlang", "shape": 2, "rate": 1.0},
+                 "proc2": {"type": "weibull", "shape": 0.005, "scale": 1.0}}
+        rc = main(["mean-fptf", "--model", model_file(model)])
+        assert rc == 0
+        assert float(capsys.readouterr().out) == pytest.approx(0.73604290516537, rel=1e-10)
+
+    def test_mean_fptf_two_infinite_means_exits_two(self, model_file, capsys):
+        model = {"kind": "catastrophic",
+                 "proc1": {"type": "weibull", "shape": 0.005, "scale": 1.0},
+                 "proc2": {"type": "weibull", "shape": 0.004, "scale": 1.0}}
+        rc = main(["mean-fptf", "--model", model_file(model)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure in mean-fptf" in captured.err
+
     def test_damage_cdf_requires_x(self, model_file, capsys):
         rc = main(["damage-cdf", "--model", model_file(CUMULATIVE), "--grid", "0:2:3"])
         assert rc == 1

@@ -1,6 +1,7 @@
 """Distribution kernel tests: frozen values, quadrature oracles, sampling laws."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ class TestPdf:
         assert Weibull(1.0, 2.0).pdf(0.0) == 0.5
         assert Weibull(0.5, 1.0).pdf(0.0) == math.inf
 
+    @pytest.mark.parametrize("shape", [9400, 9450])
+    def test_erlang_past_series_limit_matches_decimal(self, shape):
+        # x = 9400 is past the series range; the reference is x^k e^-x / k!
+        # at 50 digits, k = shape - 1.
+        x, k = 9400, shape - 1
+        with localcontext() as context:
+            context.prec = 50
+            reference = Decimal(x) ** k * (-Decimal(x)).exp() / math.factorial(k)
+        assert Erlang(shape, 1.0).pdf(float(x)) == pytest.approx(
+            float(reference), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("dist", [Exponential(2.0), Erlang(3, 1.5), Weibull(2.0, 1.0)])
     def test_integrates_to_one(self, dist):
         upper = dist.mean() * 40.0
@@ -130,6 +142,13 @@ class TestMean:
         value, _ = integrate.quad(lambda t: t * dist.pdf(t), 0.0, 40.0,
                                   epsabs=1e-13, epsrel=1e-13)
         assert dist.mean() == pytest.approx(value, rel=1e-11)
+
+    def test_weibull_tiny_shape(self):
+        # Gamma(1 + 1/0.005) = 200! overflows a double; the mean is infinite
+        # at scale 1 and finite at a scale that brings it back into range.
+        assert Weibull(0.005, 1.0).mean() == math.inf
+        assert Weibull(0.005, 1e-300).mean() == pytest.approx(
+            float(Decimal(1e-300) * math.factorial(200)), rel=1e-12)
 
 
 class TestKFoldConvolution:

@@ -1,0 +1,49 @@
+"""Trapezoid rule in log time: scalar integrands with known integrals."""
+
+import math
+
+import pytest
+
+from twoshock.errors import NonConvergedError
+from twoshock.numerics import QuadraturePolicy, integrate_decaying
+
+
+def scalar_only(f):
+    """Wrap f so that any non-float argument fails the test."""
+    def wrapped(t):
+        assert type(t) is float
+        return f(t)
+    return wrapped
+
+
+@pytest.mark.parametrize("scale", [1e-6, 2.0, 1e6])
+@pytest.mark.parametrize("f, exact", [
+    (lambda t: math.exp(-t) * (1.0 + t + 0.5 * t * t), 3.0),
+    (lambda t: math.exp(-t * t), 0.5 * math.sqrt(math.pi)),
+])
+def test_known_integrals(f, exact, scale):
+    assert integrate_decaying(scalar_only(f), initial_scale=scale) == pytest.approx(
+        exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0])
+def test_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(NonConvergedError, match="initial_scale"):
+        integrate_decaying(math.exp, initial_scale=scale)
+
+
+def test_integrand_that_never_decays_raises():
+    with pytest.raises(NonConvergedError, match="tail_cut"):
+        integrate_decaying(lambda t: 1.0)
+
+
+def test_budget_counts_every_evaluation():
+    calls = [0]
+
+    def f(t):
+        calls[0] += 1
+        return math.exp(-t)
+
+    with pytest.raises(NonConvergedError, match="budget"):
+        integrate_decaying(f, QuadraturePolicy(max_evals=50))
+    assert calls[0] == 50

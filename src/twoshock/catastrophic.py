@@ -102,8 +102,12 @@ def mean_fptf(model: CatastrophicModel,
 
     if isinstance(model.proc1, Weibull) and isinstance(model.proc2, Weibull):
         if model.proc1.shape == model.proc2.shape:
+            # The rates scale_i ** -alpha add; pooled around the smallest
+            # scale, every power lies in [0, 1] and none leaves the double range.
             alpha = model.proc1.shape
-            pooled = (model.proc1.scale ** -alpha + model.proc2.scale ** -alpha)
-            return Weibull(alpha, pooled ** (-1.0 / alpha)).mean()
+            smallest = min(model.proc1.scale, model.proc2.scale)
+            pooled = ((smallest / model.proc1.scale) ** alpha
+                      + (smallest / model.proc2.scale) ** alpha)
+            return Weibull(alpha, smallest * pooled ** (-1.0 / alpha)).mean()
 
     return mean_fptf_quadrature(model, policy)

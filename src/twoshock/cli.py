@@ -5,11 +5,16 @@ failure (non-convergence / ill-conditioning), with the offending quantity
 named on standard error.  Reports go to standard output or --out; all
 diagnostics go to standard error.  A fixed invocation produces byte-identical
 output (numbers are written with 17 significant digits).
+
+main(argv) may be called repeatedly in one process.  The argument parser is
+built on the first call and reused by every later one, so the --workers
+default (the CPU count) is computed once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,10 +25,6 @@ from . import catastrophic, cumulative, montecarlo
 from .distributions import distribution_from_dict
 from .errors import IllConditionedError, NonConvergedError
 from .numerics import QuadraturePolicy
-
-_CURVE_HEADER = "t,value"
-_COMPARE_HEADER = "t,analytic,estimate,std_error,z"
-
 
 class _UsageError(Exception):
     pass
@@ -132,10 +133,7 @@ def parse_points(text: str) -> list:
     return points
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="twoshock",
                      description="Two-shock-process reliability models: "
@@ -259,26 +257,24 @@ def _zscore(analytic: float, estimate: float, std_error: float) -> float:
     return diff / std_error
 
 
-def _render(points: list, columns: tuple, fmt: str, mf: ModelFile,
+def _render(rows: list, columns: tuple, fmt: str, mf: ModelFile,
             trunc, quad) -> str:
+    """rows are tuples in column order; "%.17g" writes what format(v, ".17g") does."""
     if fmt == "csv":
-        header = _CURVE_HEADER if len(columns) == 2 else _COMPARE_HEADER
-        lines = [header]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in points]
-        return "\n".join(lines) + "\n"
-    payload = {
-        "points": [{c: row[c] for c in columns} for row in points],
-        "model": mf.raw,
-        "policies": {"tail_epsilon": trunc.tail_epsilon, "rel_tol": quad.rel_tol},
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        template = ",".join(["%.17g"] * len(columns))
+        return "\n".join([",".join(columns), *(template % row for row in rows)]) + "\n"
+    return _json("points", [dict(zip(columns, row)) for row in rows], mf, trunc, quad)
 
 
 def _render_scalar(value: float, fmt: str, mf: ModelFile, trunc, quad) -> str:
     if fmt == "csv":
-        return _fmt(value) + "\n"
+        return "%.17g\n" % value
+    return _json("value", value, mf, trunc, quad)
+
+
+def _json(key: str, value, mf: ModelFile, trunc, quad) -> str:
     payload = {
-        "value": value,
+        key: value,
         "model": mf.raw,
         "policies": {"tail_epsilon": trunc.tail_epsilon, "rel_tol": quad.rel_tol},
     }
@@ -297,28 +293,19 @@ def _dispatch(args) -> str:
     grid = _grid_from_args(args)
     x = getattr(args, "x", None)
 
-    if args.command in ("survival", "fptf-cdf", "damage-cdf", "damage-mean",
-                        "fptf-model2"):
-        values = _analytic_curve(mf, args.command, grid, x, trunc)
-        points = [{"t": t, "value": v} for t, v in zip(grid, values)]
-        return _render(points, ("t", "value"), args.format, mf, trunc, quad)
-
-    if args.command == "simulate":
-        estimates = _simulation_estimates(mf, args, grid)
-        points = [{"t": t, "value": e.mean} for t, e in zip(grid, estimates)]
-        return _render(points, ("t", "value"), args.format, mf, trunc, quad)
-
     if args.command == "compare":
         analytic = _compare_analytic(mf, args, grid, trunc)
         estimates = _simulation_estimates(mf, args, grid)
-        points = [
-            {"t": t, "analytic": a, "estimate": e.mean, "std_error": e.std_error,
-             "z": _zscore(a, e.mean, e.std_error)}
-            for t, a, e in zip(grid, analytic, estimates)]
-        return _render(points, ("t", "analytic", "estimate", "std_error", "z"),
+        rows = [(t, a, e.mean, e.std_error, _zscore(a, e.mean, e.std_error))
+                for t, a, e in zip(grid, analytic, estimates)]
+        return _render(rows, ("t", "analytic", "estimate", "std_error", "z"),
                        args.format, mf, trunc, quad)
 
-    raise ValueError(f"unknown command {args.command!r}")
+    if args.command == "simulate":
+        rows = [(t, e.mean) for t, e in zip(grid, _simulation_estimates(mf, args, grid))]
+    else:
+        rows = list(zip(grid, _analytic_curve(mf, args.command, grid, x, trunc)))
+    return _render(rows, ("t", "value"), args.format, mf, trunc, quad)
 
 
 def main(argv=None) -> int:

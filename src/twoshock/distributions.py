@@ -320,9 +320,19 @@ class Weibull(Distribution):
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
+    # Where t / scale or one of its powers leaves the double range, survival
+    # and pdf work from log z = log t - log scale, which stays in range.
+
     def survival(self, t: float) -> float:
         _check_time(t)
-        return math.exp(-((t / self.scale) ** self.shape))
+        z = t / self.scale
+        if 0.0 < z < math.inf or t == 0.0:
+            try:
+                return math.exp(-(z ** self.shape))
+            except OverflowError:  # z ** shape > max double: exp(-z ** shape) is 0
+                return 0.0
+        log_power = self.shape * (math.log(t) - math.log(self.scale))
+        return 0.0 if log_power > _LOG_MAX else math.exp(-math.exp(log_power))
 
     def pdf(self, t: float) -> float:
         _check_time(t)
@@ -333,7 +343,20 @@ class Weibull(Distribution):
                 return 1.0 / self.scale
             return math.inf
         z = t / self.scale
-        return (self.shape / self.scale) * z ** (self.shape - 1.0) * math.exp(-(z ** self.shape))
+        if 0.0 < z < math.inf or self.shape == 1.0:  # shape 1 has no power to leave the range
+            try:
+                density = ((self.shape / self.scale) * z ** (self.shape - 1.0)
+                           * math.exp(-(z ** self.shape)))
+                if not math.isnan(density):  # nan is inf * 0 from the scale factor
+                    return density
+            except OverflowError:
+                pass
+        log_z = math.log(t) - math.log(self.scale)
+        if self.shape * log_z > _LOG_MAX:
+            return 0.0
+        log_density = (math.log(self.shape) - math.log(self.scale)
+                       + (self.shape - 1.0) * log_z - math.exp(self.shape * log_z))
+        return math.exp(log_density) if log_density < _LOG_MAX else math.inf
 
     def mean(self) -> float:
         inverse = 1.0 / self.shape

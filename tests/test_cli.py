@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from twoshock import montecarlo
-from twoshock.cli import load_model_file, main, parse_grid, parse_points
+from twoshock.cli import _render, load_model_file, main, parse_grid, parse_points
 
 CATASTROPHIC = {
     "kind": "catastrophic",
@@ -37,6 +37,7 @@ GENERAL = {
     "mag2": {"type": "exponential", "rate": 1.0},
     "threshold": 2.0,
 }
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
 @pytest.fixture
@@ -181,6 +182,15 @@ class TestAnalyticCommands:
         rc = main(["survival", "--model", model_file(CUMULATIVE), "--grid", "0:1:2"])
         assert rc == 1
         assert "kind" in capsys.readouterr().err
+
+    def test_weibull_power_past_double_range(self, model_file, capsys):
+        # (1e100 / 1e-10) ** 3 overflows a double; the survival is 0.
+        model = {"kind": "catastrophic",
+                 "proc1": {"type": "exponential", "rate": 1.0},
+                 "proc2": {"type": "weibull", "shape": 3.0, "scale": 1e-10}}
+        rc = main(["survival", "--model", model_file(model), "--points", "1e100"])
+        assert rc == 0
+        assert capsys.readouterr().out == "t,value\n1e+100,0\n"
 
     def test_json_format(self, model_file, capsys):
         rc = main(["survival", "--model", model_file(CATASTROPHIC),
@@ -347,6 +357,59 @@ def test_import_loads_neither_mpmath_nor_scipy_stats():
     code = ("import sys, twoshock, twoshock.cli; "
             "print(sorted(m for m in ('mpmath', 'scipy', 'scipy.stats') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+                          timeout=120, env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestRepeatedCalls:
+    """main(argv) builds its parser once per process and reuses it."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, model_file, capsys):
+        weibull = {"kind": "catastrophic",
+                   "proc1": {"type": "erlang", "shape": 2, "rate": 1.0},
+                   "proc2": {"type": "weibull", "shape": 1.5, "scale": 2.0}}
+        path = model_file(weibull)
+        runs = [["survival", "--model", path],  # usage error: no grid
+                ["survival", "--model", path, "--grid", "0:3:31"],
+                ["mean-fptf", "--model", path, "--format", "json"]]
+        for argv, code in zip(runs, (1, 0, 0)):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "twoshock", *argv],
+                                   capture_output=True, text=True, timeout=120,
+                                   env=SUBPROCESS_ENV)
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+                code, captured.out, captured.err)
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_csv_fields_are_format_17g(self, width):
+        values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300]
+        columns = tuple(f"c{j}" for j in range(width))
+        # Every value appears in every column.
+        rows = [tuple(values[(i + j) % len(values)] for j in range(width))
+                for i in range(len(values))]
+        expected = [",".join(columns)]
+        expected += [",".join(format(v, ".17g") for v in row) for row in rows]
+        assert _render(rows, columns, "csv", None, None, None) == "\n".join(expected) + "\n"
+
+    def test_parser_built_on_first_call_only(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import twoshock.cli\n"
+                "at_import = len(built)\n"
+                "twoshock.cli.main([])\n"
+                "first = len(built)\n"
+                "twoshock.cli.main(['frobnicate'])\n"
+                "print(at_import, first, len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        at_import, first, second = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert first == second == 9  # the parser and its eight subcommands

@@ -151,6 +151,39 @@ class TestMean:
             float(Decimal(1e-300) * math.factorial(200)), rel=1e-12)
 
 
+class TestWeibullPastDoubleRange:
+    """z = t / scale or z ** shape leaves the double range; log z does not.
+
+    Each reference is the closed form with z written as a power of ten.
+    """
+
+    def test_power_overflow(self):
+        dist = Weibull(3.0, 1e-10)  # z ** 3 = 1e330
+        assert dist.survival(1e100) == 0.0
+        assert dist.cdf(1e100) == 1.0
+        assert dist.pdf(1e100) == 0.0
+
+    def test_ratio_overflow(self):
+        assert Weibull(3.0, 1e-300).pdf(1e300) == 0.0  # z = 1e600
+        assert Weibull(0.001, 1e-300).survival(1e300) == pytest.approx(
+            math.exp(-10.0 ** 0.6), rel=1e-12, abs=0.0)
+
+    def test_ratio_underflow(self):
+        # z = 1e-600: the density is 0.5e-300 * z ** -0.5 * exp(-1e-300) = 0.5.
+        assert Weibull(0.5, 1e300).pdf(1e-300) == pytest.approx(0.5, rel=1e-12, abs=0.0)
+        assert Weibull(0.01, 1e300).survival(1e-300) == pytest.approx(
+            math.exp(-1e-6), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_in_range_values_are_the_direct_formula(self, shape, scale):
+        dist = Weibull(shape, scale)
+        for t in scale * np.array([1e-3, 0.5, 1.0, 3.0, 30.0]):
+            z = t / scale
+            assert dist.survival(t) == math.exp(-(z ** shape))
+            assert dist.pdf(t) == (shape / scale) * z ** (shape - 1.0) * math.exp(-(z ** shape))
+
+
 class TestKFoldConvolution:
     def test_zero_fold_is_unit_step(self):
         for dist in (Exponential(1.0), Erlang(2, 1.0), Weibull(2.0, 1.0)):

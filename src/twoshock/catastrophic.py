@@ -10,11 +10,12 @@ curve by the trapezoid rule in log time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Erlang, Exponential, Weibull
+from .distributions import _LOG_MAX, Distribution, Erlang, Exponential, Weibull
 from .gamma_convolution import _phase_pmf
 from .numerics import QuadraturePolicy, integrate_decaying
 
@@ -108,6 +109,12 @@ def mean_fptf(model: CatastrophicModel,
             smallest = min(model.proc1.scale, model.proc2.scale)
             pooled = ((smallest / model.proc1.scale) ** alpha
                       + (smallest / model.proc2.scale) ** alpha)
-            return Weibull(alpha, smallest * pooled ** (-1.0 / alpha)).mean()
+            scale = smallest * pooled ** (-1.0 / alpha)
+            if scale >= np.finfo(float).tiny:  # a normal double
+                return Weibull(alpha, scale).mean()
+            # The pooled scale underflows, but the mean scale Gamma(1 + 1/alpha) need not.
+            log_mean = (math.log(smallest) - math.log(pooled) / alpha
+                        + math.lgamma(1.0 + 1.0 / alpha))
+            return math.exp(log_mean) if log_mean < _LOG_MAX else math.inf
 
     return mean_fptf_quadrature(model, policy)

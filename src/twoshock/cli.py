@@ -109,8 +109,8 @@ def parse_grid(text: str) -> list:
         t_min, t_max, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must be MIN:MAX:STEPS with numeric fields, got {text!r}") from None
-    if t_min < 0 or t_max < t_min or steps < 1:
-        raise ValueError(f"grid requires 0 <= MIN <= MAX and STEPS >= 1, got {text!r}")
+    if not 0 <= t_min <= t_max < math.inf or steps < 1:
+        raise ValueError(f"grid requires 0 <= MIN <= MAX < inf and STEPS >= 1, got {text!r}")
     if steps == 1:
         if t_min != t_max:
             raise ValueError("a single-step grid needs MIN == MAX")

@@ -10,6 +10,8 @@ total damage is Erlang(S, mu_f) for a random phase count S with pmf g, and
 Under Poisson arrivals g is a compound-Poisson pmf, computed by the Panjer
 (1981) recursion; under renewal arrivals it is the convolution over the two
 streams of sum_k P(N_i(t) = k) f_i^{*k}, with f_i the phase pmf of one mark.
+Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
+floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
 and needs no quadrature.  Every term is positive, and each series stops at
 the first S whose Erlang CDF is below the requested bound.
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Erlang, Exponential, _poisson_pmf, erlang_survival
+from .distributions import (Distribution, Erlang, Exponential, _poisson_pmf, _poisson_reach,
+                            _poisson_tail, erlang_survival)
 from .errors import NonConvergedError, UnsupportedConvolutionError
-from .gamma_convolution import _erlang_cdf_terms, _erlang_cdfs, _phase_pmf
+from .gamma_convolution import _bernstein_reach, _erlang_cdf_terms, _erlang_cdfs, _phase_pmf
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
 
 __all__ = [
@@ -52,10 +55,10 @@ class TruncationPolicy:
     """Contract for cutting the infinite damage series.
 
     A damage series stops at the first phase count whose Erlang CDF is
-    below its share of tail_epsilon, and renewal-count series where their
-    discarded weight mass is below theirs, giving an absolute error below
-    tail_epsilon.  Needing more than max_terms_per_axis phases or renewal
-    counts raises NonConvergedError, except in damage_cdf and
+    below its share of tail_epsilon, and a renewal-count pmf at the first
+    count K with P(N(t) >= K) below its share, giving an absolute error
+    below tail_epsilon.  Needing more than max_terms_per_axis phases or
+    renewal counts raises NonConvergedError, except in damage_cdf and
     general_damage_cdf when the phase counts past the cap carry less than
     tail_epsilon of probability.
     """
@@ -70,14 +73,14 @@ class TruncationPolicy:
             raise ValueError(f"max_terms_per_axis must be positive, got {self.max_terms_per_axis}")
 
 
-def _mark_params(dist: Distribution) -> tuple[int, float]:
-    """(shape, rate) of an Erlang-family magnitude distribution."""
+def _mark_params(dist: Distribution, name: str) -> tuple[int, float]:
+    """(shape, rate) of the Erlang-family model member called name."""
     if isinstance(dist, Erlang):
         return dist.shape, dist.rate
     if isinstance(dist, Exponential):
         return 1, dist.rate
     raise UnsupportedConvolutionError(
-        f"magnitudes must be Erlang or Exponential, got {type(dist).__name__}")
+        f"{name} must be Erlang or Exponential, got {type(dist).__name__}")
 
 
 @dataclass(frozen=True)
@@ -97,17 +100,17 @@ class CumulativeModel:
             raise ValueError(f"rate2 must be positive, got {self.rate2}")
         if not self.threshold > 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-        _mark_params(self.mag1)
-        _mark_params(self.mag2)
+        _mark_params(self.mag1, "mag1")
+        _mark_params(self.mag2, "mag2")
 
 
 @dataclass(frozen=True)
 class GeneralCumulativeModel:
     """Renewal shock arrivals with additive magnitudes.
 
-    The analytic evaluators need closed-form k-fold convolutions throughout
-    and reject Weibull members at call time; the simulator has no such
-    restriction, so construction accepts any sampleable distributions.
+    Analytic evaluators count in Exp phases and reject, at any t, members
+    other than Erlang or Exponential (general_damage_mean takes any marks);
+    the simulator, and so construction, accepts any sampleable distribution.
     """
 
     inter1: Distribution
@@ -129,45 +132,31 @@ def _check_nonneg(value: float, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-def _poisson_weights(mean: float, tail_half: float, max_terms: int) -> np.ndarray:
-    """Poisson(mean) pmf through the first index K with P(N > K) < tail_half.
+def _renewal_counts(shape: int, z: float, tail: float, max_terms: int) -> np.ndarray:
+    """P(N = k) for k < K, N = floor(P / shape), P ~ Poisson(z); P(N >= K) < tail.
 
-    P(N > k) = P(Erlang(k + 1, 1) <= mean) comes from _erlang_cdf_terms as a
-    sum of positive terms, so any tail_half a double holds is met.
+    N counts Erlang(shape, r) renewals by t, z = r t: one every shape Exp(r)
+    phases.  P(N = k) and P(N >= k) = P(P >= k shape) sum positive Poisson
+    terms, so any tail a double holds is met.  K > max_terms raises
+    NonConvergedError, at once past z = shape max_terms.
     """
-    tails, converged = _erlang_cdf_terms(mean, tail_half, max_terms)
-    if not converged:
-        raise NonConvergedError(
-            f"Poisson tail bound not met within {max_terms} terms (mean {mean})")
-    return _poisson_pmf(mean, len(tails))
-
-
-def _renewal_weights(inter: Distribution, t: float, tail: float,
-                     max_terms: int) -> np.ndarray:
-    """Increments F^(k)(t) - F^(k+1)(t); the telescoped remainder F^(K+1)(t) < tail."""
-    out = []
-    f_prev = 1.0
-    k = 0
-    while True:
-        f_next = inter.kfold_cdf(k + 1, t)
-        out.append(f_prev - f_next)
-        if f_next < tail:
-            return np.asarray(out)
-        k += 1
-        if k >= max_terms:
-            raise NonConvergedError(
-                f"renewal tail bound not met within {max_terms} terms (t={t})")
-        f_prev = f_next
+    if z < shape * max_terms:  # else P(N >= max_terms) >= P(P >= z) > 1e-3
+        length = int(min(_bernstein_reach(z, tail), shape * max_terms)) + shape + 1
+        pmf = _poisson_pmf(z, _poisson_reach(z, length))
+        below = np.flatnonzero(np.add.accumulate(pmf[::-1])[::-1][::shape] < tail)
+        if below.size and below[0] <= max_terms:
+            return pmf[:below[0] * shape].reshape(-1, shape).sum(axis=1)
+    raise NonConvergedError(f"renewal counts need more than {max_terms} terms (rate * t = {z})")
 
 
 def _fast_rate(mag1: Distribution, mag2: Distribution) -> float:
-    return max(_mark_params(mag1)[1], _mark_params(mag2)[1])
+    return max(_mark_params(mag1, "mag1")[1], _mark_params(mag2, "mag2")[1])
 
 
 def _phase_pmfs(mag1: Distribution, mag2: Distribution,
                 length: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase pmfs of both marks in units of the faster mark rate, cut at length."""
-    (m1, mu1), (m2, mu2) = _mark_params(mag1), _mark_params(mag2)
+    (m1, mu1), (m2, mu2) = _mark_params(mag1, "mag1"), _mark_params(mag2, "mag2")
     fast = max(mu1, mu2)
     return _phase_pmf(m1, mu1, fast, length), _phase_pmf(m2, mu2, fast, length)
 
@@ -195,21 +184,25 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
     return g
 
 
-def _check_mass_below_cap(g: np.ndarray, policy: TruncationPolicy, z: float) -> None:
-    """Allow cutting the phase series at the cap, or raise NonConvergedError.
+def _phase_series(g: np.ndarray, cdfs: np.ndarray, converged: bool,
+                  policy: TruncationPolicy, z: float) -> float:
+    """sum_s g(s) cdfs(s) clamped to [0, 1], or NonConvergedError for a bad cut.
 
-    The cut is allowed when the phase-count pmf g, as computed below the
-    cap, has mass at least 1 - tail_epsilon: every term of the exact series
-    is g(s) times a CDF, so it falls short of the exact value by at most the
-    mass g misses.  The mass must clear that bound by a rounding allowance
-    of one double epsilon per term.
+    A series cut at the cap (not converged) is allowed when the phase-count
+    pmf g, as computed below the cap, has mass at least 1 - tail_epsilon:
+    every term of the exact series is g(s) times a CDF, so it falls short of
+    the exact value by at most the mass g misses.  The mass must clear that
+    bound by a rounding allowance of one double epsilon per term.
     """
-    mass = math.fsum(g) - len(g) * sys.float_info.epsilon
-    if mass < 1.0 - policy.tail_epsilon:
-        raise NonConvergedError(
-            f"phase series needs more than {policy.max_terms_per_axis} terms "
-            f"at rate * x = {z}, and the phase-count mass below the cap, "
-            f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
+    if not converged:
+        mass = math.fsum(g) - len(g) * sys.float_info.epsilon
+        if mass < 1.0 - policy.tail_epsilon:
+            raise NonConvergedError(
+                f"phase series needs more than {policy.max_terms_per_axis} terms "
+                f"at rate * x = {z}, and the phase-count mass below the cap, "
+                f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
+    value = float(g @ cdfs)
+    return min(1.0, max(0.0, value))
 
 
 def damage_cdf(model: CumulativeModel, t: float, x: float,
@@ -218,7 +211,7 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
 
     When the Erlang-CDF stop needs more than max_terms_per_axis phases, the
     series is cut at the cap if the phase-count pmf has mass at least
-    1 - tail_epsilon below it (_check_mass_below_cap).
+    1 - tail_epsilon below it (_phase_series).
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
@@ -229,17 +222,14 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     total = model.rate1 + model.rate2
     jumps = (model.rate1 * f1 + model.rate2 * f2) / total
     g = _compound_poisson_pmf(total * t, jumps)
-    if not converged:
-        _check_mass_below_cap(g, policy, z)
-    value = float(g @ cdfs)
-    return min(1.0, max(0.0, value))
+    return _phase_series(g, cdfs, converged, policy, z)
 
 
 def damage_mean(model: CumulativeModel, t: float) -> float:
     """E(total damage by time t); exact, linear in t."""
     _check_nonneg(t, "t")
-    m1, mu1 = _mark_params(model.mag1)
-    m2, mu2 = _mark_params(model.mag2)
+    m1, mu1 = _mark_params(model.mag1, "mag1")
+    m2, mu2 = _mark_params(model.mag2, "mag2")
     return m1 * model.rate1 * t / mu1 + m2 * model.rate2 * t / mu2
 
 
@@ -314,51 +304,37 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon / 2.0,
                                         policy.max_terms_per_axis)
     f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
-    quarter = policy.tail_epsilon / 4.0
-    g1 = _random_sum_pmf(
-        _renewal_weights(model.inter1, t, quarter, policy.max_terms_per_axis), f1)
-    g2 = _random_sum_pmf(
-        _renewal_weights(model.inter2, t, quarter, policy.max_terms_per_axis), f2)
-    g = np.convolve(g1, g2)[:len(cdfs)]
-    if not converged:
-        _check_mass_below_cap(g, policy, z)
-    value = float(g @ cdfs)
-    return min(1.0, max(0.0, value))
-
-
-def _renewal_function(inter: Distribution, t: float, eps: float,
-                      max_terms: int) -> float:
-    """Expected renewals by t: sum_{k>=1} F^(k)(t).
-
-    Terms decay superexponentially for the supported families; summation
-    stops once a term is below eps and at most half its predecessor, which
-    bounds the remaining tail by the last term (< eps).
-    """
-    acc = 0.0
-    prev = math.inf
-    k = 1
-    while True:
-        term = inter.kfold_cdf(k, t)
-        acc += term
-        if term < eps and term <= 0.5 * prev:
-            return acc
-        k += 1
-        if k > max_terms:
-            raise NonConvergedError(
-                f"renewal function series not converged within {max_terms} terms")
-        prev = term
+    g = np.ones(1)
+    for name, inter, mark in (("inter1", model.inter1, f1), ("inter2", model.inter2, f2)):
+        shape, rate = _mark_params(inter, name)
+        counts = _renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0,
+                                 policy.max_terms_per_axis)
+        g = np.convolve(g, _random_sum_pmf(counts, mark))[:len(cdfs)]
+    return _phase_series(g, cdfs, converged, policy, z)
 
 
 def general_damage_mean(model: GeneralCumulativeModel, t: float,
                         policy: TruncationPolicy | None = None) -> float:
-    """E(total damage by t) = sum over processes of E(mark) * E(renewals by t)."""
+    """E(total damage by t) = sum over streams of E(mark) E(N(t)), exact to rounding.
+
+    E(N(t)) = sum_{k>=1} P(P >= k m), P ~ Poisson(r t), for Erlang(m, r)
+    interarrivals, out to _poisson_reach.  It raises where _renewal_counts
+    would: when P(N(t) >= max_terms_per_axis) >= tail_epsilon.
+    """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
+    cap = policy.max_terms_per_axis
     total = 0.0
-    for inter, mag in ((model.inter1, model.mag1), (model.inter2, model.mag2)):
-        mark_mean = mag.mean()
-        eps = policy.tail_epsilon / (4.0 * max(1.0, mark_mean))
-        total += mark_mean * _renewal_function(inter, t, eps, policy.max_terms_per_axis)
+    for name, inter, mag in (("inter1", model.inter1, model.mag1),
+                             ("inter2", model.inter2, model.mag2)):
+        shape, rate = _mark_params(inter, name)
+        z = rate * t
+        if z < shape * cap:  # else P(N(t) >= cap) >= P(P >= z) > 1e-3
+            tails = _poisson_tail(z, _poisson_reach(z, shape))[shape::shape]
+            if np.count_nonzero(tails >= policy.tail_epsilon) < cap:
+                total += mag.mean() * float(tails.sum())
+                continue
+        raise NonConvergedError(f"renewal function needs more than {cap} counts (rate * t = {z})")
     return total
 
 
@@ -377,8 +353,8 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     _check_nonneg(x, "x")
     if not rate > 0 or not mark_rate > 0:
         raise ValueError("rate and mark_rate must be positive")
-    weights = _poisson_weights(rate * t, policy.tail_epsilon / 2.0,
-                               policy.max_terms_per_axis)
+    weights = _renewal_counts(1, rate * t, policy.tail_epsilon / 2.0,
+                              policy.max_terms_per_axis)
     terms = [weights[0]]
     for k in range(1, len(weights)):
         terms.append(weights[k] * (1.0 - erlang_survival(k, mark_rate * x)))

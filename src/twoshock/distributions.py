@@ -1,9 +1,8 @@
 """Parametric distribution kernel: exponential, Erlang, and Weibull families.
 
-Each family exposes the CDF, survival function, density, mean, exact k-fold
-convolution CDFs where a closed form exists, and inverse-CDF sampling from an
-injected uniform stream (a numpy Generator).  Evaluation methods are pure;
-sampling touches only the stream passed in.
+Each family exposes the CDF, survival function, density, mean, and
+inverse-CDF sampling from an injected uniform stream (a numpy Generator).
+Evaluation methods are pure; sampling touches only the stream passed in.
 
 Draw layout: an exponential or Weibull draw of n values consumes n uniforms
 u, transformed in place through log1p(-u).  An Erlang(shape) draw of n values
@@ -21,8 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import UnsupportedConvolutionError
 
 __all__ = [
     "Distribution",
@@ -46,11 +43,6 @@ _LOG_MAX = math.log(sys.float_info.max)
 def _check_time(t: float) -> None:
     if not t >= 0.0:
         raise ValueError(f"time/damage argument must be nonnegative, got {t}")
-
-
-def _check_fold(k: int) -> None:
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0):
-        raise ValueError(f"convolution order must be a nonnegative integer, got {k}")
 
 
 def _log_complement(u: np.ndarray) -> np.ndarray:
@@ -202,10 +194,6 @@ class Distribution(ABC):
         """E(X)."""
 
     @abstractmethod
-    def kfold_cdf(self, k: int, t: float) -> float:
-        """CDF of the sum of k i.i.d. copies; k = 0 is the unit step at 0."""
-
-    @abstractmethod
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n inverse-CDF draws from the given uniform stream, as a new float64 array.
 
@@ -245,13 +233,6 @@ class Exponential(Distribution):
 
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    def kfold_cdf(self, k: int, t: float) -> float:
-        _check_fold(k)
-        _check_time(t)
-        if k == 0:
-            return 1.0
-        return erlang_cdf(int(k), self.rate * t)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         draws = _log_complement(rng.random(n))
@@ -293,13 +274,6 @@ class Erlang(Distribution):
 
     def mean(self) -> float:
         return self.shape / self.rate
-
-    def kfold_cdf(self, k: int, t: float) -> float:
-        _check_fold(k)
-        _check_time(t)
-        if k == 0:
-            return 1.0
-        return erlang_cdf(int(k) * self.shape, self.rate * t)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         draws = _log_complement(rng.random((self.shape, n))).sum(axis=0)
@@ -364,16 +338,6 @@ class Weibull(Distribution):
             return self.scale * math.gamma(1.0 + inverse)
         log_mean = math.log(self.scale) + math.lgamma(1.0 + inverse)
         return math.exp(log_mean) if log_mean < _LOG_MAX else math.inf
-
-    def kfold_cdf(self, k: int, t: float) -> float:
-        _check_fold(k)
-        _check_time(t)
-        if k == 0:
-            return 1.0
-        if k == 1:
-            return self.cdf(t)
-        raise UnsupportedConvolutionError(
-            "no closed-form k-fold convolution for Weibull with k >= 2")
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         draws = _log_complement(rng.random(n))

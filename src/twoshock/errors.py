@@ -14,4 +14,4 @@ class IllConditionedError(ValueError):
 
 
 class UnsupportedConvolutionError(ValueError):
-    """A k-fold convolution was requested where no closed form exists."""
+    """A model member has no phase-count form: only Erlang and exponential do."""

@@ -170,17 +170,20 @@ def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     return out
 
 
+def _bernstein_reach(z: float, eps: float) -> float:
+    """s = z + d with P(N >= s) <= exp(-d^2 / (2(z + d/3))) = eps, N ~ Poisson(z) (Bernstein)."""
+    log_eps = -math.log(eps)
+    return z + log_eps / 3.0 + math.sqrt(log_eps ** 2 / 9.0 + 2.0 * log_eps * z)
+
+
 def _erlang_cdf_terms(z: float, eps: float, max_terms: float) -> tuple[np.ndarray, bool]:
     """P(Erlang(s, 1) <= z) for s = 0..S-1, where S is the first s with a value below eps.
 
-    s = 0 is the unit step.  P(Erlang(s, 1) <= z) = P(N >= s) for N ~
-    Poisson(z), and Bernstein's bound P(N >= z + d) <= exp(-d^2 / (2(z + d/3)))
-    gives the length to evaluate.  Returns (values, True); when S would
+    s = 0 is the unit step.  P(Erlang(s, 1) <= z) = P(N >= s), N ~ Poisson(z),
+    evaluated out to _bernstein_reach.  Returns (values, True); when S would
     exceed max_terms, returns (the first max_terms values, False).
     """
-    log_eps = -math.log(eps)
-    reach = z + log_eps / 3.0 + math.sqrt(log_eps ** 2 / 9.0 + 2.0 * log_eps * z)
-    cdfs = _poisson_tail(z, int(min(reach, max_terms)) + 2)
+    cdfs = _poisson_tail(z, int(min(_bernstein_reach(z, eps), max_terms)) + 2)
     cdfs[0] = 1.0
     below = np.flatnonzero(cdfs < eps)
     if not below.size or below[0] > max_terms:

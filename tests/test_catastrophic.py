@@ -108,14 +108,16 @@ class TestMeanFptf:
         model = CatastrophicModel(Weibull(2.0, 1.0), Weibull(2.0, 1.0))
         assert mean_fptf(model) == pytest.approx(0.6266570686577501, abs=1e-13)
 
-    @pytest.mark.parametrize("scale1, scale2, log_mean", [
-        (1e-200, 1e-200, math.log(1e-200) + math.lgamma(1.5) - 0.5 * math.log(2.0)),
-        (1e200, 1e200, math.log(1e200) + math.lgamma(1.5) - 0.5 * math.log(2.0)),
-        (1e-200, 1.0, math.log(1e-200) + math.lgamma(1.5)),  # pooled rate 1e400 + 1
-    ], ids=["tiny-pair", "huge-pair", "tiny-and-one"])
-    def test_weibull_equal_shape_at_double_range(self, scale1, scale2, log_mean):
-        # Each scale ** -2 leaves the double range; the mean does not.
-        model = CatastrophicModel(Weibull(2.0, scale1), Weibull(2.0, scale2))
+    @pytest.mark.parametrize("shape, scale1, scale2, log_mean", [
+        (2.0, 1e-200, 1e-200, math.log(1e-200) + math.lgamma(1.5) - 0.5 * math.log(2.0)),
+        (2.0, 1e200, 1e200, math.log(1e200) + math.lgamma(1.5) - 0.5 * math.log(2.0)),
+        (2.0, 1e-200, 1.0, math.log(1e-200) + math.lgamma(1.5)),  # pooled rate 1e400 + 1
+        # pooled scale 1e-300 * 2^-100 underflows
+        (0.01, 1e-300, 1e-300, math.log(1e-300) - 100.0 * math.log(2.0) + math.lgamma(101.0)),
+    ], ids=["tiny-pair", "huge-pair", "tiny-and-one", "underflowing-pooled-scale"])
+    def test_weibull_equal_shape_at_double_range(self, shape, scale1, scale2, log_mean):
+        # Each scale ** -shape leaves the double range; the mean does not.
+        model = CatastrophicModel(Weibull(shape, scale1), Weibull(shape, scale2))
         assert mean_fptf(model) == pytest.approx(math.exp(log_mean), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model", [

@@ -57,9 +57,10 @@ class TestGridParsing:
     def test_single_point_grid(self):
         assert parse_grid("2:2:1") == [2.0]
 
-    @pytest.mark.parametrize("bad", ["0:5", "5:0:3", "-1:2:3", "0:5:0", "a:b:c", "1:1:2x"])
+    @pytest.mark.parametrize("bad", ["0:5", "5:0:3", "-1:2:3", "0:5:0", "a:b:c", "1:1:2x",
+                                     "0:inf:3", "nan:1:2"])
     def test_malformed_grid(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid"):
             parse_grid(bad)
 
     def test_points_list(self):

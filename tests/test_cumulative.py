@@ -1,6 +1,7 @@
 """Damage-model tests: series values, truncation honesty, reductions, errors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from twoshock.cumulative import (
     _fast_rate,
     _phase_pmfs,
     _random_sum_pmf,
-    _renewal_weights,
+    _mark_params,
+    _renewal_counts,
     compound_poisson_exponential_cdf,
     damage_cdf,
     damage_mean,
@@ -255,7 +257,8 @@ class TestGeneralEvaluators:
         cdfs, _ = _erlang_cdf_terms(_fast_rate(model.mag1, model.mag2) * x, 5e-11, 10_000)
         marks = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
         for inter, mark in zip((model.inter1, model.inter2), marks):
-            counts = _renewal_weights(inter, t, 2.5e-11, 10_000)
+            shape, rate = _mark_params(inter, "inter")
+            counts = _renewal_counts(shape, rate * t, 2.5e-11, 10_000)
             np.testing.assert_allclose(_random_sum_pmf(counts, mark),
                                        full_length_reference(counts, mark), rtol=1e-14, atol=0)
 
@@ -275,6 +278,47 @@ class TestGeneralEvaluators:
         for t in (0.5, 2.0, 4.0):
             assert general_damage_mean(g, t, policy) == pytest.approx(
                 damage_mean(MIXED, t), abs=2e-10)
+
+    def test_far_tail_counts_keep_relative_accuracy(self):
+        # No Erlang(2, 1) renewal by t = 50 in either stream: P(N(50) = 0) = 51 e^-50.
+        g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=1.0)
+        assert general_damage_cdf(g, 50.0, 0.0) == pytest.approx(
+            (51.0 * math.exp(-50.0)) ** 2, rel=1e-12, abs=0.0)
+
+    def test_renewal_count_cap_raises(self):
+        g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=2.0)
+        policy = TruncationPolicy(max_terms_per_axis=3)
+        with pytest.raises(NonConvergedError, match="renewal"):
+            general_damage_cdf(g, 4.0, 1.0, policy)
+        with pytest.raises(NonConvergedError, match="renewal"):
+            general_damage_mean(g, 4.0, policy)
+
+    def test_counts_past_cap_rejected_before_poisson_arrays(self):
+        # At rate * t >= shape * cap, P(N(t) >= cap) > 1e-3 for certain; the
+        # Poisson arrays, about rate * t long, are never built.
+        g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=2.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergedError, match="renewal"):
+                general_damage_cdf(g, 2e6, 1.0)
+            with pytest.raises(NonConvergedError, match="renewal"):
+                general_damage_mean(g, 2e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_weibull_interarrivals_rejected_at_every_t(self):
+        g = GeneralCumulativeModel(Exponential(1.0), Weibull(2.0, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=1.0)
+        for t in (0.0, 1e-3):
+            with pytest.raises(UnsupportedConvolutionError, match="inter2"):
+                general_damage_cdf(g, t, 1.0)
+            with pytest.raises(UnsupportedConvolutionError, match="inter2"):
+                general_damage_mean(g, t)
 
     def test_weibull_interarrivals_unsupported_analytically(self):
         g = GeneralCumulativeModel(Weibull(2.0, 1.0), Exponential(1.0),

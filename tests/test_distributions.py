@@ -16,7 +16,6 @@ from twoshock.distributions import (
     distribution_from_dict,
     distribution_to_dict,
 )
-from twoshock.errors import UnsupportedConvolutionError
 
 RATES = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 TIMES = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -182,35 +181,6 @@ class TestWeibullPastDoubleRange:
             z = t / scale
             assert dist.survival(t) == math.exp(-(z ** shape))
             assert dist.pdf(t) == (shape / scale) * z ** (shape - 1.0) * math.exp(-(z ** shape))
-
-
-class TestKFoldConvolution:
-    def test_zero_fold_is_unit_step(self):
-        for dist in (Exponential(1.0), Erlang(2, 1.0), Weibull(2.0, 1.0)):
-            assert dist.kfold_cdf(0, 5.0) == 1.0
-            assert dist.kfold_cdf(0, 0.0) == 1.0
-
-    def test_exponential_reproduces_erlang(self):
-        assert Exponential(1.0).kfold_cdf(2, 1.0) == pytest.approx(
-            0.26424111765711533, abs=1e-15)
-        for t in (0.3, 1.0, 4.0):
-            assert Exponential(1.0).kfold_cdf(2, t) == Erlang(2, 1.0).cdf(t)
-
-    def test_erlang_fold_multiplies_shape(self):
-        # Erlang(2,1) convolved twice = Erlang(4,1): 1 - e^-1 * (8/3) at t=1
-        assert Erlang(2, 1.0).kfold_cdf(2, 1.0) == pytest.approx(
-            0.018988156876153813, abs=1e-15)
-        for t in (0.5, 1.0, 2.0):
-            assert Erlang(2, 1.0).kfold_cdf(2, t) == Erlang(4, 1.0).cdf(t)
-
-    def test_weibull_two_fold_unsupported(self):
-        with pytest.raises(UnsupportedConvolutionError):
-            Weibull(2.0, 1.0).kfold_cdf(2, 1.0)
-        assert Weibull(2.0, 1.0).kfold_cdf(1, 1.0) == Weibull(2.0, 1.0).cdf(1.0)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            Exponential(1.0).kfold_cdf(-1, 1.0)
 
 
 class TestErlangExponentialIdentity:

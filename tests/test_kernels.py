@@ -14,8 +14,8 @@ import pytest
 from scipy import special, stats
 
 from twoshock.catastrophic import CatastrophicModel, mean_fptf
-from twoshock.cumulative import _poisson_weights
-from twoshock.distributions import Erlang, _poisson_tail, erlang_survival
+from twoshock.cumulative import GeneralCumulativeModel, _renewal_counts, general_damage_mean
+from twoshock.distributions import Erlang, Exponential, _poisson_tail, erlang_survival
 from twoshock.gamma_convolution import _phase_pmf
 
 
@@ -72,16 +72,29 @@ def test_erlang_pair_mean_matches_nbdtr(a, ra, b, rb):
     assert mean_fptf(model) == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [1, 2, 3])
 @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.7, 5.0, 100.0, 745.3, 2000.0])
-def test_poisson_weights_match_scipy_stats(mean):
+def test_renewal_counts_match_scipy_stats(mean, shape):
+    # Erlang(shape) renewals: N = floor(P / shape), P ~ Poisson(mean), so the
+    # k-fold convolution CDF is P(N >= k) = P(P >= k shape).
     tail_half = 1e-11
-    weights = _poisson_weights(mean, tail_half, 10_000)
+    weights = _renewal_counts(shape, mean, tail_half, 10_000)
     cut = len(weights) - 1
-    ref = stats.poisson.pmf(np.arange(len(weights)), mean)
+    ref = stats.poisson.pmf(np.arange(len(weights) * shape), mean)
+    ref = ref.reshape(-1, shape).sum(axis=1)
     np.testing.assert_allclose(weights, ref, rtol=1e-11, atol=1e-300)
-    assert stats.poisson.sf(cut, mean) < tail_half
+    assert stats.poisson.sf((cut + 1) * shape - 1, mean) < tail_half
     if cut:
-        assert stats.poisson.sf(cut - 1, mean) >= tail_half
+        assert stats.poisson.sf(cut * shape - 1, mean) >= tail_half
+
+
+@pytest.mark.parametrize("t", [0.6, 4.0])
+def test_erlang_renewal_damage_mean_matches_gammainc(t):
+    # E[N(t)] = sum_{k >= 1} P(Erlang(2k, 1) <= t) per stream; unit mark means.
+    model = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=1.0)
+    ref = 2.0 * math.fsum(special.gammainc(2.0 * np.arange(1, 200), t))
+    assert general_damage_mean(model, t) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_runs_without_scipy():

@@ -128,8 +128,9 @@ def parse_points(text: str) -> list:
         raise ValueError(f"points must be a comma-separated number list, got {text!r}") from None
     if not points:
         raise ValueError("points list is empty")
-    if any(p < 0 for p in points) or any(b <= a for a, b in zip(points, points[1:])):
-        raise ValueError("points must be nonnegative and strictly increasing")
+    if not all(0 <= p < math.inf for p in points) \
+            or any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError("points must be finite, nonnegative and strictly increasing")
     return points
 
 

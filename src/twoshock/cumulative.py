@@ -56,11 +56,11 @@ class TruncationPolicy:
 
     A damage series stops at the first phase count whose Erlang CDF is
     below its share of tail_epsilon, and a renewal-count pmf at the first
-    count K with P(N(t) >= K) below its share, giving an absolute error
-    below tail_epsilon.  Needing more than max_terms_per_axis phases or
-    renewal counts raises NonConvergedError, except in damage_cdf and
-    general_damage_cdf when the phase counts past the cap carry less than
-    tail_epsilon of probability.
+    count K whose left-out counts carry less than its share, giving an
+    absolute error below tail_epsilon.  Needing more than max_terms_per_axis
+    phases, or arrival counts outside general_damage_cdf, raises NonConvergedError,
+    except in damage_cdf and general_damage_cdf when the phase counts past
+    the cap carry less than tail_epsilon of probability.
     """
 
     tail_epsilon: float = 1e-10
@@ -132,21 +132,17 @@ def _check_nonneg(value: float, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-def _renewal_counts(shape: int, z: float, tail: float, max_terms: int) -> np.ndarray:
-    """P(N = k) for k < K, N = floor(P / shape), P ~ Poisson(z); P(N >= K) < tail.
+def _renewal_counts(shape: int, z: float, tail: float, n: int) -> np.ndarray:
+    """P(N = k) for k < K <= n, N = floor(P / shape), P ~ Poisson(z), with P(K <= N < n) < tail.
 
     N counts Erlang(shape, r) renewals by t, z = r t: one every shape Exp(r)
-    phases.  P(N = k) and P(N >= k) = P(P >= k shape) sum positive Poisson
-    terms, so any tail a double holds is met.  K > max_terms raises
-    NonConvergedError, at once past z = shape max_terms.
+    phases.  P(N = k) sums shape positive Poisson terms, so any tail a double
+    holds is met.  Counts from n on are left out: every mark takes at least
+    one phase, so they reach no phase below n.  At least one count is kept.
     """
-    if z < shape * max_terms:  # else P(N >= max_terms) >= P(P >= z) > 1e-3
-        length = int(min(_bernstein_reach(z, tail), shape * max_terms)) + shape + 1
-        pmf = _poisson_pmf(z, _poisson_reach(z, length))
-        below = np.flatnonzero(np.add.accumulate(pmf[::-1])[::-1][::shape] < tail)
-        if below.size and below[0] <= max_terms:
-            return pmf[:below[0] * shape].reshape(-1, shape).sum(axis=1)
-    raise NonConvergedError(f"renewal counts need more than {max_terms} terms (rate * t = {z})")
+    counts = _poisson_pmf(z, shape * n).reshape(n, shape).sum(axis=1)
+    above = np.add.accumulate(counts[::-1])[::-1]
+    return counts[:max(1, np.count_nonzero(above >= tail))]
 
 
 def _fast_rate(mag1: Distribution, mag2: Distribution) -> float:
@@ -293,9 +289,9 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     """P(total damage by t is <= x) under renewal arrivals, within tail_epsilon.
 
     Half the bound goes to the phase series and a quarter to each stream's
-    renewal counts.  Past max_terms_per_axis phases the series is cut as in
-    damage_cdf: the mass test there bounds the renewal cuts and the phase
-    cut together.
+    renewal counts, cut at the series length: k renewals take k phases.
+    Past max_terms_per_axis phases the series is cut as in damage_cdf: the
+    mass test there bounds the renewal cuts and the phase cut together.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
@@ -307,8 +303,7 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     g = np.ones(1)
     for name, inter, mark in (("inter1", model.inter1, f1), ("inter2", model.inter2, f2)):
         shape, rate = _mark_params(inter, name)
-        counts = _renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0,
-                                 policy.max_terms_per_axis)
+        counts = _renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0, len(cdfs))
         g = np.convolve(g, _random_sum_pmf(counts, mark))[:len(cdfs)]
     return _phase_series(g, cdfs, converged, policy, z)
 
@@ -318,8 +313,8 @@ def general_damage_mean(model: GeneralCumulativeModel, t: float,
     """E(total damage by t) = sum over streams of E(mark) E(N(t)), exact to rounding.
 
     E(N(t)) = sum_{k>=1} P(P >= k m), P ~ Poisson(r t), for Erlang(m, r)
-    interarrivals, out to _poisson_reach.  It raises where _renewal_counts
-    would: when P(N(t) >= max_terms_per_axis) >= tail_epsilon.
+    interarrivals, out to _poisson_reach.  It raises NonConvergedError when
+    P(N(t) >= max_terms_per_axis) >= tail_epsilon.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
@@ -346,15 +341,19 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     This is the merged-process reduction: two exponential-mark streams with a
     common magnitude rate collapse into one stream with the summed arrival
     rate, and this evaluation must agree with the two-stream series.  It sums
-    its own Poisson weights, apart from the phase-count kernel.
+    its own Poisson weights, apart from the phase-count kernel, for counts
+    below n, where P(N >= n) < tail_epsilon / 4 by Bernstein's bound; n past
+    max_terms_per_axis raises NonConvergedError.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
     if not rate > 0 or not mark_rate > 0:
         raise ValueError("rate and mark_rate must be positive")
-    weights = _renewal_counts(1, rate * t, policy.tail_epsilon / 2.0,
-                              policy.max_terms_per_axis)
+    n = int(_bernstein_reach(rate * t, policy.tail_epsilon / 4.0)) + 1
+    if n > policy.max_terms_per_axis:
+        raise NonConvergedError(f"Poisson counts need {n} terms (rate * t = {rate * t})")
+    weights = _renewal_counts(1, rate * t, policy.tail_epsilon / 2.0, n)
     terms = [weights[0]]
     for k in range(1, len(weights)):
         terms.append(weights[k] * (1.0 - erlang_survival(k, mark_rate * x)))

@@ -145,8 +145,11 @@ def _poisson_reach(z: float, n: int) -> int:
 def _poisson_tail(z: float, n: int) -> np.ndarray:
     """P(N >= s) for s < n, N ~ Poisson(z): reverse cumulative sums of _poisson_pmf.
 
-    Nothing cancels, so small tails keep their relative accuracy.
+    Nothing cancels, so small tails keep their relative accuracy.  For n <= z
+    each is at least 1/2 (the median is at least z - ln 2): 1 minus the head sums.
     """
+    if n <= z:
+        return np.concatenate(([1.0], 1.0 - np.add.accumulate(_poisson_pmf(z, n)[:-1])))
     pmf = _poisson_pmf(z, _poisson_reach(z, n))
     return np.add.accumulate(pmf[::-1])[::-1][:n]
 

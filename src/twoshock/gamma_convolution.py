@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_SERIES_LIMIT, _log_poisson_term, _poisson_tail, _recur_outward,
-                            erlang_cdf, erlang_survival)
+from .distributions import (_LOG_MAX, _SERIES_LIMIT, _log_poisson_term, _poisson_tail,
+                            _recur_outward, erlang_cdf, erlang_survival)
 from .errors import EqualRatesError, IllConditionedError, NonConvergedError
 
 __all__ = ["ErlangProduct", "PartialFractionExpansion", "expand", "convolution_cdf"]
@@ -81,38 +81,20 @@ class PartialFractionExpansion:
 
 
 def _signed_coefficient(j: int, a: int, ra: float, b: int, rb: float) -> float:
-    """Float c_j for pole stack a; saturates to +-inf instead of overflowing."""
+    """Float c_j for pole stack a; +-inf only where its exact value leaves the double range."""
+    n, k = a + b - j, a - j
     delta = rb - ra
     try:
-        c = math.comb(a + b - j - 1, a - j) * ra ** (a - j) * rb ** b \
-            / delta ** (a + b - j)
-    except OverflowError:
-        return _exp10_signed(_log10_coefficient(j, a, ra, b, rb),
-                             _coefficient_sign(j, a, b, delta))
-    return -c if (a - j) % 2 else c
-
-
-def _log10_coefficient(j: int, a: int, ra: float, b: int, rb: float) -> float:
-    delta = abs(rb - ra)
-    return (
-        (math.lgamma(a + b - j) - math.lgamma(a - j + 1) - math.lgamma(b))
-        + (a - j) * math.log(ra) + b * math.log(rb)
-        - (a + b - j) * math.log(delta)
-    ) / math.log(10.0)
-
-
-def _coefficient_sign(j: int, a: int, b: int, delta: float) -> float:
-    neg = (a - j) % 2
-    if delta < 0 and (a + b - j) % 2:
-        neg ^= 1
-    return -1.0 if neg else 1.0
-
-
-def _exp10_signed(log10_mag: float, sign: float) -> float:
-    try:
-        return sign * 10.0 ** log10_mag
-    except OverflowError:
-        return sign * math.inf
+        c = math.comb(n - 1, k) * ra ** k * rb ** b / delta ** n
+    except (OverflowError, ZeroDivisionError):
+        c = math.nan
+    if not math.isfinite(c) or c == 0.0:  # a float * overflows, a float ** underflows silently
+        log_c = (math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(b) + k * math.log(ra)
+                 + b * math.log(rb) - n * math.log(abs(delta)))
+        c = math.exp(log_c) if log_c < _LOG_MAX else math.inf
+        if delta < 0 and n % 2:
+            c = -c
+    return -c if k % 2 else c
 
 
 def expand(product: ErlangProduct) -> PartialFractionExpansion:
@@ -120,8 +102,8 @@ def expand(product: ErlangProduct) -> PartialFractionExpansion:
 
     Requires both shapes >= 1.  Raises EqualRatesError when the rates
     coincide (merge to a single Erlang(a+b) instead) and IllConditionedError
-    when their relative gap is below 1e-6.  For very large shapes individual
-    weights can exceed the float range and saturate to +-inf.
+    when their relative gap is below 1e-6.  A weight whose exact value
+    leaves the double range saturates to +-inf; every other weight is finite.
     """
     a, b = product.shape_a, product.shape_b
     ra, rb = product.rate_a, product.rate_b

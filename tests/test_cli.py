@@ -66,9 +66,9 @@ class TestGridParsing:
     def test_points_list(self):
         assert parse_points("0.1,0.5,2") == [0.1, 0.5, 2.0]
 
-    @pytest.mark.parametrize("bad", ["2,1", "1,1", "-1,2", "", "a,b"])
+    @pytest.mark.parametrize("bad", ["2,1", "1,1", "-1,2", "", "a,b", "1,nan", "nan", "1,inf"])
     def test_malformed_points(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="points"):
             parse_points(bad)
 
 
@@ -178,6 +178,15 @@ class TestAnalyticCommands:
                   for line in capsys.readouterr().out.splitlines()[1:]]
         assert values[0] == 0.0
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_fptf_model2_general_kind_long_horizon(self, model_file, capsys):
+        # About 10,000 Erlang(2, 1) renewals per stream by t = 20,000: the
+        # curve needs only as many counts as its phase series has terms.
+        rc = main(["fptf-model2", "--model", model_file(GENERAL), "--points", "10,20000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert 0.99 < float(lines[1].split(",")[1]) < 1.0
+        assert lines[2] == "20000,1"
 
     def test_kind_mismatch_exits_one(self, model_file, capsys):
         rc = main(["survival", "--model", model_file(CUMULATIVE), "--grid", "0:1:2"])

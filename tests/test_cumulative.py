@@ -87,6 +87,20 @@ class TestDamageCdf:
         value = damage_cdf(SYMMETRIC, 1.0, 9400.0)
         assert 1.0 - 1e-10 <= value <= 1.0
 
+    def test_level_far_past_phase_cap_keeps_arrays_short(self):
+        # The Erlang CDFs asked for at mu_f * x = 1e7 are all about 1; they
+        # come from head sums of the capped length, not from a Poisson array
+        # about 1e7 terms long.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=2.0)
+        tracemalloc.start()
+        try:
+            value = damage_cdf(model, 1.0, 1e7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.0 - 1e-10 <= value <= 1.0
+        assert peak < 5e6
+
     def test_level_past_phase_cap_raises_when_mass_cannot_show_bound(self):
         with pytest.raises(NonConvergedError):
             damage_cdf(SYMMETRIC, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
@@ -279,6 +293,14 @@ class TestGeneralEvaluators:
             assert general_damage_mean(g, t, policy) == pytest.approx(
                 damage_mean(MIXED, t), abs=2e-10)
 
+    def test_renewal_counts_past_cap_reduce_to_poisson_series(self):
+        # Exp(1e5) arrivals bring about 1e5 shocks per stream by t = 1, ten
+        # times the count cap; no count past the phase series is needed.
+        g = GeneralCumulativeModel(Exponential(1e5), Exponential(1e5),
+                                   Exponential(1.0), Exponential(1.0), threshold=2.0)
+        poisson = CumulativeModel(1e5, 1e5, Exponential(1.0), Exponential(1.0), threshold=2.0)
+        assert general_damage_cdf(g, 1.0, 2.0) == damage_cdf(poisson, 1.0, 2.0)
+
     def test_far_tail_counts_keep_relative_accuracy(self):
         # No Erlang(2, 1) renewal by t = 50 in either stream: P(N(50) = 0) = 51 e^-50.
         g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
@@ -290,20 +312,20 @@ class TestGeneralEvaluators:
         g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
                                    Exponential(1.0), Exponential(1.0), threshold=2.0)
         policy = TruncationPolicy(max_terms_per_axis=3)
-        with pytest.raises(NonConvergedError, match="renewal"):
+        with pytest.raises(NonConvergedError, match="phase series"):
             general_damage_cdf(g, 4.0, 1.0, policy)
         with pytest.raises(NonConvergedError, match="renewal"):
             general_damage_mean(g, 4.0, policy)
 
     def test_counts_past_cap_rejected_before_poisson_arrays(self):
         # At rate * t >= shape * cap, P(N(t) >= cap) > 1e-3 for certain; the
-        # Poisson arrays, about rate * t long, are never built.
+        # Poisson arrays, about rate * t long, are never built.  The damage
+        # CDF needs no count past its phase series, which is short at x = 1.
         g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
                                    Exponential(1.0), Exponential(1.0), threshold=2.0)
         tracemalloc.start()
         try:
-            with pytest.raises(NonConvergedError, match="renewal"):
-                general_damage_cdf(g, 2e6, 1.0)
+            assert general_damage_cdf(g, 2e6, 1.0) == 0.0
             with pytest.raises(NonConvergedError, match="renewal"):
                 general_damage_mean(g, 2e6)
             peak = tracemalloc.get_traced_memory()[1]

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,29 @@ class TestExpand:
                     [c * erlang_survival(j, ra * x) for j, c in enumerate(ex.coeffs_a, 1)]
                     + [d * erlang_survival(j, rb * x) for j, d in enumerate(ex.coeffs_b, 1)])
                 assert abs(inverted - convolution_cdf(product, x)) <= 1e-10
+
+    def test_large_shapes_match_exact_fractions(self):
+        # Many of these products overflow a double on the way, though every
+        # coefficient, up to about 2.2e284, is a finite double.
+        a, ra, b, rb = 600, 1.0, 600, 3.0
+        ex = expand(ErlangProduct(a, ra, b, rb))
+        for coeffs, (m, r, n, s) in ((ex.coeffs_a, (a, ra, b, rb)), (ex.coeffs_b, (b, rb, a, ra))):
+            for j, c in enumerate(coeffs, 1):
+                delta = Fraction(s) - Fraction(r)
+                exact = (math.comb(m + n - j - 1, m - j) * Fraction(r) ** (m - j)
+                         * Fraction(s) ** n * (-1) ** (m - j) / delta ** (m + n - j))
+                assert c == pytest.approx(float(exact), rel=1e-11, abs=0.0), (m, j)
+
+    def test_coefficients_past_double_range_saturate_with_sign(self):
+        # delta = 1e-4 puts every coefficient past the double range; delta ** n
+        # underflows to 0 rather than raising.
+        a, ra, b, rb = 400, 1.0, 300, 1.0001
+        ex = expand(ErlangProduct(a, ra, b, rb))
+        for coeffs, (m, n, delta) in ((ex.coeffs_a, (a, b, rb - ra)),
+                                      (ex.coeffs_b, (b, a, ra - rb))):
+            for j, c in enumerate(coeffs, 1):
+                sign = (-1) ** (m - j) * (1 if delta > 0 else -1) ** (m + n - j)
+                assert c == sign * math.inf, (m, j)
 
     def test_zero_shape_rejected(self):
         with pytest.raises(ValueError, match="shapes >= 1"):

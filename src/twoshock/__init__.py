@@ -25,6 +25,7 @@ from .cumulative import (
     general_damage_cdf,
     general_damage_mean,
     model2_fptf_cdf,
+    model2_fptf_curve,
     model2_fptf_mean,
 )
 from .distributions import (
@@ -90,6 +91,7 @@ __all__ = [
     "mean_fptf",
     "mean_fptf_quadrature",
     "model2_fptf_cdf",
+    "model2_fptf_curve",
     "model2_fptf_mean",
     "simulate_catastrophic",
     "simulate_cumulative",

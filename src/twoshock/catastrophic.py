@@ -47,8 +47,13 @@ def survival_probability(model: CatastrophicModel, t: float) -> float:
 
 
 def fptf_cdf(model: CatastrophicModel, t: float) -> float:
-    """CDF of the time to first failure."""
-    return 1.0 - survival_probability(model, t)
+    """CDF of the time to first failure, as F1 + S1 F2.
+
+    Both terms are nonnegative and each marginal CDF is free of cancellation,
+    so early failure probabilities keep their relative accuracy.
+    """
+    value = model.proc1.cdf(t) + model.proc1.survival(t) * model.proc2.cdf(t)
+    return min(1.0, value)
 
 
 def mean_fptf_quadrature(model: CatastrophicModel,

@@ -6,6 +6,12 @@ named on standard error.  Reports go to standard output or --out; all
 diagnostics go to standard error.  A fixed invocation produces byte-identical
 output (numbers are written with 17 significant digits).
 
+On cumulative models, fptf-model2 and damage-cdf (and compare, which uses
+them) evaluate the whole grid from one crossing-index sequence
+(cumulative.model2_fptf_curve), so early failure probabilities keep their
+relative accuracy; general_cumulative models go point by point through
+general_damage_cdf.
+
 main(argv) may be called repeatedly in one process.  The argument parser is
 built on the first call and reused by every later one, so the --workers
 default (the CPU count) is computed once per process.
@@ -205,7 +211,7 @@ def _analytic_curve(mf: ModelFile, command: str, grid: list, x, trunc) -> list:
         if x is None:
             raise ValueError("damage-cdf requires --x")
         if mf.kind == "cumulative":
-            return [cumulative.damage_cdf(model, t, x, trunc) for t in grid]
+            return cumulative._crossing_curve(model, x, grid, trunc)[1].tolist()
         return [cumulative.general_damage_cdf(model, t, x, trunc) for t in grid]
     if command == "damage-mean":
         _require_kind(mf, command, ("cumulative", "general_cumulative"))
@@ -215,7 +221,7 @@ def _analytic_curve(mf: ModelFile, command: str, grid: list, x, trunc) -> list:
     if command == "fptf-model2":
         _require_kind(mf, command, ("cumulative", "general_cumulative"))
         if mf.kind == "cumulative":
-            return [cumulative.model2_fptf_cdf(model, t, trunc) for t in grid]
+            return cumulative.model2_fptf_curve(model, grid, trunc)[0].tolist()
         return [1.0 - cumulative.general_damage_cdf(model, t, model.threshold, trunc)
                 for t in grid]
     raise ValueError(f"unknown command {command!r}")

@@ -15,6 +15,18 @@ floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
 and needs no quadrature.  Every term is positive, and each series stops at
 the first S whose Erlang CDF is below the requested bound.
+
+Failure-time curves use the law of the crossing index N, the shock of the
+merged stream (rate L = rate1 + rate2) that takes the damage past the
+threshold K.  With D_k the damage of k shocks, Esary, Marshall & Proschan
+(1973) give P(T > t) = sum_k Pois(L t; k) P(D_k <= K), so T is Gamma(N, L)
+and every curve value is a sum over h(k) = P(N = k) of positive Poisson
+terms.  model2_fptf_curve builds h once per model, from positive sums and
+one convolution per shock, and stops at the first k with P(N > k) below
+tail_epsilon / 4; together with its phase cut and the trim of the jump pmf
+every value is within tail_epsilon (_crossing_index).  The scalar damage_cdf
+and model2_fptf_cdf keep the phase series: at a large threshold a single
+point costs less than the whole sequence.
 """
 
 from __future__ import annotations
@@ -25,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (Distribution, Erlang, Exponential, _poisson_pmf, _poisson_reach,
-                            _poisson_tail, erlang_survival)
+from .distributions import (_SERIES_LIMIT, Distribution, Erlang, Exponential, _poisson_pmf,
+                            _poisson_reach, _poisson_tail)
 from .errors import NonConvergedError, UnsupportedConvolutionError
-from .gamma_convolution import _bernstein_reach, _erlang_cdf_terms, _erlang_cdfs, _phase_pmf
+from .gamma_convolution import (_bernstein_reach, _erlang_cdf_terms, _erlang_cdfs, _phase_pmf,
+                                _phase_tail)
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
 
 __all__ = [
@@ -38,6 +51,7 @@ __all__ = [
     "damage_cdf",
     "damage_mean",
     "model2_fptf_cdf",
+    "model2_fptf_curve",
     "model2_fptf_mean",
     "general_damage_cdf",
     "general_damage_mean",
@@ -49,6 +63,9 @@ __all__ = [
 # back up.
 _PANJER_MAX_MEAN = 500.0
 
+# Poisson terms per block of times in the failure-time curve: bounds its arrays.
+_CURVE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -59,8 +76,8 @@ class TruncationPolicy:
     count K whose left-out counts carry less than its share, giving an
     absolute error below tail_epsilon.  Needing more than max_terms_per_axis
     phases, or arrival counts outside general_damage_cdf, raises NonConvergedError,
-    except in damage_cdf and general_damage_cdf when the phase counts past
-    the cap carry less than tail_epsilon of probability.
+    except in damage_cdf, general_damage_cdf and model2_fptf_curve when the
+    phase counts past the cap carry less than tail_epsilon of probability.
     """
 
     tail_epsilon: float = 1e-10
@@ -235,6 +252,155 @@ def model2_fptf_cdf(model: CumulativeModel, t: float,
     return 1.0 - damage_cdf(model, t, model.threshold, policy)
 
 
+def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
+    """pmf of the index N of the shock that takes the damage past x.
+
+    Returns (h, deficits, trim): h[k - 1] = P(N = k) for k = 1..K + 1, each
+    a sum of positive terms; past the phase cap, deficits[k] bounds the
+    phase-count mass of k shocks beyond it, for k = 0..K (None when the
+    series converges); trim the bound on what trimming J loses.  With
+    C(s) = P(Erlang(s, mu_f) <= x) = P(Poisson(z) >= s), z = mu_f x, and q_k
+    the phase-count pmf of k shocks kept below the cut S,
+
+        P(N = k + 1) = sum_s q_k(s) G(s),  G(s) = sum_{p >= s} pi(p) P(J > p - s),
+
+    with pi the Poisson(z) pmf, its mass from S - 1 on lumped at S - 1, and
+    J the phase count of one shock.  Then sum_{j > k} h(j) telescopes to
+    b(k) = sum_s q_k(s) C(s), which is P(N > k) as cut at S.  One
+    convolution per shock steps q_k.  The loop stops at the first K with
+    b(K) < eps / 4 (past the cap: q_K has mass below eps / 4) and puts b(K)
+    on K + 1, which moves less than eps / 4 of probability.  The cut S is
+    where C(S) < eps / 2, and J is trimmed at the first w with
+    P(J >= w) <= eps / (8 (1 + z)): N - 1 <= S_{N-1} <= Poisson(z), so
+    E[N] <= 1 + z, and each shock loses at most 2 P(J >= w) of the mass
+    still below x, in all less than eps / 4.  So a sum of h against values
+    in [0, 1] is within eps of the exact one, or, past max_terms_per_axis
+    phases, within trim plus the phase mass the cap leaves out.
+    """
+    eps = policy.tail_epsilon
+    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
+    fast = max(mu1, mu2)
+    z = fast * x
+    cdfs, converged = _erlang_cdf_terms(z, eps / 2.0, policy.max_terms_per_axis)
+    n = len(cdfs)
+    lumped = _poisson_pmf(z, n)
+    lumped[-1] = cdfs[-1]
+    total = model.rate1 + model.rate2
+    f1, f2 = _phase_pmf(m1, mu1, fast, n + 1), _phase_pmf(m2, mu2, fast, n + 1)
+    jumps = (model.rate1 * f1[:n] + model.rate2 * f2[:n]) / total
+    exceed = np.empty(n)  # P(J > i) for i < n
+    exceed[-1] = (model.rate1 * _phase_tail(m1, mu1, fast, f1)
+                  + model.rate2 * _phase_tail(m2, mu2, fast, f2)) / total
+    exceed[:-1] = np.add.accumulate(jumps[:0:-1])[::-1] + exceed[-1]
+    width = n  # a jump of n phases or more leaves the cut from anywhere: nothing is lost
+    small = np.flatnonzero(exceed[:-1] <= eps / (8.0 * (1.0 + z)))  # exceed[i] = P(J >= i + 1)
+    if small.size:
+        width = small[0] + 1
+    crossing = np.correlate(np.concatenate((lumped, np.zeros(width - 1))), exceed[:width])
+    step = jumps[:width]
+    q = np.zeros(n)
+    q[0] = 1.0
+    h, masses, alive, visits = [], [1.0], 1.0, 0.0
+    while True:
+        h.append(float(q @ crossing))
+        visits += alive
+        q = np.convolve(q, step)[:n]
+        alive = float(q @ cdfs)
+        masses.append(float(q.sum()))
+        if (alive if converged else masses[-1]) < eps / 4.0:
+            break
+    h.append(alive)
+    trim = 2.0 * exceed[width - 1] * visits if width < n else 0.0
+    if converged:
+        return np.array(h), None, trim
+    # each mass sums n terms: allow n roundings, as _phase_series does
+    return np.array(h), 1.0 - np.array(masses) + n * sys.float_info.epsilon, trim
+
+
+def _poisson_rows(zs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(M = j) for j < n and P(M >= j) for j <= n, M ~ Poisson(z), one row per z in zs.
+
+    Rows with z < n, up to _SERIES_LIMIT, run the _poisson_pmf recurrence
+    side by side out to one _poisson_reach and sum their tails from the
+    top; the rest take _poisson_pmf and _poisson_tail one at a time.
+    """
+    pmf, tails = np.empty((len(zs), n)), np.empty((len(zs), n + 1))
+    block = (zs < n) & (zs <= _SERIES_LIMIT)
+    if block.any():
+        z = zs[block, None]
+        reach = _poisson_reach(float(z.max()), n + 1)
+        terms = np.empty((len(z), reach))
+        terms[:, :1] = np.exp(-z)
+        terms[:, 1:] = z / np.arange(1.0, reach)
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        pmf[block] = terms[:, :n]
+        tails[block] = np.add.accumulate(terms[:, ::-1], axis=1)[:, :-n - 2:-1]
+    for i in np.flatnonzero(~block):
+        pmf[i] = _poisson_pmf(zs[i], n)
+        tails[i] = _poisson_tail(zs[i], n + 1)
+    return pmf, tails
+
+
+def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPolicy | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P(T <= t), P(T > t), density of T at t) over ts, T the time the damage passes x.
+
+    T is Gamma(N, L) for the crossing index N, L = rate1 + rate2, so with
+    M ~ Poisson(L t) each value is a positive sum over h(k) = P(N = k):
+
+        P(T <= t) = sum_k h(k) P(M >= k),  P(T > t) = sum_k h(k) P(M < k),
+        f(t) = L sum_k h(k) P(M = k - 1).
+
+    The smaller of the two probabilities is summed and the other is 1 minus
+    it, so they add to 1 and both keep their relative accuracy.  Each is
+    within tail_epsilon of the exact value, and the density within L times
+    that.  Past max_terms_per_axis phases, a t raises NonConvergedError
+    unless its omitted phase mass, sum_k P(M = k) (1 - mass_k), plus the
+    trim bound of _crossing_index is below tail_epsilon.  The times are
+    taken _CURVE_BLOCK Poisson terms at a time.
+    """
+    policy = policy or TruncationPolicy()
+    _check_nonneg(x, "x")
+    for t in ts:
+        _check_nonneg(t, "t")
+    h, deficits, trim = _crossing_index(model, x, policy)
+    total = model.rate1 + model.rate2
+    k = len(h)
+    zs = total * np.asarray(ts, dtype=float)
+    out = np.empty((3, len(zs)))
+    rows = max(1, _CURVE_BLOCK // k)
+    for lo in range(0, len(zs), rows):
+        pmf, tails = _poisson_rows(zs[lo:lo + rows], k)
+        if deficits is not None:  # counts from k on may all be past the cap
+            bounds = pmf @ deficits + tails[:, k] + trim
+            short = np.flatnonzero(~(bounds < policy.tail_epsilon))
+            if short.size:
+                j = short[0]
+                raise NonConvergedError(
+                    f"phase series needs more than {policy.max_terms_per_axis} terms at "
+                    f"rate * x = {_fast_rate(model.mag1, model.mag2) * x}, and the "
+                    f"phase-count mass it leaves out at t = {ts[lo + j]} reaches "
+                    f"{float(bounds[j])!r}")
+        failed = tails[:, 1:] @ h
+        alive = np.add.accumulate(pmf, axis=1) @ h
+        first = failed <= alive
+        out[0, lo:lo + rows] = np.where(first, failed, 1.0 - alive)
+        out[1, lo:lo + rows] = np.where(first, 1.0 - failed, alive)
+        out[2, lo:lo + rows] = total * (pmf @ h)
+    return out[0], out[1], out[2]
+
+
+def model2_fptf_curve(model: CumulativeModel, ts, policy: TruncationPolicy | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(CDF, survival, density) arrays of the failure time over the times ts.
+
+    One crossing-index sequence at the threshold serves every t; see
+    _crossing_curve for the sums and their error bound.  The CDF keeps its
+    relative accuracy at early times, where 1 - damage_cdf cancels.
+    """
+    return _crossing_curve(model, model.threshold, ts, policy)
+
+
 def model2_fptf_mean(model: CumulativeModel,
                      truncation: TruncationPolicy | None = None) -> float:
     """Mean failure time, exact: E[T] = (1/L) sum_s U(s) P(Erlang(s, mu_f) <= K).
@@ -343,7 +509,9 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     rate, and this evaluation must agree with the two-stream series.  It sums
     its own Poisson weights, apart from the phase-count kernel, for counts
     below n, where P(N >= n) < tail_epsilon / 4 by Bernstein's bound; n past
-    max_terms_per_axis raises NonConvergedError.
+    max_terms_per_axis raises NonConvergedError.  Given k marks the damage
+    is Erlang(k, mark_rate), whose CDF at x is P(Poisson(mark_rate x) >= k):
+    one array of positive tails serves every k.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
@@ -354,8 +522,5 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     if n > policy.max_terms_per_axis:
         raise NonConvergedError(f"Poisson counts need {n} terms (rate * t = {rate * t})")
     weights = _renewal_counts(1, rate * t, policy.tail_epsilon / 2.0, n)
-    terms = [weights[0]]
-    for k in range(1, len(weights)):
-        terms.append(weights[k] * (1.0 - erlang_survival(k, mark_rate * x)))
-    value = math.fsum(terms)
-    return min(1.0, max(0.0, value))
+    value = math.fsum(weights * _poisson_tail(mark_rate * x, len(weights)))
+    return min(1.0, value)

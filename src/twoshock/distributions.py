@@ -177,8 +177,29 @@ def erlang_survival(shape: int, x: float) -> float:
 
 
 def erlang_cdf(shape: int, x: float) -> float:
-    """CDF complement of erlang_survival, clamped against one-ulp overshoot."""
-    return max(0.0, 1.0 - erlang_survival(shape, x))
+    """CDF of a unit-rate Erlang at x: P(Poisson(x) >= shape), free of cancellation.
+
+    Shape 1 is -expm1(-x).  Below x = shape the Poisson terms from shape up
+    fall by a factor x / k each, and are summed from _log_poisson_term at
+    shape until they no longer change the sum.  From x = shape on the
+    survival is at most about 1/2, and the CDF is 1 minus it, clamped
+    against one-ulp overshoot.
+    """
+    if shape == 1:
+        return -math.expm1(-x)
+    if x >= shape:
+        return max(0.0, 1.0 - erlang_survival(shape, x))
+    if x == 0.0:
+        return 0.0
+    term = math.exp(_log_poisson_term(shape, x))
+    total, k = term, shape
+    while True:
+        k += 1
+        term *= x / k
+        step = total + term
+        if step == total:
+            return total
+        total = step
 
 
 class Distribution(ABC):
@@ -230,6 +251,10 @@ class Exponential(Distribution):
         _check_time(t)
         return math.exp(-self.rate * t)
 
+    def cdf(self, t: float) -> float:
+        _check_time(t)
+        return -math.expm1(-self.rate * t)
+
     def pdf(self, t: float) -> float:
         _check_time(t)
         return self.rate * math.exp(-self.rate * t)
@@ -260,6 +285,10 @@ class Erlang(Distribution):
     def survival(self, t: float) -> float:
         _check_time(t)
         return erlang_survival(self.shape, self.rate * t)
+
+    def cdf(self, t: float) -> float:
+        _check_time(t)
+        return erlang_cdf(self.shape, self.rate * t)
 
     def pdf(self, t: float) -> float:
         _check_time(t)
@@ -297,19 +326,27 @@ class Weibull(Distribution):
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    # Where t / scale or one of its powers leaves the double range, survival
-    # and pdf work from log z = log t - log scale, which stays in range.
+    # Where t / scale or one of its powers leaves the double range, the
+    # cumulative hazard, survival and pdf work from log z = log t - log scale,
+    # which stays in range.
 
-    def survival(self, t: float) -> float:
+    def _hazard(self, t: float) -> float:
+        """(t / scale) ** shape, inf past the largest double."""
         _check_time(t)
         z = t / self.scale
         if 0.0 < z < math.inf or t == 0.0:
             try:
-                return math.exp(-(z ** self.shape))
-            except OverflowError:  # z ** shape > max double: exp(-z ** shape) is 0
-                return 0.0
+                return z ** self.shape
+            except OverflowError:
+                return math.inf
         log_power = self.shape * (math.log(t) - math.log(self.scale))
-        return 0.0 if log_power > _LOG_MAX else math.exp(-math.exp(log_power))
+        return math.inf if log_power > _LOG_MAX else math.exp(log_power)
+
+    def survival(self, t: float) -> float:
+        return math.exp(-self._hazard(t))
+
+    def cdf(self, t: float) -> float:
+        return -math.expm1(-self._hazard(t))
 
     def pdf(self, t: float) -> float:
         _check_time(t)

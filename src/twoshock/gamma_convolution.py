@@ -152,6 +152,25 @@ def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     return out
 
 
+def _phase_tail(shape: int, rate: float, fast: float, pmf: np.ndarray) -> float:
+    """P(J >= n) for the phase count J of one Erlang(shape, rate) mark, given its pmf up to n.
+
+    pmf holds P(J = j) for j <= n (_phase_pmf at length n + 1).  J >= n when
+    fewer than shape of the first n - 1 phases end a stage, so the tail is
+    P(Binomial(n - 1, p) < shape), p = rate/fast.  Where it is below 1/2 it
+    is summed as shape positive binomial terms run down from the last,
+    pmf[n] / p; elsewhere 1 minus the head of the pmf loses nothing.
+    """
+    n = len(pmf) - 1
+    head = math.fsum(pmf[:n])
+    if head <= 0.5 or rate == fast:  # equal rates: J == shape, and head is 0 or 1
+        return max(0.0, 1.0 - head)
+    p, q = rate / fast, (fast - rate) / fast
+    stages = np.arange(shape - 1, 0, -1)  # l: term l - 1 is term l times l q / ((n - l) p)
+    ratios = stages * q / ((n - stages) * p)
+    return float(pmf[n] / p * (1.0 + np.multiply.accumulate(ratios).sum()))
+
+
 def _bernstein_reach(z: float, eps: float) -> float:
     """s = z + d with P(N >= s) <= exp(-d^2 / (2(z + d/3))) = eps, N ~ Poisson(z) (Bernstein)."""
     log_eps = -math.log(eps)

@@ -6,6 +6,8 @@ scipy.stats, convolutions are numerical quadrature, and integrals use scipy's
 adaptive QUADPACK wrapper.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, special, stats
 
@@ -65,3 +67,20 @@ def quad_mean_of_min(survival1, survival2, upper: float) -> float:
 def binomial_band(p_hat: float, n: int) -> float:
     """3.5 binomial standard errors at the observed proportion."""
     return 3.5 * np.sqrt(p_hat * (1.0 - p_hat) / n)
+
+
+def equal_exponential_marks_failure_law(mean_marks: float, rate: float, ts) -> tuple:
+    """(CDF, survival, density) of Gamma(N, rate) with N = 1 + Poisson(mean_marks).
+
+    Equal Exp(mu) marks at threshold K give the crossing index N = 1 +
+    Poisson(mu K): the damage of k shocks is Erlang(k, mu), at most K with
+    probability P(Poisson(mu K) >= k).  Each value is an fsum over N of
+    scipy.stats Poisson weights times regularized incomplete gamma functions.
+    """
+    j = np.arange(int(mean_marks + 40.0 * np.sqrt(mean_marks) + 200.0))
+    weights = stats.poisson.pmf(j, mean_marks)
+    ts = np.asarray(ts, dtype=float)
+    cdf = [math.fsum(weights * special.gammainc(j + 1, rate * t)) for t in ts]
+    survival = [math.fsum(weights * special.gammaincc(j + 1, rate * t)) for t in ts]
+    density = [math.fsum(weights * stats.gamma.pdf(t, j + 1, scale=1.0 / rate)) for t in ts]
+    return np.array(cdf), np.array(survival), np.array(density)

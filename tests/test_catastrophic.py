@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from scipy import special
 
 from _oracles import quad_mean_of_min
 from twoshock.catastrophic import (
@@ -82,6 +85,20 @@ class TestFptfCdf:
         model = CatastrophicModel(Erlang(2, rate1), Exponential(rate2))
         assert fptf_cdf(model, t) + survival_probability(model, t) == pytest.approx(
             1.0, abs=1e-15)
+
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6])
+    def test_early_failure_keeps_relative_accuracy(self, t):
+        # 1 - S1 S2 had relative errors 2.2e-5, 2.7e-8 and 5.3e-12 here.
+        model = CatastrophicModel(Exponential(1.0), Exponential(1.0))
+        assert fptf_cdf(model, t) == pytest.approx(-math.expm1(-2.0 * t), rel=1e-15, abs=0.0)
+
+    def test_erlang_weibull_pair_matches_scipy(self):
+        model = CatastrophicModel(Erlang(2, 1.0), Weibull(1.5, 2.0))
+        for t in np.geomspace(1e-12, 10.0, 45):
+            reference = (special.gammainc(2, t)
+                         + special.gammaincc(2, t) * -math.expm1(-(t / 2.0) ** 1.5))
+            assert fptf_cdf(model, float(t)) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 class TestMeanFptf:

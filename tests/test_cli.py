@@ -1,5 +1,6 @@
 """CLI tests: parsing, report formats, exit codes, byte-stable output."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from twoshock import montecarlo
+from twoshock.cumulative import model2_fptf_curve
 from twoshock.cli import _render, load_model_file, main, parse_grid, parse_points
 
 CATASTROPHIC = {
@@ -170,6 +172,26 @@ class TestAnalyticCommands:
                   for line in capsys.readouterr().out.splitlines()[1:]]
         assert values[0] == 0.0
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("argv", [
+        ["fptf-model2", "--grid", "0:5:201"],
+        ["damage-cdf", "--grid", "0:5:201", "--x", "2.5"],
+        ["compare", "--points", "0.5,1.5,2.5", "--reps", "2000", "--seed", "3", "--workers", "1"],
+        ["compare", "--points", "0.5,1.5", "--x", "2.5", "--reps", "2000", "--seed", "3",
+         "--workers", "1"]])
+    def test_cumulative_curves_print_library_curve(self, model_file, capsys, argv):
+        spec = dict(CUMULATIVE, mag1={"type": "erlang", "shape": 2, "rate": 2.0})
+        rc = main([argv[0], "--model", model_file(spec), *argv[1:]])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        model = load_model_file(model_file(spec)).model
+        if "--x" in argv:  # the damage CDF at x is the survival of the time it is passed
+            x = float(argv[argv.index("--x") + 1])
+            curve = model2_fptf_curve(dataclasses.replace(model, threshold=x),
+                                      [float(row[0]) for row in rows])[1]
+        else:
+            curve = model2_fptf_curve(model, [float(row[0]) for row in rows])[0]
+        assert [row[1] for row in rows] == ["%.17g" % value for value in curve]
 
     def test_fptf_model2_general_kind(self, model_file, capsys):
         rc = main(["fptf-model2", "--model", model_file(GENERAL), "--grid", "0:4:5"])

@@ -6,7 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import compound_poisson_exponential_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import compound_poisson_exponential_reference, equal_exponential_marks_failure_law
 from twoshock.cumulative import (
     CumulativeModel,
     GeneralCumulativeModel,
@@ -23,6 +26,7 @@ from twoshock.cumulative import (
     general_damage_cdf,
     general_damage_mean,
     model2_fptf_cdf,
+    model2_fptf_curve,
     model2_fptf_mean,
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
@@ -198,6 +202,82 @@ class TestModel2Fptf:
             model2_fptf_mean(SYMMETRIC, TruncationPolicy(max_terms_per_axis=3))
 
 
+# The three models of the bench's damage_curves workload, with their grid ends;
+# the equal-Exp one is also the mc_oracle model (its CLI grid is 0:5:201).
+CURVE_MODELS = [
+    (CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Exponential(1.0), threshold=2.0), 2.0),
+    (SYMMETRIC, 5.0),
+    (CumulativeModel(0.5, 1.5, Erlang(2, 1.0), Exponential(1.0), threshold=4.0), 5.0),
+]
+
+
+class TestFailureTimeCurve:
+    @pytest.mark.parametrize("mu, threshold, rate1, rate2, t_max", [
+        (1.0, 3.0, 1.0, 1.0, 30.0), (2.0, 1.5, 1.0, 1.5, 30.0), (1.0, 30.0, 0.5, 0.7, 150.0)])
+    def test_equal_exponential_marks_follow_exact_law(self, mu, threshold, rate1, rate2, t_max):
+        # N = 1 + Poisson(mu K): the CDF, survival and density to 1e-13
+        # relative from t = 1e-12, where 1 - damage_cdf has lost 1e-3.
+        model = CumulativeModel(rate1, rate2, Exponential(mu), Exponential(mu), threshold)
+        ts = np.geomspace(1e-12, t_max, 80)
+        exact = equal_exponential_marks_failure_law(mu * threshold, rate1 + rate2, ts)
+        for policy, keep in ((TruncationPolicy(tail_epsilon=1e-200), ts > 0.0),
+                             (TruncationPolicy(), ts <= 1.0)):
+            curve = model2_fptf_curve(model, ts, policy)
+            for got, want in zip(curve, exact):
+                np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("model, t_max", CURVE_MODELS)
+    def test_scalar_path_within_tail_epsilon(self, model, t_max):
+        grid = np.linspace(0.0, t_max, 201)
+        policy = TruncationPolicy()
+        cdf, survival, _ = model2_fptf_curve(model, grid, policy)
+        reference = np.array([model2_fptf_cdf(model, t, TruncationPolicy(tail_epsilon=1e-200))
+                              for t in grid])
+        assert np.max(np.abs(cdf - reference)) <= policy.tail_epsilon
+        assert np.max(np.abs(survival - (1.0 - reference))) <= policy.tail_epsilon
+
+    def test_density_integrates_to_cdf(self):
+        model = CURVE_MODELS[2][0]
+        grid = np.linspace(0.0, 4.0, 4001)
+        cdf, _, density = model2_fptf_curve(model, grid)
+        areas = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) / 2.0) * 1e-3))
+        assert np.max(np.abs(areas - cdf)) <= 1e-6
+
+    @given(rates=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+           marks=st.tuples(st.integers(1, 3), st.floats(0.2, 5.0),
+                           st.integers(1, 3), st.floats(0.2, 5.0)),
+           threshold=st.floats(0.01, 20.0),
+           times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_curve_is_a_distribution(self, rates, marks, threshold, times):
+        model = CumulativeModel(*rates, Erlang(*marks[:2]), Erlang(*marks[2:]), threshold)
+        ts = np.array(sorted(set(times) | {0.0}))
+        cdf, survival, density = model2_fptf_curve(model, ts)
+        assert cdf[0] == 0.0 and survival[0] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.all(np.abs(cdf + survival - 1.0) <= 2.0 * np.finfo(float).eps)
+        assert np.all(density >= 0.0)
+
+    def test_phase_cap_as_scalar_path(self):
+        # mu K = 9,400 needs about 10,100 phases against a cap of 10,000.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=9400.0)
+        cdf, survival, _ = model2_fptf_curve(model, [1.0, 4000.0])
+        assert np.all(cdf + survival == 1.0)
+        assert cdf[1] == pytest.approx(
+            equal_exponential_marks_failure_law(9400.0, 2.0, [4000.0])[0][0], rel=1e-10)
+        for t in (1.0, 4000.0):
+            model2_fptf_cdf(model, t)
+        with pytest.raises(NonConvergedError, match="phase series"):
+            model2_fptf_curve(model, [1.0, 4700.0])
+        with pytest.raises(NonConvergedError, match="phase series"):
+            model2_fptf_cdf(model, 4700.0)
+
+    def test_negative_or_infinite_time_rejected(self):
+        for ts in ([-1.0], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="t must be"):
+                model2_fptf_curve(SYMMETRIC, ts)
+
+
 class TestMergedProcessReduction:
     def test_two_streams_collapse_to_one(self):
         policy = TruncationPolicy(tail_epsilon=1e-10)
@@ -216,6 +296,14 @@ class TestMergedProcessReduction:
             two = damage_cdf(model, 1.0, x, policy)
             one = compound_poisson_exponential_cdf(800.0, 1.0, 1.0, x, policy)
             assert abs(two - one) <= 2.0 * policy.tail_epsilon
+
+    def test_long_count_series_matches_two_streams(self):
+        # rate t = mark_rate x = 4,000: about 4,400 Poisson counts.
+        policy = TruncationPolicy()
+        model = CumulativeModel(0.5, 0.5, Exponential(1.0), Exponential(1.0), threshold=1.0)
+        two = damage_cdf(model, 4000.0, 4000.0, policy)
+        one = compound_poisson_exponential_cdf(1.0, 1.0, 4000.0, 4000.0, policy)
+        assert abs(two - one) <= 2.0 * policy.tail_epsilon
 
     def test_erlang_shape_one_equals_exponential_marks(self):
         policy = TruncationPolicy(tail_epsilon=1e-10)

@@ -25,6 +25,19 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def _poisson_upper_tail(shape: int, x: float) -> float:
+    """P(Poisson(x) >= shape) = P(Erlang(shape, 1) <= x), summed in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z = Decimal(x)
+        term = (-z).exp() * z ** shape / math.factorial(shape)
+        total = Decimal(0)
+        for k in range(shape + 1, shape + 400):
+            total += term
+            term = term * z / k
+        return float(total)
+
+
 class TestCdf:
     def test_exponential_at_origin(self):
         assert Exponential(1.0).cdf(0.0) == 0.0
@@ -41,6 +54,22 @@ class TestCdf:
     def test_weibull_shape_one_reduces_to_exponential(self):
         assert Weibull(1.0, 2.0).cdf(2.0) == pytest.approx(0.6321205588285577, abs=1e-15)
         assert Weibull(1.0, 2.0).cdf(2.0) == Exponential(0.5).cdf(2.0)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-6, 0.3, 2.0, 7.5, 40.0])
+    def test_small_cdfs_keep_relative_accuracy(self, t):
+        assert Exponential(2.0).cdf(t) == pytest.approx(-math.expm1(-2.0 * t), rel=1e-15, abs=0.0)
+        for shape in (2, 3, 20):
+            reference = _poisson_upper_tail(shape, 1.5 * t)
+            if reference > 0.0:
+                assert Erlang(shape, 1.5).cdf(t) == pytest.approx(reference, rel=1e-13, abs=0.0)
+        assert Weibull(1.5, 2.0).cdf(t) == pytest.approx(
+            -math.expm1(-(t / 2.0) ** 1.5), rel=1e-15, abs=0.0)
+
+    def test_weibull_cdf_past_double_range(self):
+        # z = 1e-600 underflows, z ** 0.5 = 1e-300 does not.
+        assert Weibull(0.5, 1e300).cdf(1e-300) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+        assert Weibull(0.001, 1e-300).cdf(1e300) == pytest.approx(
+            -math.expm1(-10.0 ** 0.6), rel=1e-12, abs=0.0)
 
     def test_negative_time_rejected(self):
         for dist in (Exponential(1.0), Erlang(2, 1.0), Weibull(2.0, 1.0)):

@@ -38,7 +38,6 @@ from .distributions import (
 )
 from .errors import (
     EqualRatesError,
-    IllConditionedError,
     NonConvergedError,
     UnsupportedConvolutionError,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ErlangProduct",
     "Exponential",
     "GeneralCumulativeModel",
-    "IllConditionedError",
     "NonConvergedError",
     "PartialFractionExpansion",
     "QuadraturePolicy",

@@ -1,9 +1,9 @@
 """Command-line front end: evaluate model quantities on grids, simulate, compare.
 
 Exit codes: 0 success, 1 usage, model-validation or file failure, 2 numerical
-failure (non-convergence / ill-conditioning), with the offending quantity
-named on standard error.  Reports go to standard output or --out; all
-diagnostics go to standard error.  A fixed invocation produces byte-identical
+failure (non-convergence), with the offending quantity named on standard
+error.  Reports go to standard output or --out; all diagnostics go to
+standard error.  A fixed invocation produces byte-identical
 output (numbers are written with 17 significant digits).
 
 On cumulative models, fptf-model2 and damage-cdf (and compare, which uses
@@ -20,6 +20,7 @@ default (the CPU count) is computed once per process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -28,9 +29,15 @@ import sys
 from dataclasses import dataclass
 
 from . import catastrophic, cumulative, montecarlo
-from .distributions import distribution_from_dict
-from .errors import IllConditionedError, NonConvergedError
+from .distributions import _check_positive, _require_keys, distribution_from_dict
+from .errors import NonConvergedError
 from .numerics import QuadraturePolicy
+
+_MODEL_KINDS = {"catastrophic": catastrophic.CatastrophicModel,
+                "cumulative": cumulative.CumulativeModel,
+                "general_cumulative": cumulative.GeneralCumulativeModel}
+_POLICY_DEFAULTS = {"tail_epsilon": 1e-10, "rel_tol": 1e-10}
+
 
 class _UsageError(Exception):
     pass
@@ -51,59 +58,30 @@ class ModelFile:
     raw: dict
 
 
-def _check_keys(obj: dict, required: set, optional: set, context: str) -> None:
-    extra = set(obj) - required - optional
-    if extra:
-        raise ValueError(f"{context}: unknown fields {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
-        raise ValueError(f"{context}: missing fields {sorted(missing)}")
-
-
-def _positive_field(obj: dict, key: str, default: float = None) -> float:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ValueError(f"{key} must be a positive number, got {value!r}")
-    return float(value)
-
-
 def load_model_file(path: str) -> ModelFile:
-    """Parse and validate a model JSON file."""
+    """Parse a model JSON file: exactly the fields of the model class its kind names.
+
+    Distribution fields are decoded; all values are checked by the classes.
+    """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("model file must contain a JSON object")
     kind = obj.get("kind")
-    policies = {"tail_epsilon", "rel_tol"}
-    if kind == "catastrophic":
-        _check_keys(obj, {"kind", "proc1", "proc2"}, policies, "catastrophic model")
-        model = catastrophic.CatastrophicModel(
-            proc1=distribution_from_dict(obj["proc1"]),
-            proc2=distribution_from_dict(obj["proc2"]))
-    elif kind == "cumulative":
-        _check_keys(obj, {"kind", "rate1", "rate2", "mag1", "mag2", "threshold"},
-                    policies, "cumulative model")
-        model = cumulative.CumulativeModel(
-            rate1=_positive_field(obj, "rate1"),
-            rate2=_positive_field(obj, "rate2"),
-            mag1=distribution_from_dict(obj["mag1"]),
-            mag2=distribution_from_dict(obj["mag2"]),
-            threshold=_positive_field(obj, "threshold"))
-    elif kind == "general_cumulative":
-        _check_keys(obj, {"kind", "inter1", "inter2", "mag1", "mag2", "threshold"},
-                    policies, "general_cumulative model")
-        model = cumulative.GeneralCumulativeModel(
-            inter1=distribution_from_dict(obj["inter1"]),
-            inter2=distribution_from_dict(obj["inter2"]),
-            mag1=distribution_from_dict(obj["mag1"]),
-            mag2=distribution_from_dict(obj["mag2"]),
-            threshold=_positive_field(obj, "threshold"))
-    else:
+    model_class = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if model_class is None:
         raise ValueError(f"unknown model kind: {kind!r}")
-    return ModelFile(kind=kind, model=model,
-                     tail_epsilon=_positive_field(obj, "tail_epsilon", 1e-10),
-                     rel_tol=_positive_field(obj, "rel_tol", 1e-10),
-                     raw=obj)
+    fields = dataclasses.fields(model_class)
+    _require_keys(obj, {"kind", *(field.name for field in fields)}, f"{kind} model",
+                  _POLICY_DEFAULTS.keys())
+    # the model modules postpone annotations, so a field's type is its name
+    model = model_class(**{field.name: distribution_from_dict(obj[field.name])
+                           if field.type == "Distribution" else obj[field.name]
+                           for field in fields})
+    policies = {name: obj.get(name, default) for name, default in _POLICY_DEFAULTS.items()}
+    for name, value in policies.items():
+        _check_positive(value, name)  # the policy classes then check the range
+    return ModelFile(kind=kind, model=model, raw=obj, **policies)
 
 
 def parse_grid(text: str) -> list:
@@ -324,7 +302,7 @@ def main(argv=None) -> int:
         return 1
     try:
         report = _dispatch(args)
-    except (NonConvergedError, IllConditionedError) as exc:
+    except NonConvergedError as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

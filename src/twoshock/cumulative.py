@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_SERIES_LIMIT, Distribution, Erlang, Exponential, _poisson_pmf,
-                            _poisson_reach, _poisson_tail)
+from .distributions import (_SERIES_LIMIT, Distribution, Erlang, Exponential, _check_positive,
+                            _poisson_pmf, _poisson_reach, _poisson_tail)
 from .errors import NonConvergedError, UnsupportedConvolutionError
 from .gamma_convolution import (_bernstein_reach, _erlang_cdf_terms, _erlang_cdfs, _phase_pmf,
                                 _phase_tail)
@@ -111,12 +111,9 @@ class CumulativeModel:
     threshold: float
 
     def __post_init__(self):
-        if not self.rate1 > 0:
-            raise ValueError(f"rate1 must be positive, got {self.rate1}")
-        if not self.rate2 > 0:
-            raise ValueError(f"rate2 must be positive, got {self.rate2}")
-        if not self.threshold > 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        for name in ("rate1", "rate2", "threshold"):
+            _check_positive(getattr(self, name), name)
+        _check_positive(self.rate1 + self.rate2, "rate1 + rate2")  # the merged stream's rate
         _mark_params(self.mag1, "mag1")
         _mark_params(self.mag2, "mag2")
 
@@ -140,8 +137,7 @@ class GeneralCumulativeModel:
         for name in ("inter1", "inter2", "mag1", "mag2"):
             if not isinstance(getattr(self, name), Distribution):
                 raise ValueError(f"{name} must be a Distribution")
-        if not self.threshold > 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        _check_positive(self.threshold, "threshold")
 
 
 def _check_nonneg(value: float, name: str) -> None:
@@ -516,8 +512,8 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    if not rate > 0 or not mark_rate > 0:
-        raise ValueError("rate and mark_rate must be positive")
+    _check_positive(rate, "rate")
+    _check_positive(mark_rate, "mark_rate")
     n = int(_bernstein_reach(rate * t, policy.tail_epsilon / 4.0)) + 1
     if n > policy.max_terms_per_axis:
         raise NonConvergedError(f"Poisson counts need {n} terms (rate * t = {rate * t})")

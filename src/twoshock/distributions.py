@@ -14,7 +14,9 @@ does Weibull(1, 1/r) when 1/r is a power of two.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -38,6 +40,21 @@ __all__ = [
 _SERIES_LIMIT = 700.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def _check_positive(value, name: str) -> None:
+    """Check one rate, scale, shape or threshold: a finite positive real, not a bool.
+
+    Anything else, a string or an int past the double range too, raises
+    ValueError naming the field.
+    """
+    try:
+        valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                 and 0.0 < float(value) < math.inf)
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _check_time(t: float) -> None:
@@ -244,8 +261,7 @@ class Exponential(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _check_positive(self.rate, "rate")
 
     def survival(self, t: float) -> float:
         _check_time(t)
@@ -279,8 +295,7 @@ class Erlang(Distribution):
         if not (isinstance(self.shape, (int, np.integer))
                 and not isinstance(self.shape, bool) and self.shape >= 1):
             raise ValueError(f"shape must be an integer >= 1, got {self.shape!r}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _check_positive(self.rate, "rate")
 
     def survival(self, t: float) -> float:
         _check_time(t)
@@ -321,10 +336,8 @@ class Weibull(Distribution):
     scale: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_positive(self.shape, "shape")
+        _check_positive(self.scale, "scale")
 
     # Where t / scale or one of its powers leaves the double range, the
     # cumulative hazard, survival and pdf work from log z = log t - log scale,
@@ -387,57 +400,42 @@ class Weibull(Distribution):
         return draws
 
 
-def _positive_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return float(value)
+_FAMILIES = {"exponential": Exponential, "erlang": Erlang, "weibull": Weibull}
 
 
-def _require_keys(obj: dict, allowed: set) -> None:
-    extra = set(obj) - allowed
+def _require_keys(obj: dict, required: set, context: str, optional=frozenset()) -> None:
+    extra = obj.keys() - required - optional
     if extra:
-        raise ValueError(f"unknown distribution fields: {sorted(extra)}")
-    missing = allowed - set(obj)
+        raise ValueError(f"{context}: unknown fields {sorted(extra)}")
+    missing = required - obj.keys()
     if missing:
-        raise ValueError(f"missing distribution fields: {sorted(missing)}")
+        raise ValueError(f"{context}: missing fields {sorted(missing)}")
 
 
 def distribution_from_dict(obj) -> Distribution:
     """Decode the JSON object form of a distribution.
 
-    Accepted encodings:
+    Accepted encodings, one field per parameter of the family:
         {"type": "exponential", "rate": R}
         {"type": "erlang", "shape": M, "rate": R}   (M a JSON integer)
         {"type": "weibull", "shape": A, "scale": B}
-    Unknown or missing fields are rejected.
+    Unknown or missing fields are rejected; the values go to the family's
+    constructor as given, which checks them.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"distribution must be a JSON object, got {obj!r}")
     kind = obj.get("type")
-    if kind == "exponential":
-        _require_keys(obj, {"type", "rate"})
-        return Exponential(rate=_positive_number(obj["rate"], "rate"))
-    if kind == "erlang":
-        _require_keys(obj, {"type", "shape", "rate"})
-        shape = obj["shape"]
-        if isinstance(shape, bool) or not isinstance(shape, int):
-            raise ValueError(f"erlang shape must be a JSON integer, got {shape!r}")
-        return Erlang(shape=shape, rate=_positive_number(obj["rate"], "rate"))
-    if kind == "weibull":
-        _require_keys(obj, {"type", "shape", "scale"})
-        return Weibull(shape=_positive_number(obj["shape"], "shape"),
-                       scale=_positive_number(obj["scale"], "scale"))
-    raise ValueError(f"unknown distribution type: {kind!r}")
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise ValueError(f"unknown distribution type: {kind!r}")
+    names = [field.name for field in dataclasses.fields(family)]
+    _require_keys(obj, {"type", *names}, f"{kind} distribution")
+    return family(**{name: obj[name] for name in names})
 
 
 def distribution_to_dict(dist: Distribution) -> dict:
     """Inverse of distribution_from_dict."""
-    if isinstance(dist, Exponential):
-        return {"type": "exponential", "rate": dist.rate}
-    if isinstance(dist, Erlang):
-        return {"type": "erlang", "shape": dist.shape, "rate": dist.rate}
-    if isinstance(dist, Weibull):
-        return {"type": "weibull", "shape": dist.shape, "scale": dist.scale}
+    for kind, family in _FAMILIES.items():
+        if isinstance(dist, family):
+            return {"type": kind, **dataclasses.asdict(dist)}
     raise ValueError(f"not a known distribution: {dist!r}")

@@ -9,9 +9,5 @@ class EqualRatesError(ValueError):
     """Partial fractions are undefined when both pole locations coincide."""
 
 
-class IllConditionedError(ValueError):
-    """Pole locations too close for a numerically meaningful expansion."""
-
-
 class UnsupportedConvolutionError(ValueError):
     """A model member has no phase-count form: only Erlang and exponential do."""

@@ -38,14 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_LOG_MAX, _SERIES_LIMIT, _log_poisson_term, _poisson_tail,
-                            _recur_outward, erlang_cdf, erlang_survival)
-from .errors import EqualRatesError, IllConditionedError, NonConvergedError
+from .distributions import (_LOG_MAX, _SERIES_LIMIT, _check_positive, _log_poisson_term,
+                            _poisson_tail, _recur_outward, erlang_cdf, erlang_survival)
+from .errors import EqualRatesError, NonConvergedError
 
 __all__ = ["ErlangProduct", "PartialFractionExpansion", "expand", "convolution_cdf"]
 
-# Relative rate gap below which the expansion is refused.
-_RATE_GAP = 1e-6
 # Truncation bound of convolution_cdf: below the resolution of a double near 1.
 _CDF_TAIL = 1e-17
 
@@ -65,9 +63,7 @@ class ErlangProduct:
             if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
         for name in ("rate_a", "rate_b"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            _check_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,9 @@ def expand(product: ErlangProduct) -> PartialFractionExpansion:
     """Partial-fraction weights of the product transform over its two pole stacks.
 
     Requires both shapes >= 1.  Raises EqualRatesError when the rates
-    coincide (merge to a single Erlang(a+b) instead) and IllConditionedError
-    when their relative gap is below 1e-6.  A weight whose exact value
-    leaves the double range saturates to +-inf; every other weight is finite.
+    coincide (merge to a single Erlang(a+b) instead).  At any other gap, a
+    weight whose exact value leaves the double range saturates to +-inf;
+    every other weight is finite.
     """
     a, b = product.shape_a, product.shape_b
     ra, rb = product.rate_a, product.rate_b
@@ -111,9 +107,6 @@ def expand(product: ErlangProduct) -> PartialFractionExpansion:
         raise ValueError("expand requires both shapes >= 1")
     if ra == rb:
         raise EqualRatesError("equal rates: merge to a single Erlang instead")
-    if abs(ra - rb) / max(ra, rb) < _RATE_GAP:
-        raise IllConditionedError(
-            f"rates {ra} and {rb} are too close for a stable expansion")
     return PartialFractionExpansion(
         coeffs_a=tuple(_signed_coefficient(j, a, ra, b, rb) for j in range(1, a + 1)),
         coeffs_b=tuple(_signed_coefficient(j, b, rb, a, ra) for j in range(1, b + 1)),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import NonConvergedError
 
-_LOG_LIMIT = 708.0  # |log t| past which exp leaves the normal doubles
+_LOG_LIMIT = 708.0  # log t past which t nears the largest double
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
         nonlocal evals
         if evals >= policy.max_evals:
             raise NonConvergedError("quadrature evaluation budget exhausted")
-        if abs(log_scale + x) > _LOG_LIMIT:
+        if log_scale + x > _LOG_LIMIT:  # on the left t underflows to 0, and g with it
             raise NonConvergedError("integrand never fell below tail_cut")
         evals += 1
         t = math.exp(log_scale + x)

@@ -152,6 +152,14 @@ class TestMeanFptf:
         model = CatastrophicModel(Erlang(2, 1.0), Weibull(0.005, 1.0))
         assert mean_fptf(model) == pytest.approx(0.73604290516537, rel=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-300, 5e-308])
+    def test_weibull_scale_at_bottom_of_double_range(self, scale):
+        # The quadrature's left scan passes log t = -708, where t underflows
+        # to 0 and the integrand ends; the Erlang leaves the Weibull's mean.
+        model = CatastrophicModel(Weibull(1.5, scale), Erlang(2, 1.0))
+        assert mean_fptf(model) == pytest.approx(scale * math.gamma(1.0 + 1.0 / 1.5),
+                                                 rel=1e-12, abs=0.0)
+
     def test_two_infinite_means_raise(self):
         model = CatastrophicModel(Weibull(0.005, 1.0), Weibull(0.004, 1.0))
         with pytest.raises(NonConvergedError, match="initial_scale"):

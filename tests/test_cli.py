@@ -368,6 +368,85 @@ class TestOutputFile:
         assert rc == 1
 
 
+def run_twoshock(argv: list) -> subprocess.CompletedProcess:
+    """twoshock in a fresh process; a hang fails the test at the timeout."""
+    return subprocess.run([sys.executable, "-m", "twoshock", *argv], capture_output=True,
+                          text=True, timeout=30, env=SUBPROCESS_ENV)
+
+
+def assert_one_error_line(proc: subprocess.CompletedProcess, start: str) -> None:
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {start}") and proc.stderr.count("\n") == 1
+
+
+class TestBadParameters:
+    """Parameters the model classes reject exit 1 with one error line, never a hang."""
+
+    @pytest.mark.parametrize("argv", [
+        ["damage-cdf", "--points", "1", "--x", "1"],
+        ["fptf-model2", "--points", "1"],
+        ["compare", "--points", "1", "--reps", "1000", "--seed", "1", "--workers", "1"],
+    ])
+    def test_infinite_rate_exits_one(self, tmp_path, argv):
+        text = json.dumps(CUMULATIVE)
+        assert '"rate1": 1.0' in text
+        path = tmp_path / "model.json"
+        path.write_text(text.replace('"rate1": 1.0', '"rate1": 1e400'))  # parses as inf
+        assert_one_error_line(run_twoshock([*argv, "--model", str(path)]), "rate1 must be")
+
+    def test_rate_past_double_range_exits_one(self, model_file):
+        obj = dict(CATASTROPHIC, proc1={"type": "exponential", "rate": 10 ** 400})
+        proc = run_twoshock(["survival", "--points", "1", "--model", model_file(obj)])
+        assert_one_error_line(proc, "rate must be")
+
+    def test_list_valued_kind_exits_one(self, model_file):
+        proc = run_twoshock(["survival", "--points", "1",
+                             "--model", model_file(dict(CATASTROPHIC, kind=["catastrophic"]))])
+        assert_one_error_line(proc, "unknown model kind")
+
+    def test_string_policy_field_exits_one(self, model_file, capsys):
+        path = model_file(dict(CUMULATIVE, tail_epsilon="1e-8"))
+        assert main(["fptf-model2", "--points", "1", "--model", path]) == 1
+        assert "tail_epsilon" in capsys.readouterr().err
+
+
+def as_floats(obj: dict) -> dict:
+    """The model with every JSON integer but an Erlang shape written as a float."""
+    return {key: as_floats(value) if isinstance(value, dict)
+            else float(value) if isinstance(value, int) and not (
+                key == "shape" and obj.get("type") == "erlang")
+            else value
+            for key, value in obj.items()}
+
+
+class TestIntegerFields:
+    """A model file with JSON integers prints what its float twin prints."""
+
+    CATASTROPHIC_INT = {"kind": "catastrophic",
+                        "proc1": {"type": "erlang", "shape": 2, "rate": 1},
+                        "proc2": {"type": "weibull", "shape": 2, "scale": 3}}
+    CUMULATIVE_INT = {"kind": "cumulative", "rate1": 1, "rate2": 2,
+                      "mag1": {"type": "erlang", "shape": 3, "rate": 2},
+                      "mag2": {"type": "exponential", "rate": 1}, "threshold": 5}
+    SIM = ["--reps", "2000", "--seed", "3", "--workers", "1"]
+
+    @pytest.mark.parametrize("obj, argv", [
+        (CATASTROPHIC_INT, ["survival", "--grid", "0:4:9"]),
+        (CATASTROPHIC_INT, ["mean-fptf"]),
+        (CATASTROPHIC_INT, ["compare", "--points", "0.5,1", *SIM]),
+        (CUMULATIVE_INT, ["fptf-model2", "--grid", "0:4:9"]),
+        (CUMULATIVE_INT, ["damage-cdf", "--grid", "0:4:9", "--x", "2.5"]),
+        (CUMULATIVE_INT, ["compare", "--points", "1,2", *SIM]),
+    ])
+    def test_same_bytes_as_float_twin(self, model_file, capsys, obj, argv):
+        outputs = []
+        for model in (obj, as_floats(obj)):
+            assert main([*argv, "--model", model_file(model)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert json.dumps(obj) != json.dumps(as_floats(obj))
+        assert outputs[0] == outputs[1]
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 1

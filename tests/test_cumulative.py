@@ -459,6 +459,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="rate1"):
             CumulativeModel(0.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=1.0)
 
+    def test_merged_rate_must_be_finite(self):
+        # Each rate is a double but their sum is not: the series would never stop.
+        with pytest.raises(ValueError, match=r"rate1 \+ rate2"):
+            CumulativeModel(1e308, 1e308, Exponential(1.0), Exponential(1.0), threshold=1.0)
+
     def test_truncation_policy_bounds(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tail_epsilon=1e-2)

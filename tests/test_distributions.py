@@ -9,6 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from twoshock.cumulative import (
+    CumulativeModel,
+    GeneralCumulativeModel,
+    compound_poisson_exponential_cdf,
+)
 from twoshock.distributions import (
     Erlang,
     Exponential,
@@ -16,6 +21,7 @@ from twoshock.distributions import (
     distribution_from_dict,
     distribution_to_dict,
 )
+from twoshock.gamma_convolution import ErlangProduct
 
 RATES = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 TIMES = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -274,6 +280,29 @@ class TestSampling:
             assert abs(p_hat - p) <= 3.5 * math.sqrt(p * (1.0 - p) / n)
 
 
+# Every parameter the rule of _check_positive covers, one builder per field.
+POSITIVE_FIELDS = {
+    "Exponential.rate": lambda v: Exponential(v),
+    "Erlang.rate": lambda v: Erlang(2, v),
+    "Weibull.shape": lambda v: Weibull(v, 1.0),
+    "Weibull.scale": lambda v: Weibull(1.0, v),
+    "CumulativeModel.rate1": lambda v: CumulativeModel(v, 1.0, Exponential(1.0),
+                                                       Exponential(1.0), 1.0),
+    "CumulativeModel.rate2": lambda v: CumulativeModel(1.0, v, Exponential(1.0),
+                                                       Exponential(1.0), 1.0),
+    "CumulativeModel.threshold": lambda v: CumulativeModel(1.0, 1.0, Exponential(1.0),
+                                                           Exponential(1.0), v),
+    "GeneralCumulativeModel.threshold": lambda v: GeneralCumulativeModel(
+        Exponential(1.0), Exponential(1.0), Exponential(1.0), Exponential(1.0), v),
+    "ErlangProduct.rate_a": lambda v: ErlangProduct(1, v, 1, 1.0),
+    "ErlangProduct.rate_b": lambda v: ErlangProduct(1, 1.0, 1, v),
+    "compound_poisson_exponential_cdf.rate":
+        lambda v: compound_poisson_exponential_cdf(v, 1.0, 1.0, 1.0),
+    "compound_poisson_exponential_cdf.mark_rate":
+        lambda v: compound_poisson_exponential_cdf(1.0, v, 1.0, 1.0),
+}
+
+
 class TestValidation:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_positive_parameters_required(self, bad):
@@ -285,6 +314,21 @@ class TestValidation:
             Weibull(bad, 1.0)
         with pytest.raises(ValueError):
             Weibull(1.0, bad)
+
+    @pytest.mark.parametrize("field", POSITIVE_FIELDS)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0, -1.0, True, "2.0", None,
+                                     10 ** 400],
+                             ids=["inf", "-inf", "nan", "0", "-1", "True", "str", "None",
+                                  "10**400"])
+    def test_every_positive_field_takes_only_finite_positive_reals(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field.split('.')[1]} must be"):
+            POSITIVE_FIELDS[field](bad)
+
+    @pytest.mark.parametrize("field", POSITIVE_FIELDS)
+    @pytest.mark.parametrize("good", [np.float64(2.0), np.float32(0.5), np.int64(3), 2],
+                             ids=["float64", "float32", "int64", "int"])
+    def test_numpy_scalars_and_ints_accepted(self, field, good):
+        POSITIVE_FIELDS[field](good)
 
     @pytest.mark.parametrize("bad_shape", [0, -1, 1.5, True])
     def test_erlang_shape_must_be_positive_integer(self, bad_shape):

@@ -9,7 +9,7 @@ import pytest
 
 from _oracles import trapezoid_convolution_cdf
 from twoshock.distributions import Erlang, erlang_survival
-from twoshock.errors import EqualRatesError, IllConditionedError
+from twoshock.errors import EqualRatesError
 from twoshock.gamma_convolution import ErlangProduct, convolution_cdf, expand
 
 
@@ -19,6 +19,13 @@ def transform(product, coeffs_a, coeffs_b, s):
     rhs = sum(c * (ra / (s + ra)) ** j for j, c in enumerate(coeffs_a, start=1))
     rhs += sum(d * (rb / (s + rb)) ** j for j, d in enumerate(coeffs_b, start=1))
     return lhs, rhs
+
+
+def exact_coefficient(j, m, r, n, s):
+    """c_j of the pole stack (m, r) against (n, s), in exact arithmetic on the doubles."""
+    delta = Fraction(s) - Fraction(r)
+    return float(math.comb(m + n - j - 1, m - j) * Fraction(r) ** (m - j)
+                 * Fraction(s) ** n * (-1) ** (m - j) / delta ** (m + n - j))
 
 
 class TestExpand:
@@ -51,9 +58,13 @@ class TestExpand:
         with pytest.raises(EqualRatesError):
             expand(ErlangProduct(2, 1.0, 3, 1.0))
 
-    def test_near_equal_rates_signal(self):
-        with pytest.raises(IllConditionedError):
-            expand(ErlangProduct(2, 1.0, 3, 1.0 + 1e-8))
+    @pytest.mark.parametrize("a, ra, b, rb", [(2, 1.0, 3, 1.0 + 1e-8), (3, 2.0, 2, 2.0 - 2e-8),
+                                              (1, 1.0, 1, 1.0 + 1e-12), (2, 1.0, 2, 1.0 + 1e-12)])
+    def test_near_equal_rates_match_exact_fractions(self, a, ra, b, rb):
+        ex = expand(ErlangProduct(a, ra, b, rb))
+        for coeffs, (m, r, n, s) in ((ex.coeffs_a, (a, ra, b, rb)), (ex.coeffs_b, (b, rb, a, ra))):
+            for j, c in enumerate(coeffs, 1):
+                assert c == pytest.approx(exact_coefficient(j, m, r, n, s), rel=1e-15, abs=0.0)
 
     def test_expansion_matches_phase_series(self):
         for (a, ra, b, rb) in [(1, 1.0, 1, 2.0), (2, 1.0, 1, 3.0), (4, 0.5, 3, 2.0),
@@ -73,10 +84,8 @@ class TestExpand:
         ex = expand(ErlangProduct(a, ra, b, rb))
         for coeffs, (m, r, n, s) in ((ex.coeffs_a, (a, ra, b, rb)), (ex.coeffs_b, (b, rb, a, ra))):
             for j, c in enumerate(coeffs, 1):
-                delta = Fraction(s) - Fraction(r)
-                exact = (math.comb(m + n - j - 1, m - j) * Fraction(r) ** (m - j)
-                         * Fraction(s) ** n * (-1) ** (m - j) / delta ** (m + n - j))
-                assert c == pytest.approx(float(exact), rel=1e-11, abs=0.0), (m, j)
+                assert c == pytest.approx(exact_coefficient(j, m, r, n, s), rel=1e-11,
+                                          abs=0.0), (m, j)
 
     def test_coefficients_past_double_range_saturate_with_sign(self):
         # delta = 1e-4 puts every coefficient past the double range; delta ** n

@@ -175,8 +175,11 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
 
     Panjer: g(0) = exp(-mean), g(s) = (mean/s) sum_j j jumps(j) g(s-j).  The
     first n values of a convolution need only the first n of each factor,
-    so squaring the pmf at mean/2 is exact on the kept range.
+    so squaring the pmf at mean/2 is exact on the kept range.  An infinite
+    mean puts all mass past the range: the pmf is 0.
     """
+    if mean == math.inf:
+        return np.zeros(len(jumps))
     halvings = 0
     while mean > _PANJER_MAX_MEAN:
         mean /= 2.0
@@ -362,7 +365,8 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     h, deficits, trim = _crossing_index(model, x, policy)
     total = model.rate1 + model.rate2
     k = len(h)
-    zs = total * np.asarray(ts, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite L t is a limit _poisson_rows takes
+        zs = total * np.asarray(ts, dtype=float)
     out = np.empty((3, len(zs)))
     rows = max(1, _CURVE_BLOCK // k)
     for lo in range(0, len(zs), rows):
@@ -514,9 +518,11 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     _check_nonneg(x, "x")
     _check_positive(rate, "rate")
     _check_positive(mark_rate, "mark_rate")
-    n = int(_bernstein_reach(rate * t, policy.tail_epsilon / 4.0)) + 1
-    if n > policy.max_terms_per_axis:
-        raise NonConvergedError(f"Poisson counts need {n} terms (rate * t = {rate * t})")
+    reach = _bernstein_reach(rate * t, policy.tail_epsilon / 4.0)  # inf if rate * t overflows
+    if reach >= policy.max_terms_per_axis:
+        raise NonConvergedError(f"Poisson counts need more than {policy.max_terms_per_axis} "
+                                f"terms (rate * t = {rate * t})")
+    n = int(reach) + 1
     weights = _renewal_counts(1, rate * t, policy.tail_epsilon / 2.0, n)
     value = math.fsum(weights * _poisson_tail(mark_rate * x, len(weights)))
     return min(1.0, value)

@@ -106,9 +106,9 @@ def _log_poisson_term(k: int, z: float) -> float:
 
     The parts keep their relative accuracy, so the log is good to a few ulps
     of its own size, where k log z - z - lgamma(k + 1) loses about k log z
-    ulps.
+    ulps.  An infinite z is the limit of large ones: every log term is -inf.
     """
-    if k == 0:
+    if k == 0 or z == math.inf:
         return -z
     return -_stirling_error(k) - _deviance(k, z) - _HALF_LOG_2PI - 0.5 * math.log(k)
 
@@ -134,18 +134,19 @@ def _recur_outward(ratios: np.ndarray, m: int, anchor: float) -> np.ndarray:
 
 
 def _poisson_pmf(z: float, n: int) -> np.ndarray:
-    """P(N = k) for k < n, N ~ Poisson(z) with 0 <= z < inf and n >= 1.
+    """P(N = k) for k < n, N ~ Poisson(z) with 0 <= z <= inf and n >= 1.
 
     t[k] = t[k-1] z / k.  Up to _SERIES_LIMIT the recurrence starts from
     t[0] = exp(-z); past it, from min(floor(z), n - 1), at or below the
     mode, whose term comes from _log_poisson_term.  All terms are positive
-    or underflowed to 0.
+    or underflowed to 0; at z = inf, where a product of finite factors has
+    overflowed, all mass lies past any index and every term is 0.
     """
     ratios = np.arange(n, dtype=float)
     ratios[1:] = z / ratios[1:]
     if z <= _SERIES_LIMIT:
         return _recur_outward(ratios, 0, math.exp(-z))
-    m = min(int(z), n - 1)
+    m = int(min(z, n - 1))
     return _recur_outward(ratios, m, math.exp(_log_poisson_term(m, z)))
 
 

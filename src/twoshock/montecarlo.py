@@ -9,10 +9,13 @@ simulators use that in two ways:
   Bernoulli source labels until the damage exceeds the threshold at shock N.
   The merged interarrivals are i.i.d. Exp(L) and independent of the labels
   and marks, so the crossing time is one Gamma(N, L) draw.
-* Damage paths (simulate_cumulative) draw each stream's arrival count in
-  every grid interval as a Poisson variable, draw that many marks and sum
-  them per interval.  Renewal arrivals (simulate_general_cumulative) are
-  simulated in time and counted per interval instead.
+* Damage paths (simulate_cumulative) split Poisson arrivals (Kingman 1993,
+  section 5.1): a block's total in each grid interval is one Poisson draw,
+  and each arrival goes to a uniform replication, so given the total the
+  counts are multinomial and unconditionally i.i.d. Poisson.  Renewal
+  arrivals (simulate_general_cumulative) are simulated in time and binned
+  instead.  One bincount sums each stream's marks per (interval,
+  replication) slot; the interval sums are accumulated along the grid.
 
 Marks are always drawn by each stream's own sampler; nothing comes from the
 analytic kernels, so the oracle stays independent of them.
@@ -166,8 +169,8 @@ def _run_blocks(cfg: SimulationConfig, worker) -> list:
 
 def _check_grid(t_grid) -> np.ndarray:
     grid = np.asarray(list(t_grid), dtype=float)
-    if grid.size and (np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0)):
-        raise ValueError("grid points must be nonnegative and strictly increasing")
+    if not (np.all(np.isfinite(grid) & (grid >= 0.0)) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("grid points must be finite, nonnegative and strictly increasing")
     return grid
 
 
@@ -198,68 +201,70 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
         fptf_mean=_mean_estimate(total, total_sq, n, "fptf_mean"))
 
 
-def _running_sums(draw, size: int, cols: int, limit: float):
-    """Yield (rows, sums): running row sums of draw(len(rows), cols) increments.
+def _running_sums(draw, size: int, steps: int, limit: float):
+    """Yield (reps, sums): running sums down the columns of draw(steps, len(reps)) increments.
 
-    Each row's sum is carried from chunk to chunk until it exceeds limit;
-    only the rows still at or below it are drawn again.  Each chunk is half
-    as wide again as the one before.
+    Column j belongs to replication reps[j].  Each replication's sum is
+    carried from chunk to chunk until it exceeds limit; only the
+    replications still at or below it are drawn again.  Each chunk has half
+    as many steps again as the one before.
     """
     carried = np.zeros(size)
-    rows = np.arange(size)
+    reps = np.arange(size)
     rounds = 0
-    while rows.size:
+    while reps.size:
         rounds += 1
         if rounds > _MAX_EXTENSION_ROUNDS:
             raise NonConvergedError("extension cap exceeded before every replication "
                                     "passed its limit; check the model's scales")
-        sums = draw(rows.size, cols)
-        sums[:, 0] += carried[rows]
-        np.cumsum(sums, axis=1, out=sums)
-        yield rows, sums
-        carried[rows] = sums[:, -1]
-        rows = rows[sums[:, -1] <= limit]
-        cols += cols // 2
+        sums = draw(steps, reps.size)
+        sums[0] += carried[reps]
+        for i in range(1, steps):  # row adds: numpy's accumulate is slow along axis 0
+            sums[i] += sums[i - 1]
+        yield reps, sums
+        carried[reps] = sums[-1]
+        reps = reps[sums[-1] <= limit]
+        steps += steps // 2
 
 
-def _interval_counts(inter: Distribution, grid: np.ndarray, rng, size: int) -> np.ndarray:
-    """Arrivals of one stream per replication in each (grid[i-1], grid[i]]: (size, len(grid)).
+def _arrival_slots(inter: Distribution, grid: np.ndarray, rng, size: int) -> np.ndarray:
+    """Slot i * size + r of each arrival of one stream in (grid[i-1], grid[i]] of replication r.
 
-    The first interval starts at 0.  Poisson arrivals fall in disjoint
-    intervals independently, so their counts are Poisson(rate * width);
-    renewal arrivals are simulated past the last grid point and binned.
+    The first interval starts at 0.  Poisson arrivals are split: the block's
+    total in interval i is Poisson(size * rate * width), and each arrival
+    goes to a uniform replication.  Renewal arrivals are simulated past the
+    last grid point and binned; those after it are dropped before any mark
+    is drawn for them.
     """
     if isinstance(inter, Exponential):
-        return rng.poisson(inter.rate * np.diff(grid, prepend=0.0), size=(size, grid.size))
+        totals = rng.poisson(size * inter.rate * np.diff(grid, prepend=0.0))
+        return np.concatenate([rng.integers(i * size, (i + 1) * size, total)
+                               for i, total in enumerate(totals)])
     t_max = float(grid[-1])
-    # Column grid.size collects the arrivals after t_max.
-    counts = np.zeros(size * (grid.size + 1), dtype=np.int64)
-    for rows, times in _running_sums(
-            lambda n, k: inter.sample_n(rng, n * k).reshape(n, k),
+    slots = []
+    for reps, times in _running_sums(
+            lambda k, n: inter.sample_n(rng, k * n).reshape(k, n),
             size, max(4, int(t_max / inter.mean()) + 1), t_max):
+        inside = times <= t_max
         # An arrival at time s belongs to the first grid point >= s.
-        bins = np.searchsorted(grid, times, side="left")
-        bins += (grid.size + 1) * rows[:, None]
-        counts += np.bincount(bins.ravel(), minlength=counts.size)
-    return counts.reshape(size, grid.size + 1)[:, :-1]
-
-
-def _stream_damage(inter: Distribution, mag: Distribution, grid: np.ndarray, rng,
-                   size: int) -> np.ndarray:
-    """One stream's damage per replication at each grid time: (size, len(grid))."""
-    counts = _interval_counts(inter, grid, rng, size)
-    marks = mag.sample_n(rng, int(counts.sum()))
-    owner = np.repeat(np.arange(counts.size), counts.ravel())
-    # bincount, not np.add.reduceat: an interval without arrivals must sum to 0.
-    sums = np.bincount(owner, weights=marks, minlength=counts.size).reshape(counts.shape)
-    return np.cumsum(sums, axis=1, out=sums)
+        bins = np.searchsorted(grid, times[inside], side="left")
+        bins *= size
+        bins += np.broadcast_to(reps, times.shape)[inside]
+        slots.append(bins)
+    return np.concatenate(slots)
 
 
 def _damage_paths(inter1, mag1, inter2, mag2, grid: np.ndarray, rng, size: int) -> np.ndarray:
     """Damage totals per replication at each grid time: (len(grid), size)."""
-    damage = _stream_damage(inter1, mag1, grid, rng, size)
-    damage += _stream_damage(inter2, mag2, grid, rng, size)
-    return damage.T
+    cells = grid.size * size
+    damage = np.zeros(cells)
+    for inter, mag in ((inter1, mag1), (inter2, mag2)):
+        slots = _arrival_slots(inter, grid, rng, size)
+        damage += np.bincount(slots, weights=mag.sample_n(rng, slots.size), minlength=cells)
+    damage = damage.reshape(grid.size, size)
+    for i in range(1, grid.size):
+        damage[i] += damage[i - 1]
+    return damage
 
 
 def _simulate_damage(inter1, mag1, inter2, mag2, t_grid, cfg: SimulationConfig,
@@ -284,9 +289,9 @@ def simulate_cumulative(model: CumulativeModel, t_grid,
                         cfg: SimulationConfig) -> DamageSimulation:
     """Sum the marks of two Poisson streams over [0, t] for each grid t.
 
-    Each stream's arrival count in every grid interval is a Poisson draw;
-    that many marks are drawn and summed per interval, then accumulated
-    along the grid.
+    Each stream's arrivals in every grid interval are one Poisson total per
+    block, split uniformly over the replications; their marks are summed per
+    interval, then accumulated along the grid.
     """
     return _simulate_damage(Exponential(model.rate1), model.mag1,
                             Exponential(model.rate2), model.mag2,
@@ -297,44 +302,44 @@ def simulate_general_cumulative(model: GeneralCumulativeModel, t_grid,
                                 cfg: SimulationConfig) -> DamageSimulation:
     """Renewal-arrival variant of simulate_cumulative; any sampleable interarrivals.
 
-    Arrival times are simulated and counted per grid interval; Exponential
-    interarrivals take the Poisson-count path, drawing exactly what
+    Arrival times are simulated and binned per grid interval; Exponential
+    interarrivals take the Poisson-splitting path, drawing exactly what
     simulate_cumulative draws.
     """
     return _simulate_damage(model.inter1, model.mag1, model.inter2, model.mag2,
                             t_grid, cfg, tag="general_damage")
 
 
-def _merged_marks(model: CumulativeModel, p1: float, rng, rows: int, cols: int) -> np.ndarray:
-    """Marks of the merged stream, (rows, cols): each from stream 1 with probability p1."""
-    from_first = rng.random(rows * cols) < p1
+def _merged_marks(model: CumulativeModel, p1: float, rng, steps: int, reps: int) -> np.ndarray:
+    """Marks of the merged stream, (steps, reps): each from stream 1 with probability p1."""
+    from_first = rng.random(steps * reps) < p1
     # Integer positions scatter the draws several times faster than a mask.
     first, second = np.flatnonzero(from_first), np.flatnonzero(~from_first)
-    marks = np.empty(rows * cols)
+    marks = np.empty(steps * reps)
     marks[first] = model.mag1.sample_n(rng, first.size)
     marks[second] = model.mag2.sample_n(rng, second.size)
-    return marks.reshape(rows, cols)
+    return marks.reshape(steps, reps)
 
 
 def _crossing_times(model: CumulativeModel, rng, size: int) -> np.ndarray:
     """First instants at which the merged stream's cumulative damage exceeds the threshold.
 
-    Marks are drawn in chunks of columns, the first about threshold / mean
-    mark wide and each later one half as wide again; only the rows that have
-    not yet crossed are carried into the next chunk.  Given the index N of the
-    crossing shock, the crossing time is a sum of N Exp(total rate)
-    interarrivals, independent of the marks: one Gamma(N) draw scaled by
-    1/total.
+    Marks are drawn in chunks of shocks, the first about threshold / mean
+    mark long and each later one half as long again; only the replications
+    that have not yet crossed are carried into the next chunk.  Damage only
+    grows, so the crossing index N is 1 plus the number of partial sums at
+    or below the threshold.  Given N, the crossing time is a sum of N
+    Exp(total rate) interarrivals, independent of the marks: one Gamma(N)
+    draw scaled by 1/total.
     """
     total = model.rate1 + model.rate2
     p1 = model.rate1 / total
     mark_mean = p1 * model.mag1.mean() + (1.0 - p1) * model.mag2.mean()
-    shocks = np.zeros(size, dtype=np.int64)
-    for rows, damage in _running_sums(
-            lambda n, k: _merged_marks(model, p1, rng, n, k),
+    shocks = np.ones(size, dtype=np.int64)
+    for reps, damage in _running_sums(
+            lambda k, n: _merged_marks(model, p1, rng, k, n),
             size, max(4, int(model.threshold / mark_mean) + 1), model.threshold):
-        over = damage > model.threshold
-        shocks[rows] += np.where(over[:, -1], over.argmax(axis=1) + 1, over.shape[1])
+        shocks[reps] += np.count_nonzero(damage <= model.threshold, axis=0)
     return rng.standard_gamma(shocks) / total
 
 

@@ -404,6 +404,18 @@ class TestBadParameters:
                              "--model", model_file(dict(CATASTROPHIC, kind=["catastrophic"]))])
         assert_one_error_line(proc, "unknown model kind")
 
+    @pytest.mark.parametrize("argv, value", [
+        (["fptf-model2"], "1"),
+        (["damage-cdf", "--x", "1"], "0"),
+    ])
+    def test_overflowing_poisson_mean_exits_zero(self, model_file, argv, value):
+        # rate1 * t overflows to inf: the values are those of a huge finite mean.
+        path = model_file(dict(CUMULATIVE, rate1=1e300))
+        for t in ("1", "1e10"):
+            proc = run_twoshock([*argv, "--points", t, "--model", path])
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.splitlines()[1].split(",")[1] == value
+
     def test_string_policy_field_exits_one(self, model_file, capsys):
         path = model_file(dict(CUMULATIVE, tail_epsilon="1e-8"))
         assert main(["fptf-model2", "--points", "1", "--model", path]) == 1

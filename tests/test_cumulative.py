@@ -1,6 +1,9 @@
 """Damage-model tests: series values, truncation honesty, reductions, errors."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -35,6 +38,10 @@ from twoshock.gamma_convolution import _erlang_cdf_terms
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
 MIXED = CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Erlang(1, 1.0), threshold=5.0)
+# rate1 * t overflows to inf at t = 1e10; at t = 1 it is the finite 1e300.
+HUGE_RATE = CumulativeModel(1e300, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
+HUGE_RENEWALS = GeneralCumulativeModel(Erlang(2, 1e300), Exponential(1.0),
+                                       Exponential(1.0), Exponential(1.0), threshold=3.0)
 
 
 class TestDamageCdf:
@@ -471,3 +478,33 @@ class TestValidation:
             TruncationPolicy(tail_epsilon=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(max_terms_per_axis=0)
+
+
+class TestOverflowingPoissonMean:
+    """A finite rate times a finite t that overflows acts as the limit of large means."""
+
+    def test_damage_cdf_returns_instead_of_halving_forever(self):
+        code = ("from twoshock.cumulative import CumulativeModel, damage_cdf\n"
+                "from twoshock.distributions import Exponential\n"
+                "m = CumulativeModel(1e300, 1, Exponential(1), Exponential(1), 3)\n"
+                "print(damage_cdf(m, 1e10, 1.0))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.0\n", "")
+        assert damage_cdf(HUGE_RATE, 1.0, 1.0) == 0.0
+
+    def test_failure_cdf_and_curve(self):
+        assert model2_fptf_cdf(HUGE_RATE, 1e10) == model2_fptf_cdf(HUGE_RATE, 1.0) == 1.0
+        for t in (1.0, 1e10):
+            cdf, survival, density = model2_fptf_curve(HUGE_RATE, [t])
+            assert (cdf[0], survival[0], density[0]) == (1.0, 0.0, 0.0)
+
+    def test_renewal_damage_cdf(self):
+        assert general_damage_cdf(HUGE_RENEWALS, 1e10, 1.0) == 0.0
+        assert general_damage_cdf(HUGE_RENEWALS, 1.0, 1.0) == 0.0
+
+    def test_merged_reduction_stays_nonconverged(self):
+        for t in (1.0, 1e10):
+            with pytest.raises(NonConvergedError, match="Poisson counts"):
+                compound_poisson_exponential_cdf(1e300, 1.0, t, 1.0)

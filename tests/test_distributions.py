@@ -150,6 +150,10 @@ class TestPdf:
         assert Erlang(shape, 1.0).pdf(float(x)) == pytest.approx(
             float(reference), rel=1e-14, abs=0.0)
 
+    def test_erlang_at_overflowing_rate_times_t(self):
+        # 1e300 * 1e10 is inf, the limit of ever larger x: the density is 0.
+        assert Erlang(2, 1e300).pdf(1e10) == Erlang(2, 1e300).pdf(1.0) == 0.0
+
     @pytest.mark.parametrize("dist", [Exponential(2.0), Erlang(3, 1.5), Weibull(2.0, 1.0)])
     def test_integrates_to_one(self, dist):
         upper = dist.mean() * 40.0

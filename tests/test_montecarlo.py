@@ -16,6 +16,7 @@ from twoshock.cumulative import (
     general_damage_cdf,
     general_damage_mean,
     model2_fptf_cdf,
+    model2_fptf_curve,
     model2_fptf_mean,
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
@@ -31,6 +32,8 @@ from twoshock.montecarlo import (
 N = 100_000
 EXP_PAIR = CatastrophicModel(Exponential(1.0), Exponential(2.0))
 DAMAGE = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
+ERLANG_RENEWALS = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                         Exponential(1.0), Exponential(1.0), threshold=2.0)
 
 
 def config(seed=42, workers=1, n=N):
@@ -67,6 +70,15 @@ class TestDeterminism:
         other = simulate_fptf_cumulative(DAMAGE, config(workers=8, n=30_000))
         assert base.mean == other.mean
         assert np.array_equal(base._times, other._times)
+
+    def test_worker_count_invariance_for_renewal_damage_paths(self):
+        n = 3 * montecarlo._BLOCK_SIZE
+        grid = [0.5, 2.0, 5.0]
+        base = simulate_general_cumulative(ERLANG_RENEWALS, grid, config(workers=1, n=n))
+        other = simulate_general_cumulative(ERLANG_RENEWALS, grid, config(workers=3, n=n))
+        assert base.means == other.means
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(base._samples, other._samples))
 
     def test_thread_pool_capped_at_blocks_and_cpus(self, monkeypatch):
         requested = []
@@ -146,6 +158,29 @@ class TestDamageSimulation:
         expected = damage_cdf(DAMAGE, 1.0, 2.0)
         assert abs(est.mean - expected) <= 3.5 * est.std_error
 
+    def test_poisson_paths_over_several_blocks(self):
+        # Two full blocks and a remainder, each splitting its own Poisson totals.
+        n = 2 * montecarlo._BLOCK_SIZE + 1000
+        grid = [0.5, 1.0, 2.0]
+        sim = simulate_cumulative(DAMAGE, grid, config(n=n))
+        for i, t in enumerate(grid):
+            est = sim.means[i]
+            assert est.n == n
+            assert abs(est.mean - damage_mean(DAMAGE, t)) <= 3.5 * est.std_error
+            for x in (0.5, 2.0):
+                est = sim.ecdf(i, x)
+                assert abs(est.mean - damage_cdf(DAMAGE, t, x)) <= 3.5 * est.std_error
+
+    @pytest.mark.parametrize("inter", [Exponential(1.0), Weibull(1.0, 1.0)])
+    def test_path_shape(self, inter):
+        grid = np.array([0.0, 0.5, 1.0, 3.0])
+        paths = montecarlo._damage_paths(inter, Exponential(1.0), inter, Erlang(2, 1.0),
+                                         grid, np.random.default_rng(5), 1000)
+        assert paths.shape == (4, 1000)
+        assert not paths[0].any()
+        assert np.all(np.diff(paths, axis=0) >= 0.0)
+        assert paths[-1].any()
+
     def test_ecdf_counts_are_exact(self):
         sim = simulate_cumulative(DAMAGE, [1.0], config(n=10_000))
         samples = sim._samples[0]
@@ -186,6 +221,16 @@ class TestCrossingSimulation:
             est = sim.ecdf(t)
             assert abs(est.mean - model2_fptf_cdf(model, t)) <= 3.5 * est.std_error
 
+    def test_many_chunks_ecdf_against_curve(self):
+        # At K = 60 about half the replications run past the first chunk of shocks.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=60.0)
+        sim = simulate_fptf_cumulative(model, config(n=100_000))
+        times = (25.0, 30.5, 36.0)
+        cdf, _, _ = model2_fptf_curve(model, times)
+        for t, expected in zip(times, cdf):
+            est = sim.ecdf(t)
+            assert abs(est.mean - expected) <= 3.5 * est.std_error
+
     def test_many_chunks_against_exact_mean(self):
         # Equal Exp(1) marks: N - 1 is Poisson(K), so E(T) = (1 + K) / lambda.
         # Rows carry over several chunks of marks at this threshold.
@@ -215,6 +260,18 @@ class TestGeneralSimulation:
         mean_est = sim.means[0]
         expected_mean = general_damage_mean(g, 2.0)
         assert abs(mean_est.mean - expected_mean) <= 3.5 * mean_est.std_error
+
+    def test_renewal_path_against_poisson_series(self):
+        # Weibull(1, 1) is Exp(1) in law but takes the renewal branch.
+        g = GeneralCumulativeModel(Weibull(1.0, 1.0), Weibull(1.0, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=3.0)
+        grid = [0.5, 1.0, 2.0]
+        sim = simulate_general_cumulative(g, grid, config(n=200_000))
+        for i, t in enumerate(grid):
+            est = sim.means[i]
+            assert abs(est.mean - damage_mean(DAMAGE, t)) <= 3.5 * est.std_error
+            est = sim.ecdf(i, 1.0)
+            assert abs(est.mean - damage_cdf(DAMAGE, t, 1.0)) <= 3.5 * est.std_error
 
     def test_weibull_interarrivals_simulate_fine(self):
         g = GeneralCumulativeModel(Weibull(2.0, 1.0), Weibull(2.0, 1.0),
@@ -262,3 +319,12 @@ class TestEstimateContract:
             simulate_catastrophic(EXP_PAIR, config(n=100), [1.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_catastrophic(EXP_PAIR, config(n=100), [-1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_catastrophic(EXP_PAIR, config(n=100), [0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            simulate_cumulative(DAMAGE, [0.5, bad], config(n=100))
+        with pytest.raises(ValueError, match="finite"):
+            simulate_general_cumulative(ERLANG_RENEWALS, [0.5, bad], config(n=100))

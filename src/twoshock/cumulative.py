@@ -40,8 +40,7 @@ import numpy as np
 from .distributions import (_SERIES_LIMIT, Distribution, Erlang, Exponential, _check_positive,
                             _poisson_pmf, _poisson_reach, _poisson_tail)
 from .errors import NonConvergedError, UnsupportedConvolutionError
-from .gamma_convolution import (_bernstein_reach, _erlang_cdf_terms, _erlang_cdfs, _phase_pmf,
-                                _phase_tail)
+from .gamma_convolution import _bernstein_reach, _erlang_cdf_terms, _phase_pmf, _phase_tail
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
 
 __all__ = [
@@ -65,6 +64,8 @@ _PANJER_MAX_MEAN = 500.0
 
 # Poisson terms per block of times in the failure-time curve: bounds its arrays.
 _CURVE_BLOCK = 1 << 16
+# Most phases, Poisson counts or renewal counts any series takes on one axis.
+_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,20 +75,17 @@ class TruncationPolicy:
     A damage series stops at the first phase count whose Erlang CDF is
     below its share of tail_epsilon, and a renewal-count pmf at the first
     count K whose left-out counts carry less than its share, giving an
-    absolute error below tail_epsilon.  Needing more than max_terms_per_axis
+    absolute error below tail_epsilon.  Needing more than _MAX_TERMS
     phases, or arrival counts outside general_damage_cdf, raises NonConvergedError,
     except in damage_cdf, general_damage_cdf and model2_fptf_curve when the
     phase counts past the cap carry less than tail_epsilon of probability.
     """
 
     tail_epsilon: float = 1e-10
-    max_terms_per_axis: int = 10_000
 
     def __post_init__(self):
         if not 0.0 < self.tail_epsilon <= 1e-3:
             raise ValueError(f"tail_epsilon must be in (0, 1e-3], got {self.tail_epsilon}")
-        if self.max_terms_per_axis < 1:
-            raise ValueError(f"max_terms_per_axis must be positive, got {self.max_terms_per_axis}")
 
 
 def _mark_params(dist: Distribution, name: str) -> tuple[int, float]:
@@ -158,16 +156,25 @@ def _renewal_counts(shape: int, z: float, tail: float, n: int) -> np.ndarray:
     return counts[:max(1, np.count_nonzero(above >= tail))]
 
 
-def _fast_rate(mag1: Distribution, mag2: Distribution) -> float:
-    return max(_mark_params(mag1, "mag1")[1], _mark_params(mag2, "mag2")[1])
+def _phases(model: CumulativeModel | GeneralCumulativeModel, x: float, eps: float,
+            extra: int = 0):
+    """(z, cdfs, converged, f1, f2): the pieces of a phase series at damage level x.
 
-
-def _phase_pmfs(mag1: Distribution, mag2: Distribution,
-                length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase pmfs of both marks in units of the faster mark rate, cut at length."""
-    (m1, mu1), (m2, mu2) = _mark_params(mag1, "mag1"), _mark_params(mag2, "mag2")
+    z = mu_f x for the faster mark rate mu_f; (cdfs, converged) are
+    _erlang_cdf_terms(z, eps, _MAX_TERMS); f1 and f2 are the phase pmfs of
+    mag1 and mag2 in units of mu_f, extra terms longer than cdfs.
+    """
+    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
     fast = max(mu1, mu2)
-    return _phase_pmf(m1, mu1, fast, length), _phase_pmf(m2, mu2, fast, length)
+    z = fast * x
+    cdfs, converged = _erlang_cdf_terms(z, eps, _MAX_TERMS)
+    n = len(cdfs) + extra
+    return z, cdfs, converged, _phase_pmf(m1, mu1, fast, n), _phase_pmf(m2, mu2, fast, n)
+
+
+def _merged(model: CumulativeModel, a, b):
+    """(rate1 a + rate2 b) / L: a stream-1 and a stream-2 quantity mixed as one merged shock."""
+    return (model.rate1 * a + model.rate2 * b) / (model.rate1 + model.rate2)
 
 
 def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
@@ -210,7 +217,7 @@ def _phase_series(g: np.ndarray, cdfs: np.ndarray, converged: bool,
         mass = math.fsum(g) - len(g) * sys.float_info.epsilon
         if mass < 1.0 - policy.tail_epsilon:
             raise NonConvergedError(
-                f"phase series needs more than {policy.max_terms_per_axis} terms "
+                f"phase series needs more than {_MAX_TERMS} terms "
                 f"at rate * x = {z}, and the phase-count mass below the cap, "
                 f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
     value = float(g @ cdfs)
@@ -221,19 +228,15 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
                policy: TruncationPolicy | None = None) -> float:
     """P(total damage by time t is <= x), within tail_epsilon absolute.
 
-    When the Erlang-CDF stop needs more than max_terms_per_axis phases, the
-    series is cut at the cap if the phase-count pmf has mass at least
+    When the Erlang-CDF stop needs more than _MAX_TERMS phases, the series
+    is cut at the cap if the phase-count pmf has mass at least
     1 - tail_epsilon below it (_phase_series).
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    z = _fast_rate(model.mag1, model.mag2) * x
-    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon, policy.max_terms_per_axis)
-    f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
-    total = model.rate1 + model.rate2
-    jumps = (model.rate1 * f1 + model.rate2 * f2) / total
-    g = _compound_poisson_pmf(total * t, jumps)
+    z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon)
+    g = _compound_poisson_pmf((model.rate1 + model.rate2) * t, _merged(model, f1, f2))
     return _phase_series(g, cdfs, converged, policy, z)
 
 
@@ -273,23 +276,19 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
     P(J >= w) <= eps / (8 (1 + z)): N - 1 <= S_{N-1} <= Poisson(z), so
     E[N] <= 1 + z, and each shock loses at most 2 P(J >= w) of the mass
     still below x, in all less than eps / 4.  So a sum of h against values
-    in [0, 1] is within eps of the exact one, or, past max_terms_per_axis
-    phases, within trim plus the phase mass the cap leaves out.
+    in [0, 1] is within eps of the exact one, or, past _MAX_TERMS phases,
+    within trim plus the phase mass the cap leaves out.
     """
     eps = policy.tail_epsilon
-    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
-    fast = max(mu1, mu2)
-    z = fast * x
-    cdfs, converged = _erlang_cdf_terms(z, eps / 2.0, policy.max_terms_per_axis)
+    z, cdfs, converged, f1, f2 = _phases(model, x, eps / 2.0, extra=1)
     n = len(cdfs)
     lumped = _poisson_pmf(z, n)
     lumped[-1] = cdfs[-1]
-    total = model.rate1 + model.rate2
-    f1, f2 = _phase_pmf(m1, mu1, fast, n + 1), _phase_pmf(m2, mu2, fast, n + 1)
-    jumps = (model.rate1 * f1[:n] + model.rate2 * f2[:n]) / total
+    jumps = _merged(model, f1[:n], f2[:n])
+    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
     exceed = np.empty(n)  # P(J > i) for i < n
-    exceed[-1] = (model.rate1 * _phase_tail(m1, mu1, fast, f1)
-                  + model.rate2 * _phase_tail(m2, mu2, fast, f2)) / total
+    exceed[-1] = _merged(model, _phase_tail(m1, mu1, max(mu1, mu2), f1),
+                         _phase_tail(m2, mu2, max(mu1, mu2), f2))
     exceed[:-1] = np.add.accumulate(jumps[:0:-1])[::-1] + exceed[-1]
     width = n  # a jump of n phases or more leaves the cut from anywhere: nothing is lost
     small = np.flatnonzero(exceed[:-1] <= eps / (8.0 * (1.0 + z)))  # exceed[i] = P(J >= i + 1)
@@ -353,7 +352,7 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     The smaller of the two probabilities is summed and the other is 1 minus
     it, so they add to 1 and both keep their relative accuracy.  Each is
     within tail_epsilon of the exact value, and the density within L times
-    that.  Past max_terms_per_axis phases, a t raises NonConvergedError
+    that.  Past _MAX_TERMS phases, a t raises NonConvergedError
     unless its omitted phase mass, sum_k P(M = k) (1 - mass_k), plus the
     trim bound of _crossing_index is below tail_epsilon.  The times are
     taken _CURVE_BLOCK Poisson terms at a time.
@@ -377,10 +376,9 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
             if short.size:
                 j = short[0]
                 raise NonConvergedError(
-                    f"phase series needs more than {policy.max_terms_per_axis} terms at "
-                    f"rate * x = {_fast_rate(model.mag1, model.mag2) * x}, and the "
-                    f"phase-count mass it leaves out at t = {ts[lo + j]} reaches "
-                    f"{float(bounds[j])!r}")
+                    f"phase series needs more than {_MAX_TERMS} terms at level x = {x}, "
+                    f"and the phase-count mass it leaves out at t = {ts[lo + j]} "
+                    f"reaches {float(bounds[j])!r}")
         failed = tails[:, 1:] @ h
         alive = np.add.accumulate(pmf, axis=1) @ h
         first = failed <= alive
@@ -413,19 +411,18 @@ def model2_fptf_mean(model: CumulativeModel,
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
     """
-    truncation = truncation or TruncationPolicy()
-    cdfs = _erlang_cdfs(_fast_rate(model.mag1, model.mag2) * model.threshold,
-                        truncation.tail_epsilon, truncation.max_terms_per_axis)
-    f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
-    total = model.rate1 + model.rate2
-    jumps = (model.rate1 * f1 + model.rate2 * f2) / total
+    eps = (truncation or TruncationPolicy()).tail_epsilon
+    z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
+    if not converged:
+        raise NonConvergedError(f"phase series needs more than {_MAX_TERMS} terms "
+                                f"(Erlang CDF bound {eps} at rate * x = {z})")
     n = len(cdfs)
-    steps = jumps[1:]
+    steps = _merged(model, f1, f2)[1:]
     rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
     rev[-1] = 1.0
     for s in range(1, n):
         rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
-    return float(rev @ cdfs[::-1]) / total
+    return float(rev @ cdfs[::-1]) / (model.rate1 + model.rate2)
 
 
 def _random_sum_pmf(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:
@@ -456,16 +453,13 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
 
     Half the bound goes to the phase series and a quarter to each stream's
     renewal counts, cut at the series length: k renewals take k phases.
-    Past max_terms_per_axis phases the series is cut as in damage_cdf: the
-    mass test there bounds the renewal cuts and the phase cut together.
+    Past _MAX_TERMS phases the series is cut as in damage_cdf: the mass
+    test there bounds the renewal cuts and the phase cut together.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    z = _fast_rate(model.mag1, model.mag2) * x
-    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon / 2.0,
-                                        policy.max_terms_per_axis)
-    f1, f2 = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
+    z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon / 2.0)
     g = np.ones(1)
     for name, inter, mark in (("inter1", model.inter1, f1), ("inter2", model.inter2, f2)):
         shape, rate = _mark_params(inter, name)
@@ -480,22 +474,22 @@ def general_damage_mean(model: GeneralCumulativeModel, t: float,
 
     E(N(t)) = sum_{k>=1} P(P >= k m), P ~ Poisson(r t), for Erlang(m, r)
     interarrivals, out to _poisson_reach.  It raises NonConvergedError when
-    P(N(t) >= max_terms_per_axis) >= tail_epsilon.
+    P(N(t) >= _MAX_TERMS) >= tail_epsilon.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
-    cap = policy.max_terms_per_axis
     total = 0.0
     for name, inter, mag in (("inter1", model.inter1, model.mag1),
                              ("inter2", model.inter2, model.mag2)):
         shape, rate = _mark_params(inter, name)
         z = rate * t
-        if z < shape * cap:  # else P(N(t) >= cap) >= P(P >= z) > 1e-3
+        if z < shape * _MAX_TERMS:  # else P(N(t) >= cap) >= P(P >= z) > 1e-3
             tails = _poisson_tail(z, _poisson_reach(z, shape))[shape::shape]
-            if np.count_nonzero(tails >= policy.tail_epsilon) < cap:
+            if np.count_nonzero(tails >= policy.tail_epsilon) < _MAX_TERMS:
                 total += mag.mean() * float(tails.sum())
                 continue
-        raise NonConvergedError(f"renewal function needs more than {cap} counts (rate * t = {z})")
+        raise NonConvergedError(
+            f"renewal function needs more than {_MAX_TERMS} counts (rate * t = {z})")
     return total
 
 
@@ -509,7 +503,7 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     rate, and this evaluation must agree with the two-stream series.  It sums
     its own Poisson weights, apart from the phase-count kernel, for counts
     below n, where P(N >= n) < tail_epsilon / 4 by Bernstein's bound; n past
-    max_terms_per_axis raises NonConvergedError.  Given k marks the damage
+    _MAX_TERMS raises NonConvergedError.  Given k marks the damage
     is Erlang(k, mark_rate), whose CDF at x is P(Poisson(mark_rate x) >= k):
     one array of positive tails serves every k.
     """
@@ -519,8 +513,8 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     _check_positive(rate, "rate")
     _check_positive(mark_rate, "mark_rate")
     reach = _bernstein_reach(rate * t, policy.tail_epsilon / 4.0)  # inf if rate * t overflows
-    if reach >= policy.max_terms_per_axis:
-        raise NonConvergedError(f"Poisson counts need more than {policy.max_terms_per_axis} "
+    if reach >= _MAX_TERMS:
+        raise NonConvergedError(f"Poisson counts need more than {_MAX_TERMS} "
                                 f"terms (rate * t = {rate * t})")
     n = int(reach) + 1
     weights = _renewal_counts(1, rate * t, policy.tail_epsilon / 2.0, n)

@@ -308,16 +308,9 @@ class Erlang(Distribution):
 
     def pdf(self, t: float) -> float:
         _check_time(t)
-        if t == 0.0:
-            return self.rate if self.shape == 1 else 0.0
         x = self.rate * t
-        if x <= _SERIES_LIMIT:
-            # x^(shape-1)/(shape-1)! via the same recurrence as the survival
-            # series; bounded by e^x, so no overflow inside the series range.
-            term = 1.0
-            for l in range(1, self.shape):
-                term *= x / l
-            return self.rate * math.exp(-x) * term
+        if x == 0.0:
+            return self.rate if self.shape == 1 else 0.0
         return self.rate * math.exp(_log_poisson_term(self.shape - 1, x))
 
     def mean(self) -> float:

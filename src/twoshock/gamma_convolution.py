@@ -12,8 +12,8 @@ For Gamma(a, mu1) + Gamma(b, mu2) this is the Moschopoulos (1985) series: g
 is the convolution of the two marks' phase pmfs (_phase_pmf).  The cumulative
 damage model uses the same two pieces with other phase-count pmfs.  The
 Erlang CDF falls as s grows and g has mass at most 1, so stopping at the
-first S whose Erlang CDF is below eps (_erlang_cdfs) discards less than eps.
-Equal rates need no series: the sum is Erlang(a+b).
+first S whose Erlang CDF is below eps (_erlang_cdf_terms) discards less than
+eps.  Equal rates need no series: the sum is Erlang(a+b).
 
 expand() gives the paper's partial-fraction form of the same CDF.  For
 mu1 != mu2 the transform (mu1/(s+mu1))^a (mu2/(s+mu2))^b splits over the two
@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import (_LOG_MAX, _SERIES_LIMIT, _check_positive, _log_poisson_term,
                             _poisson_tail, _recur_outward, erlang_cdf, erlang_survival)
-from .errors import EqualRatesError, NonConvergedError
+from .errors import EqualRatesError
 
 __all__ = ["ErlangProduct", "PartialFractionExpansion", "expand", "convolution_cdf"]
 
@@ -185,18 +185,13 @@ def _erlang_cdf_terms(z: float, eps: float, max_terms: float) -> tuple[np.ndarra
     return cdfs[:below[0]], True
 
 
-def _erlang_cdfs(z: float, eps: float, max_terms: float = math.inf) -> np.ndarray:
-    """The values of _erlang_cdf_terms; raises NonConvergedError when S exceeds max_terms."""
-    cdfs, converged = _erlang_cdf_terms(z, eps, max_terms)
-    if not converged:
-        raise NonConvergedError(
-            f"phase series needs more than {max_terms} terms "
-            f"(Erlang CDF bound {eps} at rate * x = {z})")
-    return cdfs
-
-
 def convolution_cdf(product: ErlangProduct, x: float) -> float:
-    """CDF of Gamma(shape_a, rate_a) + Gamma(shape_b, rate_b) at x >= 0."""
+    """CDF of Gamma(shape_a, rate_a) + Gamma(shape_b, rate_b) at x >= 0.
+
+    The faster factor takes exactly its shape in phases, so the phase-count
+    pmf of the sum is the slower factor's pmf shifted by that shape: the
+    series is one dot product, not a convolution.
+    """
     if not x >= 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
     a, ra, b, rb = product.shape_a, product.rate_a, product.shape_b, product.rate_b
@@ -211,8 +206,8 @@ def convolution_cdf(product: ErlangProduct, x: float) -> float:
     # P(A+B > x) <= P(A > x/2) + P(B > x/2): far upper tail, and x = inf.
     if erlang_survival(a, ra * x / 2.0) + erlang_survival(b, rb * x / 2.0) < _CDF_TAIL:
         return 1.0
-    fast = max(ra, rb)
-    cdfs = _erlang_cdfs(fast * x, _CDF_TAIL)
-    n = len(cdfs)
-    phases = np.convolve(_phase_pmf(a, ra, fast, n), _phase_pmf(b, rb, fast, n))[:n]
-    return min(1.0, float(phases @ cdfs))
+    if ra > rb:  # make b the faster factor
+        a, ra, b, rb = b, rb, a, ra
+    cdfs, _ = _erlang_cdf_terms(rb * x, _CDF_TAIL, math.inf)
+    shifted = cdfs[b:]
+    return min(1.0, float(_phase_pmf(a, ra, rb, len(shifted)) @ shifted))

@@ -57,6 +57,9 @@ _BLOCK_SIZE = 1 << 14
 # Chunk rounds of _running_sums; chunks grow geometrically, so hitting the
 # cap means a pathological model rather than bad luck.
 _MAX_EXTENSION_ROUNDS = 64
+# Most arrivals a block can draw: numpy's Poisson mean limit, an int64 step count.
+_INT64_MAX = float(np.iinfo(np.int64).max)
+_POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 
 
 @dataclass(frozen=True)
@@ -227,20 +230,30 @@ def _running_sums(draw, size: int, steps: int, limit: float):
         steps += steps // 2
 
 
-def _arrival_slots(inter: Distribution, grid: np.ndarray, rng, size: int) -> np.ndarray:
+def _check_drawable(name: str, size: int, expected: float, limit: float) -> None:
+    if not expected < limit:
+        raise ValueError(f"{name}: a block of {size} replications expects {expected:.3g} "
+                         f"arrivals, past the {limit:.3g} that can be drawn")
+
+
+def _arrival_slots(name: str, inter: Distribution, grid: np.ndarray, rng,
+                   size: int) -> np.ndarray:
     """Slot i * size + r of each arrival of one stream in (grid[i-1], grid[i]] of replication r.
 
     The first interval starts at 0.  Poisson arrivals are split: the block's
     total in interval i is Poisson(size * rate * width), and each arrival
     goes to a uniform replication.  Renewal arrivals are simulated past the
     last grid point and binned; those after it are dropped before any mark
-    is drawn for them.
+    is drawn for them.  A stream whose expected arrivals per block cannot
+    be drawn raises ValueError naming its field, name.
     """
     if isinstance(inter, Exponential):
-        totals = rng.poisson(size * inter.rate * np.diff(grid, prepend=0.0))
+        means = size * inter.rate * np.diff(grid, prepend=0.0)
+        _check_drawable(name, size, float(means.max()), _POISSON_MEAN_MAX)
         return np.concatenate([rng.integers(i * size, (i + 1) * size, total)
-                               for i, total in enumerate(totals)])
+                               for i, total in enumerate(rng.poisson(means))])
     t_max = float(grid[-1])
+    _check_drawable(name, size, size * t_max / inter.mean(), _INT64_MAX)
     slots = []
     for reps, times in _running_sums(
             lambda k, n: inter.sample_n(rng, k * n).reshape(k, n),
@@ -254,12 +267,12 @@ def _arrival_slots(inter: Distribution, grid: np.ndarray, rng, size: int) -> np.
     return np.concatenate(slots)
 
 
-def _damage_paths(inter1, mag1, inter2, mag2, grid: np.ndarray, rng, size: int) -> np.ndarray:
-    """Damage totals per replication at each grid time: (len(grid), size)."""
+def _damage_paths(streams, grid: np.ndarray, rng, size: int) -> np.ndarray:
+    """Damage per replication by grid time, (len(grid), size), of (name, inter, mag) streams."""
     cells = grid.size * size
     damage = np.zeros(cells)
-    for inter, mag in ((inter1, mag1), (inter2, mag2)):
-        slots = _arrival_slots(inter, grid, rng, size)
+    for name, inter, mag in streams:
+        slots = _arrival_slots(name, inter, grid, rng, size)
         damage += np.bincount(slots, weights=mag.sample_n(rng, slots.size), minlength=cells)
     damage = damage.reshape(grid.size, size)
     for i in range(1, grid.size):
@@ -267,14 +280,13 @@ def _damage_paths(inter1, mag1, inter2, mag2, grid: np.ndarray, rng, size: int) 
     return damage
 
 
-def _simulate_damage(inter1, mag1, inter2, mag2, t_grid, cfg: SimulationConfig,
-                     tag: str) -> DamageSimulation:
+def _simulate_damage(streams, t_grid, cfg: SimulationConfig, tag: str) -> DamageSimulation:
     grid = _check_grid(t_grid)
     if not grid.size:
         raise ValueError("t_grid must contain at least one point")
 
     samples = np.concatenate(_run_blocks(cfg, lambda rng, size: _damage_paths(
-        inter1, mag1, inter2, mag2, grid, rng, size)), axis=1)  # block order
+        streams, grid, rng, size)), axis=1)  # block order
     n = cfg.replications
     means = tuple(
         _mean_estimate(float(row.sum()), float((row * row).sum()), n,
@@ -293,8 +305,8 @@ def simulate_cumulative(model: CumulativeModel, t_grid,
     block, split uniformly over the replications; their marks are summed per
     interval, then accumulated along the grid.
     """
-    return _simulate_damage(Exponential(model.rate1), model.mag1,
-                            Exponential(model.rate2), model.mag2,
+    return _simulate_damage((("rate1", Exponential(model.rate1), model.mag1),
+                             ("rate2", Exponential(model.rate2), model.mag2)),
                             t_grid, cfg, tag="damage")
 
 
@@ -306,7 +318,8 @@ def simulate_general_cumulative(model: GeneralCumulativeModel, t_grid,
     interarrivals take the Poisson-splitting path, drawing exactly what
     simulate_cumulative draws.
     """
-    return _simulate_damage(model.inter1, model.mag1, model.inter2, model.mag2,
+    return _simulate_damage((("inter1", model.inter1, model.mag1),
+                             ("inter2", model.inter2, model.mag2)),
                             t_grid, cfg, tag="general_damage")
 
 

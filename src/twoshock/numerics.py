@@ -8,31 +8,23 @@ from dataclasses import dataclass
 from .errors import NonConvergedError
 
 _LOG_LIMIT = 708.0  # log t past which t nears the largest double
+_TAIL_CUT = 1e-16  # relative to the running node sum: where the rule's range ends
+_MAX_EVALS = 1_000_000  # integrand evaluations; more raise NonConvergedError
 
 
 @dataclass(frozen=True)
 class QuadraturePolicy:
     """Numerical contract for improper integrals over [0, inf).
 
-    rel_tol: relative tolerance on the integral value.
-    tail_cut: the rule's range ends, on each side, at the first node whose
-        integrand value is below tail_cut times the running sum of the
-        node values and no larger than the node before it.
-    max_evals: integrand-evaluation budget; exceeding it raises
-        NonConvergedError.
+    rel_tol: relative tolerance on the integral value.  The tail cut and the
+    evaluation budget are fixed: _TAIL_CUT and _MAX_EVALS.
     """
 
     rel_tol: float = 1e-10
-    tail_cut: float = 1e-16
-    max_evals: int = 1_000_000
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not 0.0 < self.tail_cut < 1.0:
-            raise ValueError(f"tail_cut must be in (0, 1), got {self.tail_cut}")
-        if self.max_evals < 10:
-            raise ValueError(f"max_evals too small: {self.max_evals}")
 
 
 def integrate_decaying(f, policy: QuadraturePolicy | None = None,
@@ -44,7 +36,7 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
     the survival curves of the Erlang and Weibull families, the plain
     trapezoid rule converges exponentially in the step (Trefethen & Weideman,
     SIAM Review 56 (2014) 385-458).  A scan at step 1/2 walks out from x = 0
-    on each side until g is below policy.tail_cut times the running node sum
+    on each side until g is below _TAIL_CUT times the running node sum
     and not rising, so a start past the peak of a unimodal g walks back over
     it; the step is then halved, evaluating only the new midpoints, until
     two successive estimates agree to policy.rel_tol.
@@ -58,10 +50,10 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
 
     def g(x: float) -> float:
         nonlocal evals
-        if evals >= policy.max_evals:
-            raise NonConvergedError("quadrature evaluation budget exhausted")
+        if evals >= _MAX_EVALS:
+            raise NonConvergedError(f"quadrature evaluation budget of {_MAX_EVALS} exhausted")
         if log_scale + x > _LOG_LIMIT:  # on the left t underflows to 0, and g with it
-            raise NonConvergedError("integrand never fell below tail_cut")
+            raise NonConvergedError(f"integrand never fell below the tail cut {_TAIL_CUT}")
         evals += 1
         t = math.exp(log_scale + x)
         return t * f(t)
@@ -72,7 +64,7 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
     # underflowed to 0 walks back to the mass before the right side stops.
     for step in (-h, h):
         x, previous, value = 0.0, math.inf, total
-        while value >= policy.tail_cut * total or value > previous:
+        while value >= _TAIL_CUT * total or value > previous:
             x += step
             previous, value = value, g(x)
             total += value

@@ -19,6 +19,7 @@ from twoshock.catastrophic import (
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
 from twoshock.errors import NonConvergedError
+from twoshock import numerics
 from twoshock.numerics import QuadraturePolicy
 
 RATES = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
@@ -210,8 +211,9 @@ class TestMeanFptfQuadrature:
         reference = quad_mean_of_min(model.proc1.survival, model.proc2.survival, 80.0)
         assert mean_fptf_quadrature(scaled) * factor == pytest.approx(reference, rel=1e-10)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         model = CatastrophicModel(Exponential(1.0), Exponential(1.0))
-        policy = QuadraturePolicy(rel_tol=1e-12, tail_cut=1e-16, max_evals=20)
+        monkeypatch.setattr(numerics, "_MAX_EVALS", 20)
+        policy = QuadraturePolicy(rel_tol=1e-12)
         with pytest.raises(NonConvergedError):
             mean_fptf_quadrature(model, policy)

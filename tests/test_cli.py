@@ -416,6 +416,18 @@ class TestBadParameters:
             assert (proc.returncode, proc.stderr) == (0, "")
             assert proc.stdout.splitlines()[1].split(",")[1] == value
 
+    @pytest.mark.parametrize("obj, start", [
+        (dict(CUMULATIVE, rate1=1e300), "rate1: a block of 100 replications"),
+        (dict(GENERAL, inter1={"type": "erlang", "shape": 2, "rate": 1e300}),
+         "inter1: a block of 100 replications"),
+        # 1e17 arrivals pass numpy's Poisson limit, but their slots need 711 PiB.
+        (dict(CUMULATIVE, rate1=1e15), "out of memory"),
+    ])
+    def test_undrawable_arrival_counts_exit_one(self, model_file, obj, start):
+        proc = run_twoshock(["simulate", "--points", "1", "--x", "1", "--reps", "100",
+                             "--seed", "1", "--model", model_file(obj)])
+        assert_one_error_line(proc, start)
+
     def test_string_policy_field_exits_one(self, model_file, capsys):
         path = model_file(dict(CUMULATIVE, tail_epsilon="1e-8"))
         assert main(["fptf-model2", "--points", "1", "--model", path]) == 1

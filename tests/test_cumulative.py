@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import compound_poisson_exponential_reference, equal_exponential_marks_failure_law
+from twoshock import cumulative
 from twoshock.cumulative import (
     CumulativeModel,
     GeneralCumulativeModel,
     TruncationPolicy,
     _compound_poisson_pmf,
-    _fast_rate,
-    _phase_pmfs,
+    _phases,
     _random_sum_pmf,
     _mark_params,
     _renewal_counts,
@@ -34,7 +34,6 @@ from twoshock.cumulative import (
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
 from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
-from twoshock.gamma_convolution import _erlang_cdf_terms
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
 MIXED = CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Erlang(1, 1.0), threshold=5.0)
@@ -74,10 +73,10 @@ class TestDamageCdf:
             assert abs(loose - tight) < 1e-6
             assert abs(tight - tighter) < 1e-10
 
-    def test_term_cap_raises(self):
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(cumulative, "_MAX_TERMS", 3)
         with pytest.raises(NonConvergedError):
-            damage_cdf(SYMMETRIC, 5.0, 1.0, TruncationPolicy(tail_epsilon=1e-10,
-                                                             max_terms_per_axis=3))
+            damage_cdf(SYMMETRIC, 5.0, 1.0, TruncationPolicy(tail_epsilon=1e-10))
 
     def test_poisson_mean_past_exp_underflow(self):
         # exp(-800) underflows; the value is still well defined.
@@ -204,9 +203,10 @@ class TestModel2Fptf:
                                 threshold=800.0)
         assert model2_fptf_mean(model) == pytest.approx(400.5, rel=1e-9)
 
-    def test_mean_raises_when_term_budget_exhausted(self):
+    def test_mean_raises_when_term_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(cumulative, "_MAX_TERMS", 3)
         with pytest.raises(NonConvergedError):
-            model2_fptf_mean(SYMMETRIC, TruncationPolicy(max_terms_per_axis=3))
+            model2_fptf_mean(SYMMETRIC)
 
 
 # The three models of the bench's damage_curves workload, with their grid ends;
@@ -363,8 +363,7 @@ class TestGeneralEvaluators:
                 out += weight * power
             return out
 
-        cdfs, _ = _erlang_cdf_terms(_fast_rate(model.mag1, model.mag2) * x, 5e-11, 10_000)
-        marks = _phase_pmfs(model.mag1, model.mag2, len(cdfs))
+        _, cdfs, _, *marks = _phases(model, x, 5e-11)
         for inter, mark in zip((model.inter1, model.inter2), marks):
             shape, rate = _mark_params(inter, "inter")
             counts = _renewal_counts(shape, rate * t, 2.5e-11, 10_000)
@@ -403,14 +402,14 @@ class TestGeneralEvaluators:
         assert general_damage_cdf(g, 50.0, 0.0) == pytest.approx(
             (51.0 * math.exp(-50.0)) ** 2, rel=1e-12, abs=0.0)
 
-    def test_renewal_count_cap_raises(self):
+    def test_renewal_count_cap_raises(self, monkeypatch):
         g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
                                    Exponential(1.0), Exponential(1.0), threshold=2.0)
-        policy = TruncationPolicy(max_terms_per_axis=3)
+        monkeypatch.setattr(cumulative, "_MAX_TERMS", 3)
         with pytest.raises(NonConvergedError, match="phase series"):
-            general_damage_cdf(g, 4.0, 1.0, policy)
+            general_damage_cdf(g, 4.0, 1.0)
         with pytest.raises(NonConvergedError, match="renewal"):
-            general_damage_mean(g, 4.0, policy)
+            general_damage_mean(g, 4.0)
 
     def test_counts_past_cap_rejected_before_poisson_arrays(self):
         # At rate * t >= shape * cap, P(N(t) >= cap) > 1e-3 for certain; the
@@ -476,8 +475,6 @@ class TestValidation:
             TruncationPolicy(tail_epsilon=1e-2)
         with pytest.raises(ValueError):
             TruncationPolicy(tail_epsilon=0.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_terms_per_axis=0)
 
 
 class TestOverflowingPoissonMean:

@@ -150,6 +150,21 @@ class TestPdf:
         assert Erlang(shape, 1.0).pdf(float(x)) == pytest.approx(
             float(reference), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("shape, x", [(2, 1e-300), (3, 1e-100), (50, 1.0), (50, 40.0),
+                                          (7, 699.0), (1000, 650.0), (1000, 990.0)])
+    def test_erlang_matches_decimal_inside_series_range(self, shape, x):
+        # One log-space form at every x; the reference is x^k e^-x / k! at 50 digits.
+        k = shape - 1
+        with localcontext() as context:
+            context.prec = 50
+            reference = Decimal(x) ** k * (-Decimal(x)).exp() / math.factorial(k)
+        assert Erlang(shape, 1.0).pdf(x) == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
+    def test_erlang_at_underflowing_rate_times_t(self):
+        # 1e-10 * 1e-320 is 0: the density takes its value at the origin.
+        assert Erlang(1, 1e-10).pdf(1e-320) == 1e-10
+        assert Erlang(2, 1e-10).pdf(1e-320) == 0.0
+
     def test_erlang_at_overflowing_rate_times_t(self):
         # 1e300 * 1e10 is inf, the limit of ever larger x: the density is 0.
         assert Erlang(2, 1e300).pdf(1e10) == Erlang(2, 1e300).pdf(1.0) == 0.0

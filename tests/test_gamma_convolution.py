@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
 from _oracles import trapezoid_convolution_cdf
 from twoshock.distributions import Erlang, erlang_survival
@@ -178,6 +179,22 @@ class TestConvolutionCdf:
             p_hat = np.searchsorted(draws, x, side="right") / n
             p = convolution_cdf(ErlangProduct(a, ra, b, rb), x)
             assert abs(p_hat - p) <= 3.5 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_shapes_past_1e5_match_swapped_factors_and_quadrature(self):
+        # The faster factor is a shift of the slower pmf, so a series about
+        # 2.3e5 phases long is one dot product.  The reference integrates
+        # f_A(y) F_B(x - y) over A's bulk with scipy's gamma functions; at
+        # 30 digits the value is 0.50029076193725014, 1.8e-11 from it.
+        a, ra, b, rb = 100_000, 1.0, 120_000, 1.3
+        x = a / ra + b / rb
+        value = convolution_cdf(ErlangProduct(a, ra, b, rb), x)
+        assert convolution_cdf(ErlangProduct(b, rb, a, ra), x) == value
+        spread = 12.0 * math.sqrt(a) / ra
+        reference, _ = integrate.quad(
+            lambda y: stats.gamma.pdf(y, a, scale=1 / ra) * special.gammainc(b, rb * (x - y)),
+            a / ra - spread, a / ra + spread, epsabs=1e-12, epsrel=0.0, limit=200)
+        assert 0.4 < value < 0.6
+        assert value == pytest.approx(reference, abs=1e-10)
 
     def test_large_shapes_stay_accurate(self):
         # Deep lattice cells route through the high-precision evaluator;

@@ -174,8 +174,8 @@ class TestDamageSimulation:
     @pytest.mark.parametrize("inter", [Exponential(1.0), Weibull(1.0, 1.0)])
     def test_path_shape(self, inter):
         grid = np.array([0.0, 0.5, 1.0, 3.0])
-        paths = montecarlo._damage_paths(inter, Exponential(1.0), inter, Erlang(2, 1.0),
-                                         grid, np.random.default_rng(5), 1000)
+        streams = (("inter1", inter, Exponential(1.0)), ("inter2", inter, Erlang(2, 1.0)))
+        paths = montecarlo._damage_paths(streams, grid, np.random.default_rng(5), 1000)
         assert paths.shape == (4, 1000)
         assert not paths[0].any()
         assert np.all(np.diff(paths, axis=0) >= 0.0)

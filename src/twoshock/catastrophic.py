@@ -5,7 +5,9 @@ so the survival probability factorizes into the product of the two marginal
 survival functions.  The mean failure time has one closed form for every pair
 of Erlang (or exponential) processes and one for Weibull pairs with a common
 shape; every other pair, which includes a Weibull, integrates the survival
-curve by the trapezoid rule in log time.
+curve by the double-exponential rule, the trapezoid rule under
+t = s exp(x - e^-x) (Takahashi & Mori 1974), centred at the smaller
+marginal mean s.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def mean_fptf(model: CatastrophicModel,
 
     Closed forms cover every Erlang/exponential pair and Weibull pairs with
     a common shape; all remaining pairs integrate the survival curve by the
-    trapezoid rule in log time (numerics.integrate_decaying).
+    double-exponential rule t = s exp(x - e^-x) of Takahashi & Mori
+    (numerics.integrate_decaying), with s the smaller marginal mean.
     """
     e1, e2 = _as_erlang(model.proc1), _as_erlang(model.proc2)
     if e1 is not None and e2 is not None:

@@ -211,6 +211,33 @@ class TestMeanFptfQuadrature:
         reference = quad_mean_of_min(model.proc1.survival, model.proc2.survival, 80.0)
         assert mean_fptf_quadrature(scaled) * factor == pytest.approx(reference, rel=1e-10)
 
+    @pytest.mark.parametrize("y", [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 100.0])
+    def test_exponential_weibull2_against_erfcx(self, y):
+        # The integral of exp(-2 y t - t^2) over [0, inf) is (sqrt(pi) / 2) erfcx(y).
+        model = CatastrophicModel(Exponential(2.0 * y), Weibull(2.0, 1.0))
+        exact = 0.5 * math.sqrt(math.pi) * float(special.erfcx(y))
+        assert mean_fptf(model) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 2.5, 7.0, 20.0])
+    @pytest.mark.parametrize("base", [1.0, 1e-100, 1e100])
+    @pytest.mark.parametrize("ratio", [1.0, 2.5, 0.3])
+    def test_common_shape_weibull_against_closed_form(self, shape, base, ratio):
+        model = CatastrophicModel(Weibull(shape, base), Weibull(shape, ratio * base))
+        assert mean_fptf_quadrature(model) == pytest.approx(mean_fptf(model), rel=1e-12, abs=0.0)
+
+    def test_erlang_weibull_mean_takes_few_survival_evaluations(self, monkeypatch):
+        calls = [0]
+        survival = Weibull.survival
+
+        def counted(self, t):
+            calls[0] += 1
+            return survival(self, t)
+
+        monkeypatch.setattr(Weibull, "survival", counted)
+        value = mean_fptf(CatastrophicModel(Erlang(2, 0.5), Weibull(0.6, 0.5)))
+        assert value == pytest.approx(0.6174270521238168, rel=1e-12, abs=0.0)
+        assert calls[0] <= 100
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         model = CatastrophicModel(Exponential(1.0), Exponential(1.0))
         monkeypatch.setattr(numerics, "_MAX_EVALS", 20)

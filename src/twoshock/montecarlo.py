@@ -254,13 +254,10 @@ def _arrival_slots(name: str, inter: Distribution, grid: np.ndarray, rng,
                                for i, total in enumerate(rng.poisson(means))])
     t_max = float(grid[-1])
     _check_drawable(name, size, size * t_max / inter.mean(), _INT64_MAX)
-    # Four standard deviations of a Poisson count past the mean count, so
-    # that few replications need a second chunk.
-    steps = int(t_max / inter.mean()) + 1
     slots = []
     for reps, times in _running_sums(
             lambda k, n: inter.sample_n(rng, k * n).reshape(k, n),
-            size, steps + int(4.0 * math.sqrt(steps)) + 4, t_max):
+            size, max(4, int(t_max / inter.mean()) + 1), t_max):
         inside = times <= t_max
         # An arrival at time s belongs to the first grid point >= s.
         bins = np.searchsorted(grid, times[inside], side="left")

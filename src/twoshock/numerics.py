@@ -42,13 +42,10 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
     line.  Where f decays exponentially, as the survival curves of the
     Erlang and Weibull families do, g decays doubly exponentially at both
     ends, and the plain trapezoid rule converges exponentially in the step
-    (Trefethen & Weideman, SIAM Review 56 (2014) 385-458).  The log-time
-    map t = initial_scale * e^x leaves g decaying only like e^x on the left
-    and takes about five times the evaluations on the catastrophic means.
-    This map costs more when the scale lies far to the right of the mass,
-    where the left side's nodes spread doubly exponentially: exp(-t^2)
-    takes 1,281 evaluations at scale 1e12 (1,033 in log time), and at scale
-    1e300 the scan steps over the mass to t = 0.
+    (Trefethen & Weideman, SIAM Review 56 (2014) 385-458).  The rule costs
+    more when initial_scale lies far to the right of the mass, where the
+    left side's nodes spread doubly exponentially, and at extreme scales
+    such as 1e300 the left scan can step over the mass to t = 0.
 
     A scan at step 1/2 walks out from x = 0 on each side until g is below
     _TAIL_CUT times the running node sum and not rising, so a start past
@@ -66,7 +63,8 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
     log_scale = math.log(initial_scale)
     evals = 0
 
-    def g(x: float) -> float:
+    def node(x: float) -> tuple[float, float]:
+        """t and g at x; g is 0 where t underflows, and f is never called at 0."""
         nonlocal evals
         if evals >= _MAX_EVALS:
             raise NonConvergedError(f"quadrature evaluation budget of {_MAX_EVALS} exhausted")
@@ -75,16 +73,16 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
         if log_t > _LOG_LIMIT:
             raise NonConvergedError(f"integrand never fell below the tail cut {_TAIL_CUT}")
         t = math.exp(log_t)
-        if t == 0.0:  # underflowed: f is never called at 0
-            return 0.0
+        if t == 0.0:
+            return t, 0.0
         evals += 1
         try:
             value = f(t)
         except OverflowError as err:
             raise NonConvergedError(f"integrand overflowed at t = {t!r}") from err
-        return t * (1.0 + u) * value
+        return t, t * (1.0 + u) * value
 
-    h, total = 0.5, g(0.0)
+    h, total = 0.5, node(0.0)[1]
     ends = []
     # Left side first: a start where g has underflowed to 0 walks back to
     # the mass before the right side stops.
@@ -92,21 +90,22 @@ def integrate_decaying(f, policy: QuadraturePolicy | None = None,
         x, previous, value = 0.0, math.inf, total
         while value >= _TAIL_CUT * total or value > previous:
             x += step
-            if step < 0 and math.exp(log_scale + x - math.exp(-x)) == 0.0:
+            t, g = node(x)
+            if t == 0.0:  # the left end: t rises with x, so never on the right
                 if value > previous:
                     raise NonConvergedError(
                         "integrand still rising at the left end, where t underflows "
                         "to 0: t f(t) does not vanish there, or initial_scale lies "
                         "far to the right of the mass")
                 break
-            previous, value = value, g(x)
+            previous, value = value, g
             total += value
         ends.append(x)
     low, high = ends
 
     estimate, refined = math.inf, h * total
     while abs(refined - estimate) > policy.rel_tol * refined:
-        total += sum(g(low + (k + 0.5) * h) for k in range(round((high - low) / h)))
+        total += sum(node(low + (k + 0.5) * h)[1] for k in range(round((high - low) / h)))
         h *= 0.5
         estimate, refined = refined, h * total
     return refined

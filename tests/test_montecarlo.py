@@ -273,25 +273,9 @@ class TestGeneralSimulation:
             est = sim.ecdf(i, 1.0)
             assert abs(est.mean - damage_cdf(DAMAGE, t, 1.0)) <= 3.5 * est.std_error
 
-    def test_renewal_draws_stay_near_kept_arrivals(self, monkeypatch):
-        # About 200 Erlang(2, 1) arrivals per replication by t = 400: the first
-        # chunk runs four standard deviations past them, so a second is rare.
-        drawn = [0]
-        sample_n = Erlang.sample_n
-
-        def counted(self, rng, n):
-            drawn[0] += n
-            return sample_n(self, rng, n)
-
-        monkeypatch.setattr(Erlang, "sample_n", counted)
-        grid = np.array([1.0, 10.0, 100.0, 400.0])
-        slots = montecarlo._arrival_slots("inter1", Erlang(2, 1.0), grid,
-                                          np.random.default_rng(3), 4096)
-        assert drawn[0] <= 1.35 * slots.size
-
     def test_renewal_counts_past_the_first_chunk(self):
-        # Weibull(0.3, 1) counts spread widely: about 4% of the replications
-        # reach a ninth arrival by t = 4 and draw a second chunk.
+        # Weibull(0.3, 1) counts spread widely: about a fifth of the
+        # replications reach a fifth arrival by t = 4 and draw a second chunk.
         inter, n = Weibull(0.3, 1.0), 50_000
         grid = np.array([1.0, 4.0])
         rng = np.random.default_rng(11)
@@ -301,7 +285,7 @@ class TestGeneralSimulation:
         assert times[-1].min() > grid[-1]
         for i, t in enumerate(grid):
             reference = np.count_nonzero(times <= t, axis=0)
-            for a, b in ((counts[i], reference), (counts[i] >= 9, reference >= 9)):
+            for a, b in ((counts[i], reference), (counts[i] >= 5, reference >= 5)):
                 se = math.sqrt((a.var() + b.var()) / n)
                 assert abs(a.mean() - b.mean()) <= 3.5 * se
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _LOG_MAX, Distribution, Erlang, Exponential, Weibull
+from .distributions import _LOG_MAX, Distribution, Erlang, Weibull
 from .gamma_convolution import _phase_pmf
 from .numerics import QuadraturePolicy, integrate_decaying
 
@@ -70,14 +70,6 @@ def mean_fptf_quadrature(model: CatastrophicModel,
                               policy, initial_scale=scale)
 
 
-def _as_erlang(dist: Distribution) -> Erlang | None:
-    if isinstance(dist, Erlang):
-        return dist
-    if isinstance(dist, Exponential):
-        return Erlang(shape=1, rate=dist.rate)
-    return None
-
-
 def _erlang_pair_mean(first: Erlang, second: Erlang) -> float:
     """E[min] = E[M] / L, L = rate1 + rate2, from negative-binomial pmf terms.
 
@@ -105,9 +97,8 @@ def mean_fptf(model: CatastrophicModel,
     double-exponential rule t = s exp(x - e^-x) of Takahashi & Mori
     (numerics.integrate_decaying), with s the smaller marginal mean.
     """
-    e1, e2 = _as_erlang(model.proc1), _as_erlang(model.proc2)
-    if e1 is not None and e2 is not None:
-        return _erlang_pair_mean(e1, e2)
+    if isinstance(model.proc1, Erlang) and isinstance(model.proc2, Erlang):
+        return _erlang_pair_mean(model.proc1, model.proc2)
 
     if isinstance(model.proc1, Weibull) and isinstance(model.proc2, Weibull):
         if model.proc1.shape == model.proc2.shape:

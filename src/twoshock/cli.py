@@ -235,11 +235,16 @@ def _compare_analytic(mf: ModelFile, args, grid: list, trunc) -> list:
     return _analytic_curve(mf, "damage-cdf", grid, args.x, trunc)
 
 
-def _zscore(analytic: float, estimate: float, std_error: float) -> float:
+def _zscore(analytic: float, estimate: float, n: int) -> float:
+    """Score z of a proportion of n against p0 = analytic (Wilson 1927).
+
+    The variance is the null one, p0 (1 - p0) / n, so an ECDF of 0 or n has a
+    finite z wherever 0 < p0 < 1.
+    """
     diff = estimate - analytic
-    if std_error == 0.0:
+    if not 0.0 < analytic < 1.0:
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    return diff / std_error
+    return diff / math.sqrt(analytic * (1.0 - analytic)) * math.sqrt(n)
 
 
 def _render(rows: list, columns: tuple, fmt: str, mf: ModelFile,
@@ -281,7 +286,7 @@ def _dispatch(args) -> str:
     if args.command == "compare":
         analytic = _compare_analytic(mf, args, grid, trunc)
         estimates = _simulation_estimates(mf, args, grid)
-        rows = [(t, a, e.mean, e.std_error, _zscore(a, e.mean, e.std_error))
+        rows = [(t, a, e.mean, e.std_error, _zscore(a, e.mean, e.n))
                 for t, a, e in zip(grid, analytic, estimates)]
         return _render(rows, ("t", "analytic", "estimate", "std_error", "z"),
                        args.format, mf, trunc, quad)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_SERIES_LIMIT, Distribution, Erlang, Exponential, _check_positive,
+from .distributions import (_SERIES_LIMIT, Distribution, Erlang, _check_positive,
                             _poisson_pmf, _poisson_reach, _poisson_tail)
 from .errors import NonConvergedError, UnsupportedConvolutionError
 from .gamma_convolution import _bernstein_reach, _erlang_cdf_terms, _phase_pmf, _phase_tail
@@ -92,8 +92,6 @@ def _mark_params(dist: Distribution, name: str) -> tuple[int, float]:
     """(shape, rate) of the Erlang-family model member called name."""
     if isinstance(dist, Erlang):
         return dist.shape, dist.rate
-    if isinstance(dist, Exponential):
-        return 1, dist.rate
     raise UnsupportedConvolutionError(
         f"{name} must be Erlang or Exponential, got {type(dist).__name__}")
 
@@ -316,13 +314,13 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
 
 
 def _poisson_rows(zs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(M = j) for j < n and P(M >= j) for j <= n, M ~ Poisson(z), one row per z in zs.
+    """P(M = j) for j < n, one row per z in zs, and P(M >= n), M ~ Poisson(z).
 
     Rows with z < n, up to _SERIES_LIMIT, run the _poisson_pmf recurrence
-    side by side out to one _poisson_reach and sum their tails from the
-    top; the rest take _poisson_pmf and _poisson_tail one at a time.
+    side by side out to one _poisson_reach and sum the terms from n on; the
+    rest take _poisson_pmf and _poisson_tail one at a time.
     """
-    pmf, tails = np.empty((len(zs), n)), np.empty((len(zs), n + 1))
+    pmf, tail = np.empty((len(zs), n)), np.empty(len(zs))
     block = (zs < n) & (zs <= _SERIES_LIMIT)
     if block.any():
         z = zs[block, None]
@@ -332,11 +330,11 @@ def _poisson_rows(zs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         terms[:, 1:] = z / np.arange(1.0, reach)
         np.multiply.accumulate(terms, axis=1, out=terms)
         pmf[block] = terms[:, :n]
-        tails[block] = np.add.accumulate(terms[:, ::-1], axis=1)[:, :-n - 2:-1]
+        tail[block] = terms[:, n:].sum(axis=1)
     for i in np.flatnonzero(~block):
         pmf[i] = _poisson_pmf(zs[i], n)
-        tails[i] = _poisson_tail(zs[i], n + 1)
-    return pmf, tails
+        tail[i] = _poisson_tail(zs[i], n + 1)[n]
+    return pmf, tail
 
 
 def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPolicy | None = None
@@ -344,11 +342,13 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     """(P(T <= t), P(T > t), density of T at t) over ts, T the time the damage passes x.
 
     T is Gamma(N, L) for the crossing index N, L = rate1 + rate2, so with
-    M ~ Poisson(L t) each value is a positive sum over h(k) = P(N = k):
+    M ~ Poisson(L t) each value is a positive sum over the Poisson pmf:
 
-        P(T <= t) = sum_k h(k) P(M >= k),  P(T > t) = sum_k h(k) P(M < k),
-        f(t) = L sum_k h(k) P(M = k - 1).
+        P(T <= t) = sum_j P(M = j) P(N <= j),  P(T > t) = sum_j P(M = j) P(N > j),
+        f(t) = L sum_j P(M = j) P(N = j + 1).
 
+    N takes the values 1..k, k = len(h), with h[j] = P(N = j + 1), so P(N <= j)
+    is P(N <= k) from j = k on and one tail P(M >= k) carries those terms.
     The smaller of the two probabilities is summed and the other is 1 minus
     it, so they add to 1 and both keep their relative accuracy.  Each is
     within tail_epsilon of the exact value, and the density within L times
@@ -362,6 +362,8 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     for t in ts:
         _check_nonneg(t, "t")
     h, deficits, trim = _crossing_index(model, x, policy)
+    below = np.add.accumulate(h)  # P(N <= j + 1) at j
+    above = np.add.accumulate(h[::-1])[::-1]  # P(N > j) at j
     total = model.rate1 + model.rate2
     k = len(h)
     with np.errstate(over="ignore"):  # an infinite L t is a limit _poisson_rows takes
@@ -369,9 +371,9 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     out = np.empty((3, len(zs)))
     rows = max(1, _CURVE_BLOCK // k)
     for lo in range(0, len(zs), rows):
-        pmf, tails = _poisson_rows(zs[lo:lo + rows], k)
+        pmf, tail = _poisson_rows(zs[lo:lo + rows], k)
         if deficits is not None:  # counts from k on may all be past the cap
-            bounds = pmf @ deficits + tails[:, k] + trim
+            bounds = pmf @ deficits + tail + trim
             short = np.flatnonzero(~(bounds < policy.tail_epsilon))
             if short.size:
                 j = short[0]
@@ -379,8 +381,8 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
                     f"phase series needs more than {_MAX_TERMS} terms at level x = {x}, "
                     f"and the phase-count mass it leaves out at t = {ts[lo + j]} "
                     f"reaches {float(bounds[j])!r}")
-        failed = tails[:, 1:] @ h
-        alive = np.add.accumulate(pmf, axis=1) @ h
+        failed = pmf[:, 1:] @ below[:-1] + tail * below[-1]
+        alive = pmf @ above
         first = failed <= alive
         out[0, lo:lo + rows] = np.where(first, failed, 1.0 - alive)
         out[1, lo:lo + rows] = np.where(first, 1.0 - failed, alive)

@@ -4,12 +4,13 @@ Each family exposes the CDF, survival function, density, mean, and
 inverse-CDF sampling from an injected uniform stream (a numpy Generator).
 Evaluation methods are pure; sampling touches only the stream passed in.
 
-Draw layout: an exponential or Weibull draw of n values consumes n uniforms
-u, transformed in place through log1p(-u).  An Erlang(shape) draw of n values
-consumes shape * n uniforms stage-major, as a (shape, n) block whose row i is
-stage i of every draw, each stage an exponential by inverse CDF; the rows
-are summed.  So Erlang(1, r) draws exactly what Exponential(r) draws, and so
-does Weibull(1, 1/r) when 1/r is a power of two.
+An exponential is the Erlang of shape 1, and Exponential an Erlang subclass.
+
+Draw layout: a Weibull draw of n values consumes n uniforms u, transformed in
+place through log1p(-u).  An Erlang(shape) draw of n values consumes shape * n
+uniforms stage-major, one stage of n at a time, each stage an exponential by
+inverse CDF added into one n-long buffer.  So Weibull(1, 1/r) draws exactly
+what Exponential(r) draws when 1/r is a power of two.
 """
 
 from __future__ import annotations
@@ -239,12 +240,12 @@ class Distribution(ABC):
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n inverse-CDF draws from the given uniform stream, as a new float64 array.
 
-        Exponential and Weibull draws take n uniforms, one per draw.  An
+        Weibull and exponential draws take n uniforms, one per draw.  An
         Erlang(shape) draw of n values takes shape * n uniforms, stage-major:
         the first n are stage 1 of every draw, the next n stage 2, and so
-        on; each stage is an exponential by inverse CDF, and the stages are
-        summed.  The array is computed in place in one buffer, which the
-        caller owns and may overwrite.
+        on; each stage of n uniforms is drawn in turn, made an exponential by
+        inverse CDF and added into one buffer, which the caller owns and may
+        overwrite.
         """
 
     def cdf(self, t: float) -> float:
@@ -253,36 +254,6 @@ class Distribution(ABC):
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.sample_n(rng, 1)[0])
-
-
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential with rate parameter (mean 1/rate)."""
-
-    rate: float
-
-    def __post_init__(self):
-        _check_positive(self.rate, "rate")
-
-    def survival(self, t: float) -> float:
-        _check_time(t)
-        return math.exp(-self.rate * t)
-
-    def cdf(self, t: float) -> float:
-        _check_time(t)
-        return -math.expm1(-self.rate * t)
-
-    def pdf(self, t: float) -> float:
-        _check_time(t)
-        return self.rate * math.exp(-self.rate * t)
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = _log_complement(rng.random(n))
-        draws /= -self.rate
-        return draws
 
 
 @dataclass(frozen=True)
@@ -317,9 +288,24 @@ class Erlang(Distribution):
         return self.shape / self.rate
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = _log_complement(rng.random((self.shape, n))).sum(axis=0)
+        draws = _log_complement(rng.random(n))
+        for _ in range(1, self.shape):
+            draws += _log_complement(rng.random(n))
         draws /= -self.rate
         return draws
+
+
+@dataclass(frozen=True)
+class Exponential(Erlang):
+    """Exponential with rate parameter (mean 1/rate): the Erlang of shape 1."""
+
+    shape: int = dataclasses.field(default=1, init=False, repr=False)
+    rate: float
+
+    def survival(self, t: float) -> float:
+        # The catastrophic curve's hot path: exp(-rate t) without erlang_survival's call.
+        _check_time(t)
+        return math.exp(-self.rate * t)
 
 
 @dataclass(frozen=True)
@@ -422,14 +408,15 @@ def distribution_from_dict(obj) -> Distribution:
     family = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise ValueError(f"unknown distribution type: {kind!r}")
-    names = [field.name for field in dataclasses.fields(family)]
+    names = [f.name for f in dataclasses.fields(family) if f.init]  # not an exponential's shape
     _require_keys(obj, {"type", *names}, f"{kind} distribution")
     return family(**{name: obj[name] for name in names})
 
 
 def distribution_to_dict(dist: Distribution) -> dict:
     """Inverse of distribution_from_dict."""
-    for kind, family in _FAMILIES.items():
+    for kind, family in _FAMILIES.items():  # exponential first: it is an Erlang too
         if isinstance(dist, family):
-            return {"type": kind, **dataclasses.asdict(dist)}
+            return {"type": kind, **{f.name: getattr(dist, f.name)
+                                     for f in dataclasses.fields(dist) if f.init}}
     raise ValueError(f"not a known distribution: {dist!r}")

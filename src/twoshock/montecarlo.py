@@ -107,11 +107,8 @@ class DamageSimulation:
 
     def ecdf(self, grid_index: int, x: float) -> SimulationEstimate:
         """Exact fraction of damage draws at grid point grid_index that are <= x."""
-        samples = self._samples[grid_index]
-        count = int(np.searchsorted(samples, x, side="right"))
-        return _proportion_estimate(
-            count, len(samples),
-            f"damage_ecdf@t={self.grid[grid_index]!r},x={float(x)!r}")
+        return _ecdf_estimate(self._samples[grid_index], x, "x",
+                              f"damage_ecdf@t={self.grid[grid_index]!r},x={float(x)!r}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,18 @@ class FptfSimulation:
     _times: np.ndarray  # sorted crossing times
 
     def ecdf(self, t: float) -> SimulationEstimate:
-        count = int(np.searchsorted(self._times, t, side="right"))
-        return _proportion_estimate(count, len(self._times), f"fptf_ecdf@t={float(t)!r}")
+        return _ecdf_estimate(self._times, t, "t", f"fptf_ecdf@t={float(t)!r}")
+
+
+def _ecdf_estimate(draws: np.ndarray, value: float, name: str, tag: str) -> SimulationEstimate:
+    """Fraction of the sorted draws at or below value.
+
+    A nan value raises ValueError: searchsorted would put it past every draw.
+    """
+    if math.isnan(value):
+        raise ValueError(f"ECDF argument {name} must be a number, got nan")
+    count = int(np.searchsorted(draws, value, side="right"))
+    return _proportion_estimate(count, len(draws), tag)
 
 
 def _proportion_estimate(count: int, n: int, tag: str) -> SimulationEstimate:

@@ -23,6 +23,7 @@ ERLANG_EXP = {
     "proc1": {"type": "erlang", "shape": 2, "rate": 1.0},
     "proc2": {"type": "exponential", "rate": 1.0},
 }
+ERLANG_EXP2 = dict(ERLANG_EXP, proc2={"type": "exponential", "rate": 2.0})
 CUMULATIVE = {
     "kind": "cumulative",
     "rate1": 1.0,
@@ -277,6 +278,18 @@ class TestSimulationCommands:
         lines = capsys.readouterr().out.splitlines()
         assert all(abs(float(line.split(",")[4])) <= 4.5 for line in lines[1:])
 
+    @pytest.mark.parametrize("obj, t", [(CUMULATIVE, "1e-6"), (ERLANG_EXP2, "8")])
+    def test_compare_z_finite_where_ecdf_is_empty(self, model_file, capsys, obj, t):
+        # No replication fails by t, so the estimate and its std_error are 0;
+        # the score z uses the null variance and stays finite.
+        rc = main(["compare", "--model", model_file(obj), "--points", t,
+                   "--reps", "16384", "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        _, analytic, estimate, std_error, z = map(float, row.split(","))
+        assert 0.0 < analytic < 1e-6 and estimate == std_error == 0.0
+        assert -1.0 < z < 0.0
+
     def test_general_requires_x(self, model_file, capsys):
         rc = main(["simulate", "--model", model_file(GENERAL),
                    "--points", "1", "--reps", "1000", "--seed", "3"])
@@ -427,6 +440,11 @@ class TestBadParameters:
         proc = run_twoshock(["simulate", "--points", "1", "--x", "1", "--reps", "100",
                              "--seed", "1", "--model", model_file(obj)])
         assert_one_error_line(proc, start)
+
+    def test_nan_level_exits_one(self, model_file):
+        proc = run_twoshock(["simulate", "--points", "1", "--x", "nan", "--reps", "100",
+                             "--seed", "1", "--model", model_file(CUMULATIVE)])
+        assert_one_error_line(proc, "ECDF argument x must be a number")
 
     def test_string_policy_field_exits_one(self, model_file, capsys):
         path = model_file(dict(CUMULATIVE, tail_epsilon="1e-8"))

@@ -1,6 +1,7 @@
 """Distribution kernel tests: frozen values, quadrature oracles, sampling laws."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -253,6 +254,12 @@ class TestErlangExponentialIdentity:
         draws_exp = Exponential(1.7).sample_n(rng_for(11), 1000)
         assert np.array_equal(draws_erlang, draws_exp)
 
+    def test_exponential_is_the_shape_one_erlang(self):
+        ex = Exponential(1.7)
+        assert isinstance(ex, Erlang) and ex.shape == 1
+        assert ex != Erlang(1, 1.7)  # equal values, distinct families
+        assert repr(ex) == "Exponential(rate=1.7)"
+
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
@@ -277,6 +284,20 @@ class TestSampling:
         assert draws.shape == (n,)
         assert draws.flags.owndata
         assert draws.flags.writeable
+
+    def test_erlang_draws_one_stage_at_a_time(self):
+        # Stage-major uniforms, added stage by stage: the bits of one (shape, n)
+        # block summed over its rows, in the memory of two n-long arrays.
+        n = 100_000
+        tracemalloc.start()
+        try:
+            draws = Erlang(50, 20.0).sample_n(rng_for(23), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+        expected = -np.log1p(-rng_for(23).random((50, n))).sum(axis=0) / 20.0
+        assert np.array_equal(draws, expected)
 
     def test_law_of_large_numbers(self):
         draws = Exponential(1.0).sample_n(rng_for(99), 1_000_000)
@@ -369,6 +390,11 @@ class TestJsonCodec:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             distribution_from_dict({"type": "exponential", "rate": 1.0, "mean": 1.0})
+
+    def test_exponential_encodes_without_its_shape(self):
+        assert distribution_to_dict(Exponential(1.7)) == {"type": "exponential", "rate": 1.7}
+        with pytest.raises(ValueError, match="unknown fields"):
+            distribution_from_dict({"type": "exponential", "rate": 1, "shape": 1})
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError, match="missing"):

@@ -330,6 +330,15 @@ class TestEstimateContract:
         assert damage.means[0].quantity_tag == "damage_mean@t=0.5"
         assert damage.ecdf(0, np.float64(2.0)).quantity_tag == "damage_ecdf@t=0.5,x=2.0"
 
+    def test_ecdf_of_nan_raises(self):
+        # searchsorted would put nan past every draw and report an ECDF of 1.
+        damage = simulate_cumulative(DAMAGE, [0.5], config(n=100))
+        with pytest.raises(ValueError, match="x must be a number, got nan"):
+            damage.ecdf(0, math.nan)
+        crossing = simulate_fptf_cumulative(DAMAGE, config(n=100))
+        with pytest.raises(ValueError, match="t must be a number, got nan"):
+            crossing.ecdf(math.nan)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_catastrophic(EXP_PAIR, config(n=100), [1.0, 1.0])

@@ -230,9 +230,11 @@ def _simulation_estimates(mf: ModelFile, args, grid: list):
 def _compare_analytic(mf: ModelFile, args, grid: list, trunc) -> list:
     if mf.kind == "catastrophic":
         return _analytic_curve(mf, "survival", grid, None, trunc)
-    if mf.kind == "cumulative" and args.x is None:
+    if args.x is not None:
+        return _analytic_curve(mf, "damage-cdf", grid, args.x, trunc)
+    if mf.kind == "cumulative":
         return _analytic_curve(mf, "fptf-model2", grid, None, trunc)
-    return _analytic_curve(mf, "damage-cdf", grid, args.x, trunc)
+    raise ValueError("compare on a general_cumulative model requires --x, the damage level")
 
 
 def _zscore(analytic: float, estimate: float, n: int) -> float:

@@ -24,9 +24,11 @@ and every curve value is a sum over h(k) = P(N = k) of positive Poisson
 terms.  model2_fptf_curve builds h once per model, from positive sums and
 one convolution per shock, and stops at the first k with P(N > k) below
 tail_epsilon / 4; together with its phase cut and the trim of the jump pmf
-every value is within tail_epsilon (_crossing_index).  The scalar damage_cdf
-and model2_fptf_cdf keep the phase series: at a large threshold a single
-point costs less than the whole sequence.
+every value is within tail_epsilon (_crossing_index).  Each time reads its
+own Poisson(L t) terms from _poisson_pmf, so a value depends only on the
+model, the level and its t.  The scalar damage_cdf and model2_fptf_cdf keep
+the phase series: at a large threshold a single point costs less than the
+whole sequence.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_SERIES_LIMIT, Distribution, Erlang, _check_positive,
-                            _poisson_pmf, _poisson_reach, _poisson_tail)
+from .distributions import (Distribution, Erlang, _check_positive, _poisson_pmf,
+                            _poisson_reach, _poisson_tail)
 from .errors import NonConvergedError, UnsupportedConvolutionError
 from .gamma_convolution import _bernstein_reach, _erlang_cdf_terms, _phase_pmf, _phase_tail
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
@@ -62,8 +64,6 @@ __all__ = [
 # back up.
 _PANJER_MAX_MEAN = 500.0
 
-# Poisson terms per block of times in the failure-time curve: bounds its arrays.
-_CURVE_BLOCK = 1 << 16
 # Most phases, Poisson counts or renewal counts any series takes on one axis.
 _MAX_TERMS = 10_000
 
@@ -201,23 +201,26 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
     return g
 
 
+def _check_cut(mass: float, terms: int, policy: TruncationPolicy, z: float) -> None:
+    """NonConvergedError unless the phase-count mass below the cap (or a bound above it) suffices.
+
+    Each term of the exact series is a phase probability times a CDF, so a
+    series cut at the cap falls short by at most the mass left out; the mass
+    must clear 1 - tail_epsilon by one double epsilon of rounding per term.
+    """
+    mass -= terms * sys.float_info.epsilon
+    if mass < 1.0 - policy.tail_epsilon:
+        raise NonConvergedError(
+            f"phase series needs more than {_MAX_TERMS} terms "
+            f"at rate * x = {z}, and the phase-count mass below the cap, "
+            f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
+
+
 def _phase_series(g: np.ndarray, cdfs: np.ndarray, converged: bool,
                   policy: TruncationPolicy, z: float) -> float:
-    """sum_s g(s) cdfs(s) clamped to [0, 1], or NonConvergedError for a bad cut.
-
-    A series cut at the cap (not converged) is allowed when the phase-count
-    pmf g, as computed below the cap, has mass at least 1 - tail_epsilon:
-    every term of the exact series is g(s) times a CDF, so it falls short of
-    the exact value by at most the mass g misses.  The mass must clear that
-    bound by a rounding allowance of one double epsilon per term.
-    """
+    """sum_s g(s) cdfs(s) clamped to [0, 1]; a series cut at the cap passes _check_cut first."""
     if not converged:
-        mass = math.fsum(g) - len(g) * sys.float_info.epsilon
-        if mass < 1.0 - policy.tail_epsilon:
-            raise NonConvergedError(
-                f"phase series needs more than {_MAX_TERMS} terms "
-                f"at rate * x = {z}, and the phase-count mass below the cap, "
-                f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
+        _check_cut(math.fsum(g), len(g), policy, z)
     value = float(g @ cdfs)
     return min(1.0, max(0.0, value))
 
@@ -313,30 +316,6 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
     return np.array(h), 1.0 - np.array(masses) + n * sys.float_info.epsilon, trim
 
 
-def _poisson_rows(zs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(M = j) for j < n, one row per z in zs, and P(M >= n), M ~ Poisson(z).
-
-    Rows with z < n, up to _SERIES_LIMIT, run the _poisson_pmf recurrence
-    side by side out to one _poisson_reach and sum the terms from n on; the
-    rest take _poisson_pmf and _poisson_tail one at a time.
-    """
-    pmf, tail = np.empty((len(zs), n)), np.empty(len(zs))
-    block = (zs < n) & (zs <= _SERIES_LIMIT)
-    if block.any():
-        z = zs[block, None]
-        reach = _poisson_reach(float(z.max()), n + 1)
-        terms = np.empty((len(z), reach))
-        terms[:, :1] = np.exp(-z)
-        terms[:, 1:] = z / np.arange(1.0, reach)
-        np.multiply.accumulate(terms, axis=1, out=terms)
-        pmf[block] = terms[:, :n]
-        tail[block] = terms[:, n:].sum(axis=1)
-    for i in np.flatnonzero(~block):
-        pmf[i] = _poisson_pmf(zs[i], n)
-        tail[i] = _poisson_tail(zs[i], n + 1)[n]
-    return pmf, tail
-
-
 def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPolicy | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P(T <= t), P(T > t), density of T at t) over ts, T the time the damage passes x.
@@ -348,45 +327,49 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
         f(t) = L sum_j P(M = j) P(N = j + 1).
 
     N takes the values 1..k, k = len(h), with h[j] = P(N = j + 1), so P(N <= j)
-    is P(N <= k) from j = k on and one tail P(M >= k) carries those terms.
-    The smaller of the two probabilities is summed and the other is 1 minus
-    it, so they add to 1 and both keep their relative accuracy.  Each is
-    within tail_epsilon of the exact value, and the density within L times
-    that.  Past _MAX_TERMS phases, a t raises NonConvergedError
-    unless its omitted phase mass, sum_k P(M = k) (1 - mass_k), plus the
-    trim bound of _crossing_index is below tail_epsilon.  The times are
-    taken _CURVE_BLOCK Poisson terms at a time.
+    is P(N <= k) from j = k on and one tail P(M >= k) carries those terms
+    (1 minus the first k at L t >= k, where it is at least 1/2).  The smaller
+    of the two probabilities is summed and the other is 1 minus it, so they
+    add to 1 and both keep their relative accuracy.  Each is within
+    tail_epsilon of the exact value, and the density within L times that.
+    Past _MAX_TERMS phases, a t raises NonConvergedError unless its omitted
+    phase mass, sum_k P(M = k) (1 - mass_k), plus the trim bound of
+    _crossing_index is below tail_epsilon.  The times are taken one at a
+    time, so each value depends only on its own t.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(x, "x")
     for t in ts:
         _check_nonneg(t, "t")
     h, deficits, trim = _crossing_index(model, x, policy)
-    below = np.add.accumulate(h)  # P(N <= j + 1) at j
-    above = np.add.accumulate(h[::-1])[::-1]  # P(N > j) at j
-    total = model.rate1 + model.rate2
     k = len(h)
-    with np.errstate(over="ignore"):  # an infinite L t is a limit _poisson_rows takes
-        zs = total * np.asarray(ts, dtype=float)
-    out = np.empty((3, len(zs)))
-    rows = max(1, _CURVE_BLOCK // k)
-    for lo in range(0, len(zs), rows):
-        pmf, tail = _poisson_rows(zs[lo:lo + rows], k)
+    below = np.add.accumulate(h)  # P(N <= j + 1) at j
+    # P(N <= j - 1), P(N > j) and P(N = j + 1) at row j
+    sums = np.column_stack((np.append(0.0, below[:-1]), np.add.accumulate(h[::-1])[::-1], h))
+    total = model.rate1 + model.rate2
+    out = np.empty((3, len(ts)))
+    for i, t in enumerate(ts):
+        z = total * float(t)  # a float product past the range is inf: head 0, tail 1
+        if z < k:
+            terms = _poisson_pmf(z, _poisson_reach(z, k + 1))
+            head, tail = terms[:k], terms[k:].sum()
+        else:
+            head = _poisson_pmf(z, k)
+            tail = 1.0 - head.sum()
         if deficits is not None:  # counts from k on may all be past the cap
-            bounds = pmf @ deficits + tail + trim
-            short = np.flatnonzero(~(bounds < policy.tail_epsilon))
-            if short.size:
-                j = short[0]
+            bound = head @ deficits + tail + trim
+            if not bound < policy.tail_epsilon:
                 raise NonConvergedError(
                     f"phase series needs more than {_MAX_TERMS} terms at level x = {x}, "
-                    f"and the phase-count mass it leaves out at t = {ts[lo + j]} "
-                    f"reaches {float(bounds[j])!r}")
-        failed = pmf[:, 1:] @ below[:-1] + tail * below[-1]
-        alive = pmf @ above
-        first = failed <= alive
-        out[0, lo:lo + rows] = np.where(first, failed, 1.0 - alive)
-        out[1, lo:lo + rows] = np.where(first, 1.0 - failed, alive)
-        out[2, lo:lo + rows] = total * (pmf @ h)
+                    f"and the phase-count mass it leaves out at t = {t} "
+                    f"reaches {float(bound)!r}")
+        failed, alive, density = head @ sums
+        failed += tail * below[-1]
+        if failed <= alive:
+            alive = 1.0 - failed
+        else:
+            failed = 1.0 - alive
+        out[:, i] = failed, alive, total * density
     return out[0], out[1], out[2]
 
 
@@ -455,18 +438,23 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
 
     Half the bound goes to the phase series and a quarter to each stream's
     renewal counts, cut at the series length: k renewals take k phases.
-    Past _MAX_TERMS phases the series is cut as in damage_cdf: the mass
-    test there bounds the renewal cuts and the phase cut together.
+    Past _MAX_TERMS phases the series is cut as in damage_cdf, whose mass
+    test bounds the renewal cuts and the phase cut together.  It runs first
+    on the product of the two kept count masses, which bounds g's mass
+    because k marks take at least k phases.
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
     z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon / 2.0)
+    streams = (_mark_params(model.inter1, "inter1"), _mark_params(model.inter2, "inter2"))
+    counts = [_renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0, len(cdfs))
+              for shape, rate in streams]
+    if not converged:
+        _check_cut(math.fsum(counts[0]) * math.fsum(counts[1]), len(cdfs), policy, z)
     g = np.ones(1)
-    for name, inter, mark in (("inter1", model.inter1, f1), ("inter2", model.inter2, f2)):
-        shape, rate = _mark_params(inter, name)
-        counts = _renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0, len(cdfs))
-        g = np.convolve(g, _random_sum_pmf(counts, mark))[:len(cdfs)]
+    for stream, mark in zip(counts, (f1, f2)):
+        g = np.convolve(g, _random_sum_pmf(stream, mark))[:len(cdfs)]
     return _phase_series(g, cdfs, converged, policy, z)
 
 

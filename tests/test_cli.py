@@ -296,6 +296,11 @@ class TestSimulationCommands:
         assert rc == 1
         assert "--x" in capsys.readouterr().err
 
+    def test_general_compare_requires_x(self, model_file):
+        proc = run_twoshock(["compare", "--model", model_file(GENERAL), "--points", "1",
+                             "--reps", "1000", "--seed", "3"])
+        assert_one_error_line(proc, "compare on a general_cumulative model requires --x")
+
     def test_x_rejected_for_catastrophic(self, model_file, capsys):
         rc = main(["compare", "--model", model_file(CATASTROPHIC),
                    "--points", "1", "--x", "2.0", "--reps", "1000", "--seed", "3"])

@@ -265,6 +265,14 @@ class TestFailureTimeCurve:
         assert np.all(np.abs(cdf + survival - 1.0) <= 2.0 * np.finfo(float).eps)
         assert np.all(density >= 0.0)
 
+    @pytest.mark.parametrize("model", [MIXED, SYMMETRIC])
+    def test_each_value_depends_only_on_its_own_time(self, model):
+        grid = np.linspace(0.0, 40.0, 201)
+        curve = model2_fptf_curve(model, grid)
+        for i, t in enumerate(grid):
+            for column, alone in zip(curve, model2_fptf_curve(model, [t])):
+                assert column[i] == alone[0]
+
     def test_phase_cap_as_scalar_path(self):
         # mu K = 9,400 needs about 10,100 phases against a cap of 10,000.
         model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=9400.0)
@@ -426,6 +434,20 @@ class TestGeneralEvaluators:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_counts_short_of_cap_mass_raise_before_random_sums(self, monkeypatch):
+        # mu_f x = 3e4 needs more phases than the cap, and stream 2's
+        # Poisson(1e5) count lies far past it: the mass test on the counts
+        # raises before stream 1's 200-odd convolutions of its mark.
+        g = GeneralCumulativeModel(Erlang(500, 1.0), Exponential(1.0),
+                                   Exponential(1.0), Erlang(2, 3.0), threshold=1e4)
+
+        def no_random_sums(counts, mark):
+            raise AssertionError("random sum built")
+
+        monkeypatch.setattr(cumulative, "_random_sum_pmf", no_random_sums)
+        with pytest.raises(NonConvergedError, match="phase series"):
+            general_damage_cdf(g, 1e5, 1e4)
 
     def test_weibull_interarrivals_rejected_at_every_t(self):
         g = GeneralCumulativeModel(Exponential(1.0), Weibull(2.0, 1.0),

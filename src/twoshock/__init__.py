@@ -13,6 +13,7 @@ from .catastrophic import (
     fptf_cdf,
     mean_fptf,
     mean_fptf_quadrature,
+    survival_curve,
     survival_probability,
 )
 from .cumulative import (
@@ -95,5 +96,6 @@ __all__ = [
     "simulate_cumulative",
     "simulate_fptf_cumulative",
     "simulate_general_cumulative",
+    "survival_curve",
     "survival_probability",
 ]

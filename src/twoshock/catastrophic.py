@@ -24,6 +24,7 @@ from .numerics import QuadraturePolicy, integrate_decaying
 __all__ = [
     "CatastrophicModel",
     "survival_probability",
+    "survival_curve",
     "fptf_cdf",
     "mean_fptf",
     "mean_fptf_quadrature",
@@ -46,6 +47,18 @@ class CatastrophicModel:
 def survival_probability(model: CatastrophicModel, t: float) -> float:
     """P(no failure by t) = P(X1 > t) * P(Y1 > t)."""
     return model.proc1.survival(t) * model.proc2.survival(t)
+
+
+def survival_curve(model: CatastrophicModel, grid) -> np.ndarray:
+    """survival_probability at every time of the 1-D grid, bit for bit, as an array.
+
+    Each process evaluates the whole grid in one pass (survival_curve of an
+    Erlang or exponential runs its term recurrence over arrays; a Weibull
+    maps its scalar survival).  fptf_cdf has no curve form: F1 + S1 F2
+    needs the cancellation-free Erlang CDF series, which runs point by point.
+    """
+    t = np.asarray(grid, dtype=float)
+    return model.proc1.survival_curve(t) * model.proc2.survival_curve(t)
 
 
 def fptf_cdf(model: CatastrophicModel, t: float) -> float:

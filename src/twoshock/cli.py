@@ -12,6 +12,11 @@ them) evaluate the whole grid from one crossing-index sequence
 relative accuracy; general_cumulative models go point by point through
 general_damage_cdf.
 
+On catastrophic models, survival and compare evaluate the whole grid in one
+array pass per process (catastrophic.survival_curve), with values bit for
+bit those of survival_probability; fptf-cdf stays point by point, because
+F1 + S1 F2 needs the cancellation-free Erlang CDF series.
+
 main(argv) may be called repeatedly in one process.  The argument parser is
 built on the first call and reused by every later one, so the --workers
 default (the CPU count) is computed once per process.
@@ -180,7 +185,7 @@ def _analytic_curve(mf: ModelFile, command: str, grid: list, x, trunc) -> list:
     model = mf.model
     if command == "survival":
         _require_kind(mf, command, ("catastrophic",))
-        return [catastrophic.survival_probability(model, t) for t in grid]
+        return catastrophic.survival_curve(model, grid).tolist()
     if command == "fptf-cdf":
         _require_kind(mf, command, ("catastrophic",))
         return [catastrophic.fptf_cdf(model, t) for t in grid]

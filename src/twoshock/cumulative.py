@@ -147,9 +147,12 @@ def _renewal_counts(shape: int, z: float, tail: float, n: int) -> np.ndarray:
     N counts Erlang(shape, r) renewals by t, z = r t: one every shape Exp(r)
     phases.  P(N = k) sums shape positive Poisson terms, so any tail a double
     holds is met.  Counts from n on are left out: every mark takes at least
-    one phase, so they reach no phase below n.  At least one count is kept.
+    one phase, so they reach no phase below n.  Nor are counts past the
+    Poisson reach built, where no term carries mass; at z = inf all mass
+    lies past every count.  At least one count is kept.
     """
-    counts = _poisson_pmf(z, shape * n).reshape(n, shape).sum(axis=1)
+    built = 1 if z == math.inf else min(n, -(-_poisson_reach(z, 1) // shape))
+    counts = _poisson_pmf(z, shape * built).reshape(built, shape).sum(axis=1)
     above = np.add.accumulate(counts[::-1])[::-1]
     return counts[:max(1, np.count_nonzero(above >= tail))]
 

@@ -252,6 +252,10 @@ class Distribution(ABC):
         """P(X <= t)."""
         return max(0.0, 1.0 - self.survival(t))
 
+    def survival_curve(self, t: np.ndarray) -> np.ndarray:
+        """survival at each time of the 1-D float array t, as a new array."""
+        return np.fromiter(map(self.survival, t.tolist()), float, t.size)
+
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.sample_n(rng, 1)[0])
 
@@ -276,6 +280,32 @@ class Erlang(Distribution):
     def cdf(self, t: float) -> float:
         _check_time(t)
         return erlang_cdf(self.shape, self.rate * t)
+
+    def survival_curve(self, t: np.ndarray) -> np.ndarray:
+        """survival at each time of the 1-D float array t, bit for bit.
+
+        Up to x = rate * t = _SERIES_LIMIT, erlang_survival's term recurrence
+        runs as whole-array steps, times exp(-x) from math.exp point by point
+        (numpy's exp can differ from it by an ulp); points past the limit go
+        to erlang_survival one at a time.
+        """
+        bad = ~(t >= 0.0)  # negative or nan
+        if bad.any():
+            _check_time(float(t[bad][0]))
+        with np.errstate(over="ignore"):
+            x = self.rate * t
+        near = x <= _SERIES_LIMIT
+        xs = x[near]
+        term = np.ones_like(xs)
+        acc = np.ones_like(xs)
+        for l in range(1, self.shape):
+            term *= xs / l
+            acc += term
+        acc *= np.fromiter(map(math.exp, (-xs).tolist()), float, xs.size)
+        out = np.empty_like(x)
+        out[near] = acc
+        out[~near] = [erlang_survival(self.shape, v) for v in x[~near].tolist()]
+        return out
 
     def pdf(self, t: float) -> float:
         _check_time(t)
@@ -303,7 +333,8 @@ class Exponential(Erlang):
     rate: float
 
     def survival(self, t: float) -> float:
-        # The catastrophic curve's hot path: exp(-rate t) without erlang_survival's call.
+        # The hot path of point calls (survival_probability, the mean
+        # quadrature): exp(-rate t) without erlang_survival's call.
         _check_time(t)
         return math.exp(-self.rate * t)
 

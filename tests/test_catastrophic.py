@@ -15,9 +15,10 @@ from twoshock.catastrophic import (
     fptf_cdf,
     mean_fptf,
     mean_fptf_quadrature,
+    survival_curve,
     survival_probability,
 )
-from twoshock.distributions import Erlang, Exponential, Weibull
+from twoshock.distributions import _SERIES_LIMIT, Erlang, Exponential, Weibull
 from twoshock.errors import NonConvergedError
 from twoshock import numerics
 from twoshock.numerics import QuadraturePolicy
@@ -65,6 +66,54 @@ class TestSurvivalProbability:
         assert survival_probability(unit, 1.0) == pytest.approx(2.0 * math.exp(-2.0),
                                                                  abs=1e-16)
         assert mean_fptf(unit) == pytest.approx(0.75, rel=1e-15)
+
+
+PARAMS = st.floats(min_value=1e-3, max_value=1e3)
+PROCESSES = st.one_of(st.builds(Exponential, PARAMS),
+                      st.builds(Erlang, st.integers(1, 80), PARAMS),
+                      st.builds(Weibull, st.floats(0.1, 10.0), PARAMS))
+
+
+def _edge_times(model: CatastrophicModel) -> list:
+    """0, a subnormal, huge times, inf, and rate * t a few ulps either side of _SERIES_LIMIT."""
+    times = [0.0, 5e-324, 1e100, 1e300, math.inf]
+    for proc in (model.proc1, model.proc2):
+        if isinstance(proc, Erlang):
+            edge = _SERIES_LIMIT / proc.rate
+            times += [edge * (1.0 - 1e-15), edge, edge * (1.0 + 1e-15)]
+    return times
+
+
+class TestSurvivalCurve:
+    @given(proc1=PROCESSES, proc2=PROCESSES,
+           times=st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=30))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_bit_identical_to_survival_probability(self, proc1, proc2, times):
+        model = CatastrophicModel(proc1, proc2)
+        grid = times + _edge_times(model)
+        assert survival_curve(model, grid).tolist() == [
+            survival_probability(model, t) for t in grid]
+
+    def test_edge_times_straddle_the_series_limit(self):
+        rate = 19.27
+        x = [rate * t for t in _edge_times(CatastrophicModel(Erlang(50, rate), Weibull(1, 1)))]
+        assert any(_SERIES_LIMIT - 1e-9 < v < _SERIES_LIMIT for v in x)
+        assert any(_SERIES_LIMIT < v < _SERIES_LIMIT + 1e-9 for v in x)
+
+    @pytest.mark.parametrize("proc", [Exponential(2.0), Erlang(3, 2.0), Weibull(0.8, 1.5)],
+                             ids=["exponential", "erlang", "weibull"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_time_raises_as_the_scalar_path(self, proc, bad):
+        model = CatastrophicModel(proc, proc)
+        with pytest.raises(ValueError, match="nonnegative") as scalar:
+            survival_probability(model, bad)
+        with pytest.raises(ValueError, match="nonnegative") as curve:
+            survival_curve(model, [0.5, bad, 1.0])
+        assert str(curve.value) == str(scalar.value)
+
+    def test_empty_grid(self):
+        curve = survival_curve(CatastrophicModel(Erlang(3, 1.0), Weibull(2.0, 1.0)), [])
+        assert curve.shape == (0,) and curve.dtype == np.float64
 
 
 class TestFptfCdf:

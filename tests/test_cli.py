@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from twoshock import montecarlo
+from twoshock.catastrophic import survival_probability
 from twoshock.cumulative import model2_fptf_curve
 from twoshock.cli import _render, load_model_file, main, parse_grid, parse_points
 
@@ -113,6 +114,20 @@ class TestAnalyticCommands:
         assert lines[1] == "0,1"
         t, v = lines[3].split(",")
         assert float(v) == pytest.approx(math.exp(-3.0 * float(t)), abs=1e-15)
+
+    @pytest.mark.parametrize("procs", [
+        ({"type": "erlang", "shape": 50, "rate": 19.27}, {"type": "erlang", "shape": 4, "rate": 2.0}),
+        ({"type": "weibull", "shape": 0.8, "scale": 1.5}, {"type": "weibull", "shape": 0.8, "scale": 2.0}),
+    ], ids=["erlang-erlang", "weibull-weibull"])
+    def test_survival_grid_prints_the_per_point_values(self, model_file, capsys, procs):
+        obj = {"kind": "catastrophic", "proc1": procs[0], "proc2": procs[1]}
+        model = load_model_file(model_file(obj)).model
+        grid = parse_grid("0:3:4001")
+        expected = ["t,value", *("%.17g,%.17g" % (t, survival_probability(model, t))
+                                 for t in grid)]
+        rc = main(["survival", "--model", model_file(obj), "--grid", "0:3:4001"])
+        assert rc == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_fptf_cdf_points(self, model_file, capsys):
         rc = main(["fptf-cdf", "--model", model_file(CATASTROPHIC),

@@ -435,6 +435,22 @@ class TestGeneralEvaluators:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_renewal_counts_stop_at_the_poisson_reach(self):
+        # Past the phase cap the series length is 10,000 counts, 5e6 Poisson
+        # terms at shape 500 (about 76 MiB of arrays), but only the terms out
+        # to the Poisson reach of rate * t carry mass.
+        g = GeneralCumulativeModel(Erlang(500, 1.0), Exponential(1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=2e4)
+        tracemalloc.start()
+        try:
+            assert general_damage_cdf(g, 1e3, 2e4) == pytest.approx(1.0, abs=1e-10)
+            with pytest.raises(NonConvergedError, match="phase series"):
+                general_damage_cdf(g, 1e5, 2e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_counts_short_of_cap_mass_raise_before_random_sums(self, monkeypatch):
         # mu_f x = 3e4 needs more phases than the cap, and stream 2's
         # Poisson(1e5) count lies far past it: the mass test on the counts

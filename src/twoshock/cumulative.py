@@ -211,8 +211,7 @@ def _check_cut(mass: float, terms: int, policy: TruncationPolicy, z: float) -> N
     series cut at the cap falls short by at most the mass left out; the mass
     must clear 1 - tail_epsilon by one double epsilon of rounding per term.
     """
-    mass -= terms * sys.float_info.epsilon
-    if mass < 1.0 - policy.tail_epsilon:
+    if mass - terms * sys.float_info.epsilon < 1.0 - policy.tail_epsilon:
         raise NonConvergedError(
             f"phase series needs more than {_MAX_TERMS} terms "
             f"at rate * x = {z}, and the phase-count mass below the cap, "

@@ -25,6 +25,13 @@ master_seed).  Replications are partitioned into fixed-size blocks; block j
 draws from an independent substream seeded by SeedSequence([master_seed, j]),
 and per-block partial results are reduced in block order, so the worker count
 can never change an output bit.
+
+Damage paths and crossing times are drawn into one array allocated up front:
+each block writes its own columns and, in its worker, reduces them to sums
+and sums of squares, whose fsum gives the means.  Damage rows stay unsorted,
+since every caller asks a row for one level and a count is cheaper than a
+sort; crossing times are sorted once in place, since callers ask them for a
+whole grid of times.
 """
 
 from __future__ import annotations
@@ -103,11 +110,12 @@ class DamageSimulation:
 
     grid: tuple
     means: tuple
-    _samples: tuple  # sorted damage draws per grid point
+    _samples: tuple  # unsorted damage draws per grid point, rows of one array
 
     def ecdf(self, grid_index: int, x: float) -> SimulationEstimate:
         """Exact fraction of damage draws at grid point grid_index that are <= x."""
-        return _ecdf_estimate(self._samples[grid_index], x, "x",
+        row = self._samples[grid_index]
+        return _ecdf_estimate(int(np.count_nonzero(row <= x)), row.size, x, "x",
                               f"damage_ecdf@t={self.grid[grid_index]!r},x={float(x)!r}")
 
 
@@ -116,21 +124,22 @@ class FptfSimulation:
     """Threshold-crossing time summaries: mean estimate plus exact ECDF."""
 
     mean: SimulationEstimate
-    _times: np.ndarray  # sorted crossing times
+    _times: np.ndarray  # crossing times, sorted once in place
 
     def ecdf(self, t: float) -> SimulationEstimate:
-        return _ecdf_estimate(self._times, t, "t", f"fptf_ecdf@t={float(t)!r}")
+        count = int(np.searchsorted(self._times, t, side="right"))
+        return _ecdf_estimate(count, self._times.size, t, "t", f"fptf_ecdf@t={float(t)!r}")
 
 
-def _ecdf_estimate(draws: np.ndarray, value: float, name: str, tag: str) -> SimulationEstimate:
-    """Fraction of the sorted draws at or below value.
+def _ecdf_estimate(count: int, n: int, value: float, name: str, tag: str) -> SimulationEstimate:
+    """Fraction count / n of draws at or below value.
 
-    A nan value raises ValueError: searchsorted would put it past every draw.
+    A nan value raises ValueError: no draw compares <= nan, yet searchsorted
+    would put nan past every draw, so neither count means anything.
     """
     if math.isnan(value):
         raise ValueError(f"ECDF argument {name} must be a number, got nan")
-    count = int(np.searchsorted(draws, value, side="right"))
-    return _proportion_estimate(count, len(draws), tag)
+    return _proportion_estimate(count, n, tag)
 
 
 def _proportion_estimate(count: int, n: int, tag: str) -> SimulationEstimate:
@@ -146,14 +155,6 @@ def _mean_estimate(total: float, total_sq: float, n: int, tag: str) -> Simulatio
                               n=n, quantity_tag=tag)
 
 
-def _block_sizes(replications: int) -> list:
-    full, rest = divmod(replications, _BLOCK_SIZE)
-    sizes = [_BLOCK_SIZE] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -162,18 +163,18 @@ def _usable_cpus() -> int:
 
 
 def _run_blocks(cfg: SimulationConfig, worker) -> list:
-    """worker(rng, size) per block; results returned in block order."""
-    sizes = _block_sizes(cfg.replications)
+    """worker(rng, cols) per block, cols its slice of the replications; results in block order."""
+    n = cfg.replications
+    blocks = [slice(start, min(start + _BLOCK_SIZE, n)) for start in range(0, n, _BLOCK_SIZE)]
 
     def run(j: int):
-        rng = np.random.default_rng([cfg.master_seed, j])
-        return worker(rng, sizes[j])
+        return worker(np.random.default_rng([cfg.master_seed, j]), blocks[j])
 
-    threads = min(cfg.workers, len(sizes), _usable_cpus())
+    threads = min(cfg.workers, len(blocks), _usable_cpus())
     if threads == 1:
-        return [run(j) for j in range(len(sizes))]
+        return [run(j) for j in range(len(blocks))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, j) for j in range(len(sizes))]
+        futures = [pool.submit(run, j) for j in range(len(blocks))]
         return [f.result() for f in futures]
 
 
@@ -189,9 +190,9 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
     """Draw the two first interarrival times per replication and summarize min(X1, Y1)."""
     grid = _check_grid(t_grid)
 
-    def worker(rng, size):
-        first = model.proc1.sample_n(rng, size)
-        np.minimum(first, model.proc2.sample_n(rng, size), out=first)
+    def worker(rng, cols):
+        first = model.proc1.sample_n(rng, cols.stop - cols.start)
+        np.minimum(first, model.proc2.sample_n(rng, first.size), out=first)
         counts = np.array([np.count_nonzero(first > t) for t in grid], dtype=np.int64)
         total = float(first.sum())
         first *= first
@@ -292,14 +293,21 @@ def _simulate_damage(streams, t_grid, cfg: SimulationConfig, tag: str) -> Damage
     if not grid.size:
         raise ValueError("t_grid must contain at least one point")
 
-    samples = np.concatenate(_run_blocks(cfg, lambda rng, size: _damage_paths(
-        streams, grid, rng, size)), axis=1)  # block order
     n = cfg.replications
+    samples = np.empty((grid.size, n))
+
+    def worker(rng, cols):
+        paths = _damage_paths(streams, grid, rng, cols.stop - cols.start)
+        samples[:, cols] = paths
+        totals = paths.sum(axis=1)
+        paths *= paths
+        return totals, paths.sum(axis=1)
+
+    parts = _run_blocks(cfg, worker)
     means = tuple(
-        _mean_estimate(float(row.sum()), float((row * row).sum()), n,
-                       f"{tag}_mean@t={float(t)!r}")
-        for t, row in zip(grid, samples))
-    samples.sort(axis=1)  # in place: the draws are held once
+        _mean_estimate(math.fsum(p[0][i] for p in parts), math.fsum(p[1][i] for p in parts),
+                       n, f"{tag}_mean@t={float(t)!r}")
+        for i, t in enumerate(grid))
     return DamageSimulation(grid=tuple(float(t) for t in grid),
                             means=means, _samples=tuple(samples))
 
@@ -370,9 +378,18 @@ def simulate_fptf_cumulative(model: CumulativeModel,
     The time is Gamma(N, rate1 + rate2), with N the index of the crossing
     shock in the merged stream.
     """
-    parts = _run_blocks(cfg, lambda rng, size: _crossing_times(model, rng, size))
-    times = np.concatenate(parts)
     n = cfg.replications
-    est = _mean_estimate(float(times.sum()), float((times * times).sum()), n,
-                         "fptf_mean")
-    return FptfSimulation(mean=est, _times=np.sort(times))
+    times = np.empty(n)
+
+    def worker(rng, cols):
+        block = _crossing_times(model, rng, cols.stop - cols.start)
+        times[cols] = block
+        total = float(block.sum())
+        block *= block
+        return total, float(block.sum())
+
+    parts = _run_blocks(cfg, worker)
+    est = _mean_estimate(math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts),
+                         n, "fptf_mean")
+    times.sort()
+    return FptfSimulation(mean=est, _times=times)

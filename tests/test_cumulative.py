@@ -451,6 +451,15 @@ class TestGeneralEvaluators:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_cut_message_reports_the_mass_as_summed(self):
+        # Stream 1 has no Erlang(500, 1) renewal mass below the cap at t = 1e5;
+        # the rounding allowance enters the test, not the reported mass.
+        g = GeneralCumulativeModel(Erlang(500, 1.0), Exponential(1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=2e4)
+        with pytest.raises(NonConvergedError, match=r"below the cap, 0\.0, is short") as err:
+            general_damage_cdf(g, 1e5, 2e4)
+        assert "e-12" not in str(err.value)
+
     def test_counts_short_of_cap_mass_raise_before_random_sums(self, monkeypatch):
         # mu_f x = 3e4 needs more phases than the cap, and stream 2's
         # Poisson(1e5) count lies far past it: the mass test on the counts

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, statistical agreement, estimate contracts."""
 
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -57,17 +58,24 @@ class TestDeterminism:
         other = simulate_catastrophic(EXP_PAIR, config(workers=workers), [0.5, 1.0, 2.0])
         assert base == other
 
-    def test_worker_count_invariance_for_damage_paths(self):
-        grid = [0.5, 1.5]
-        base = simulate_cumulative(DAMAGE, grid, config(workers=1, n=30_000))
-        other = simulate_cumulative(DAMAGE, grid, config(workers=4, n=30_000))
+    # Blocks fill columns of one shared array and reduce their own sums;
+    # two full blocks and a remainder run on up to three threads.
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_worker_count_invariance_for_damage_paths(self, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        n, grid = 2 * montecarlo._BLOCK_SIZE + 1000, [0.5, 1.5, 2.5]
+        base = simulate_cumulative(DAMAGE, grid, config(workers=1, n=n))
+        other = simulate_cumulative(DAMAGE, grid, config(workers=workers, n=n))
         assert base.means == other.means
         assert all(np.array_equal(x, y)
                    for x, y in zip(base._samples, other._samples))
 
-    def test_worker_count_invariance_for_crossing_times(self):
-        base = simulate_fptf_cumulative(DAMAGE, config(workers=1, n=30_000))
-        other = simulate_fptf_cumulative(DAMAGE, config(workers=8, n=30_000))
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_worker_count_invariance_for_crossing_times(self, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        n = 2 * montecarlo._BLOCK_SIZE + 1000
+        base = simulate_fptf_cumulative(DAMAGE, config(workers=1, n=n))
+        other = simulate_fptf_cumulative(DAMAGE, config(workers=workers, n=n))
         assert base.mean == other.mean
         assert np.array_equal(base._times, other._times)
 
@@ -182,11 +190,20 @@ class TestDamageSimulation:
         assert paths[-1].any()
 
     def test_ecdf_counts_are_exact(self):
-        sim = simulate_cumulative(DAMAGE, [1.0], config(n=10_000))
-        samples = sim._samples[0]
-        x = float(np.median(samples))
-        manual = float((samples <= x).sum()) / len(samples)
-        assert sim.ecdf(0, x).mean == manual
+        # Damage rows are counted unsorted; crossing times are sorted once and
+        # searched.  At t = 0.5 over a third of the damage draws tie at 0.
+        damage = simulate_cumulative(DAMAGE, [0.5, 1.0], config(n=10_000))
+        crossing = simulate_fptf_cumulative(DAMAGE, config(n=10_000))
+        assert np.all(np.diff(crossing._times) >= 0.0)
+        cases = [(lambda x, i=i: damage.ecdf(i, x), damage._samples[i]) for i in range(2)]
+        cases.append((crossing.ecdf, crossing._times))
+        for ecdf, draws in cases:
+            ordered, distinct = np.sort(draws), np.unique(draws)
+            k = distinct.size // 2
+            for x in (float(np.median(draws)), ordered[draws.size // 3],
+                      0.5 * (distinct[k] + distinct[k + 1]), 0.0, math.inf, -math.inf):
+                expected = np.searchsorted(ordered, x, side="right") / draws.size
+                assert ecdf(x).mean == expected
 
 
 class TestCrossingSimulation:
@@ -330,8 +347,25 @@ class TestEstimateContract:
         assert damage.means[0].quantity_tag == "damage_mean@t=0.5"
         assert damage.ecdf(0, np.float64(2.0)).quantity_tag == "damage_ecdf@t=0.5,x=2.0"
 
+    @pytest.mark.parametrize("simulate, bound", [
+        (lambda cfg: simulate_cumulative(DAMAGE, [0.5, 1.5, 2.5], cfg), 9 * 2**20),
+        (lambda cfg: simulate_fptf_cumulative(DAMAGE, cfg), 4.5 * 2**20),
+    ], ids=["damage", "crossing"])
+    def test_draws_are_held_once(self, simulate, bound):
+        # 2^18 draws per row take 2 MiB; blocks fill one array, with no
+        # concatenated or sorted copy beside it.
+        cfg = config(n=1 << 18)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_ecdf_of_nan_raises(self):
-        # searchsorted would put nan past every draw and report an ECDF of 1.
+        # No draw compares <= nan, yet searchsorted would put nan past every
+        # draw: neither count is an ECDF value.
         damage = simulate_cumulative(DAMAGE, [0.5], config(n=100))
         with pytest.raises(ValueError, match="x must be a number, got nan"):
             damage.ecdf(0, math.nan)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _LOG_MAX, Distribution, Erlang, Weibull
+from .distributions import _LOG_MAX, Distribution, Erlang, Weibull, _time_grid
 from .gamma_convolution import _phase_pmf
 from .numerics import QuadraturePolicy, integrate_decaying
 
@@ -57,7 +57,7 @@ def survival_curve(model: CatastrophicModel, grid) -> np.ndarray:
     maps its scalar survival).  fptf_cdf has no curve form: F1 + S1 F2
     needs the cancellation-free Erlang CDF series, which runs point by point.
     """
-    t = np.asarray(grid, dtype=float)
+    t = _time_grid(grid)
     return model.proc1.survival_curve(t) * model.proc2.survival_curve(t)
 
 

@@ -6,6 +6,12 @@ error.  Reports go to standard output or --out; all diagnostics go to
 standard error.  A fixed invocation produces byte-identical
 output (numbers are written with 17 significant digits).
 
+Each analytic command takes the model kinds _ANALYTIC lists for it;
+mean-fptf is catastrophic.mean_fptf or cumulative.model2_fptf_mean.
+simulate and compare estimate the curve _quantity picks from the kind and
+--x.  The model file's tail_epsilon and rel_tol fields are the only
+tolerances.
+
 On cumulative models, fptf-model2 and damage-cdf (and compare, which uses
 them) evaluate the whole grid from one crossing-index sequence
 (cumulative.model2_fptf_curve), so early failure probabilities keep their
@@ -130,7 +136,7 @@ def _build_parser() -> _Parser:
                                  "analytic curves, simulation, comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, grid=True, x=False, sim=False):
+    def add(name, help_text, grid=True, x=None, sim=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON file")
         if grid:
@@ -138,7 +144,7 @@ def _build_parser() -> _Parser:
             g.add_argument("--grid", help="MIN:MAX:STEPS inclusive uniform grid")
             g.add_argument("--points", help="comma-separated evaluation points")
         if x:
-            p.add_argument("--x", type=float, default=None,
+            p.add_argument("--x", type=float, required=x == "required",
                            help="damage level for CDF evaluation")
         if sim:
             p.add_argument("--reps", type=int, required=True, help="replication count")
@@ -147,99 +153,74 @@ def _build_parser() -> _Parser:
                            help="worker count (never affects output values)")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tail-epsilon", type=float, default=None,
-                       help="series truncation bound (overrides the model file)")
-        p.add_argument("--rel-tol", type=float, default=None,
-                       help="quadrature relative tolerance (overrides the model file)")
         return p
 
     add("survival", "survival probability curve (catastrophic models)")
     add("fptf-cdf", "failure-time CDF curve (catastrophic models)")
-    add("mean-fptf", "mean failure time (catastrophic models)", grid=False)
-    add("damage-cdf", "damage CDF curve at level --x (cumulative models)", x=True)
+    add("mean-fptf", "mean failure time (kinds catastrophic and cumulative)", grid=False)
+    add("damage-cdf", "damage CDF curve at level --x (cumulative models)", x="required")
     add("damage-mean", "mean damage curve (cumulative models)")
     add("fptf-model2", "failure-time CDF curve (cumulative models)")
-    add("simulate", "Monte Carlo estimates on a grid", x=True, sim=True)
-    add("compare", "analytic values vs Monte Carlo estimates", x=True, sim=True)
+    add("simulate", "Monte Carlo estimates on a grid", x="optional", sim=True)
+    add("compare", "analytic values vs Monte Carlo estimates", x="optional", sim=True)
     return parser
 
 
-def _require_kind(mf: ModelFile, command: str, kinds: tuple) -> None:
-    if mf.kind not in kinds:
-        raise ValueError(
-            f"{command} needs a model of kind {' or '.join(kinds)}, got {mf.kind}")
+# Analytic command -> {model kind: f(model, grid, x, truncation, quadrature)}: what it prints,
+# a list over the grid or mean-fptf's one number.  A command takes exactly the kinds it lists.
+# Each library function is looked up in its module at call time, where a wrapper may replace it.
+_ANALYTIC = {
+    "survival": {
+        "catastrophic": lambda m, ts, x, trunc, quad: catastrophic.survival_curve(m, ts).tolist()},
+    "fptf-cdf": {
+        "catastrophic": lambda m, ts, x, trunc, quad: [catastrophic.fptf_cdf(m, t) for t in ts]},
+    "mean-fptf": {
+        "catastrophic": lambda m, ts, x, trunc, quad: catastrophic.mean_fptf(m, quad),
+        "cumulative": lambda m, ts, x, trunc, quad: cumulative.model2_fptf_mean(m, trunc)},
+    "damage-cdf": {
+        "cumulative": lambda m, ts, x, trunc, quad:
+            cumulative._crossing_curve(m, x, ts, trunc)[1].tolist(),
+        "general_cumulative": lambda m, ts, x, trunc, quad:
+            [cumulative.general_damage_cdf(m, t, x, trunc) for t in ts]},
+    "damage-mean": {
+        "cumulative": lambda m, ts, x, trunc, quad: [cumulative.damage_mean(m, t) for t in ts],
+        "general_cumulative": lambda m, ts, x, trunc, quad:
+            [cumulative.general_damage_mean(m, t, trunc) for t in ts]},
+    "fptf-model2": {
+        "cumulative": lambda m, ts, x, trunc, quad:
+            cumulative.model2_fptf_curve(m, ts, trunc)[0].tolist(),
+        "general_cumulative": lambda m, ts, x, trunc, quad:
+            [1.0 - cumulative.general_damage_cdf(m, t, m.threshold, trunc) for t in ts]},
+}
 
 
-def _policies(mf: ModelFile, args) -> tuple:
-    tail = args.tail_epsilon if args.tail_epsilon is not None else mf.tail_epsilon
-    rel = args.rel_tol if args.rel_tol is not None else mf.rel_tol
-    return (cumulative.TruncationPolicy(tail_epsilon=tail),
-            QuadraturePolicy(rel_tol=rel))
+def _quantity(command: str, kind: str, x) -> str:
+    """The analytic command whose curve simulate and compare estimate for this kind and --x."""
+    if kind == "catastrophic":
+        if x is not None:
+            raise ValueError("--x is only meaningful for cumulative model kinds")
+        return "survival"
+    if x is not None:
+        return "damage-cdf"
+    if kind == "cumulative":
+        return "fptf-model2"
+    raise ValueError(f"{command} on a {kind} model requires --x")
 
 
-def _grid_from_args(args) -> list:
-    return parse_grid(args.grid) if args.grid is not None else parse_points(args.points)
-
-
-def _analytic_curve(mf: ModelFile, command: str, grid: list, x, trunc) -> list:
-    model = mf.model
-    if command == "survival":
-        _require_kind(mf, command, ("catastrophic",))
-        return catastrophic.survival_curve(model, grid).tolist()
-    if command == "fptf-cdf":
-        _require_kind(mf, command, ("catastrophic",))
-        return [catastrophic.fptf_cdf(model, t) for t in grid]
-    if command == "damage-cdf":
-        _require_kind(mf, command, ("cumulative", "general_cumulative"))
-        if x is None:
-            raise ValueError("damage-cdf requires --x")
-        if mf.kind == "cumulative":
-            return cumulative._crossing_curve(model, x, grid, trunc)[1].tolist()
-        return [cumulative.general_damage_cdf(model, t, x, trunc) for t in grid]
-    if command == "damage-mean":
-        _require_kind(mf, command, ("cumulative", "general_cumulative"))
-        if mf.kind == "cumulative":
-            return [cumulative.damage_mean(model, t) for t in grid]
-        return [cumulative.general_damage_mean(model, t, trunc) for t in grid]
-    if command == "fptf-model2":
-        _require_kind(mf, command, ("cumulative", "general_cumulative"))
-        if mf.kind == "cumulative":
-            return cumulative.model2_fptf_curve(model, grid, trunc)[0].tolist()
-        return [1.0 - cumulative.general_damage_cdf(model, t, model.threshold, trunc)
-                for t in grid]
-    raise ValueError(f"unknown command {command!r}")
-
-
-def _simulation_estimates(mf: ModelFile, args, grid: list):
-    """Monte Carlo estimates matching the compare/simulate quantity for this kind."""
+def _simulation_estimates(quantity: str, mf: ModelFile, args, grid: list) -> list:
+    """Monte Carlo estimates of the quantity _quantity chose, one per grid time."""
     cfg = montecarlo.SimulationConfig(replications=args.reps,
                                       master_seed=args.seed,
                                       workers=args.workers)
-    if mf.kind == "catastrophic":
-        if args.x is not None:
-            raise ValueError("--x is only meaningful for cumulative model kinds")
-        sim = montecarlo.simulate_catastrophic(mf.model, cfg, grid)
-        return list(sim.survival)
-    if mf.kind == "cumulative" and args.x is None:
+    if quantity == "survival":
+        return list(montecarlo.simulate_catastrophic(mf.model, cfg, grid).survival)
+    if quantity == "fptf-model2":
         sim = montecarlo.simulate_fptf_cumulative(mf.model, cfg)
         return [sim.ecdf(t) for t in grid]
-    if args.x is None:
-        raise ValueError("general_cumulative simulation requires --x")
-    if mf.kind == "cumulative":
-        sim = montecarlo.simulate_cumulative(mf.model, grid, cfg)
-    else:
-        sim = montecarlo.simulate_general_cumulative(mf.model, grid, cfg)
+    simulate = (montecarlo.simulate_cumulative if mf.kind == "cumulative"
+                else montecarlo.simulate_general_cumulative)
+    sim = simulate(mf.model, grid, cfg)
     return [sim.ecdf(i, args.x) for i in range(len(grid))]
-
-
-def _compare_analytic(mf: ModelFile, args, grid: list, trunc) -> list:
-    if mf.kind == "catastrophic":
-        return _analytic_curve(mf, "survival", grid, None, trunc)
-    if args.x is not None:
-        return _analytic_curve(mf, "damage-cdf", grid, args.x, trunc)
-    if mf.kind == "cumulative":
-        return _analytic_curve(mf, "fptf-model2", grid, None, trunc)
-    raise ValueError("compare on a general_cumulative model requires --x, the damage level")
 
 
 def _zscore(analytic: float, estimate: float, n: int) -> float:
@@ -254,55 +235,49 @@ def _zscore(analytic: float, estimate: float, n: int) -> float:
     return diff / math.sqrt(analytic * (1.0 - analytic)) * math.sqrt(n)
 
 
-def _render(rows: list, columns: tuple, fmt: str, mf: ModelFile,
-            trunc, quad) -> str:
-    """rows are tuples in column order; "%.17g" writes what format(v, ".17g") does."""
+def _render(rows, columns, fmt: str, mf: ModelFile) -> str:
+    """rows (tuples in column order) as CSV or JSON; with columns None, rows is one value.
+
+    "%.17g" writes what format(v, ".17g") does; JSON adds the model and its policies.
+    """
     if fmt == "csv":
+        if columns is None:
+            return "%.17g\n" % rows
         template = ",".join(["%.17g"] * len(columns))
         return "\n".join([",".join(columns), *(template % row for row in rows)]) + "\n"
-    return _json("points", [dict(zip(columns, row)) for row in rows], mf, trunc, quad)
-
-
-def _render_scalar(value: float, fmt: str, mf: ModelFile, trunc, quad) -> str:
-    if fmt == "csv":
-        return "%.17g\n" % value
-    return _json("value", value, mf, trunc, quad)
-
-
-def _json(key: str, value, mf: ModelFile, trunc, quad) -> str:
-    payload = {
-        key: value,
-        "model": mf.raw,
-        "policies": {"tail_epsilon": trunc.tail_epsilon, "rel_tol": quad.rel_tol},
-    }
+    payload = {"value": rows} if columns is None else {
+        "points": [dict(zip(columns, row)) for row in rows]}
+    payload.update(model=mf.raw,
+                   policies={"tail_epsilon": mf.tail_epsilon, "rel_tol": mf.rel_tol})
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _dispatch(args) -> str:
     mf = load_model_file(args.model)
-    trunc, quad = _policies(mf, args)
-
-    if args.command == "mean-fptf":
-        _require_kind(mf, args.command, ("catastrophic",))
-        return _render_scalar(catastrophic.mean_fptf(mf.model, quad),
-                              args.format, mf, trunc, quad)
-
-    grid = _grid_from_args(args)
+    trunc = cumulative.TruncationPolicy(tail_epsilon=mf.tail_epsilon)
+    quad = QuadraturePolicy(rel_tol=mf.rel_tol)
     x = getattr(args, "x", None)
+    simulated = args.command in ("simulate", "compare")
+    quantity = _quantity(args.command, mf.kind, x) if simulated else args.command
+    kinds = _ANALYTIC[quantity]
+    if mf.kind not in kinds:
+        raise ValueError(f"{args.command} needs a model of kind {' or '.join(kinds)}, "
+                         f"got {mf.kind}")
+    evaluate = kinds[mf.kind]
+    if args.command == "mean-fptf":
+        return _render(evaluate(mf.model, None, None, trunc, quad), None, args.format, mf)
 
+    grid = parse_grid(args.grid) if args.grid is not None else parse_points(args.points)
+    if args.command == "simulate":
+        rows = [(t, e.mean) for t, e in zip(grid, _simulation_estimates(quantity, mf, args, grid))]
+        return _render(rows, ("t", "value"), args.format, mf)
+    analytic = evaluate(mf.model, grid, x, trunc, quad)
     if args.command == "compare":
-        analytic = _compare_analytic(mf, args, grid, trunc)
-        estimates = _simulation_estimates(mf, args, grid)
+        estimates = _simulation_estimates(quantity, mf, args, grid)
         rows = [(t, a, e.mean, e.std_error, _zscore(a, e.mean, e.n))
                 for t, a, e in zip(grid, analytic, estimates)]
-        return _render(rows, ("t", "analytic", "estimate", "std_error", "z"),
-                       args.format, mf, trunc, quad)
-
-    if args.command == "simulate":
-        rows = [(t, e.mean) for t, e in zip(grid, _simulation_estimates(mf, args, grid))]
-    else:
-        rows = list(zip(grid, _analytic_curve(mf, args.command, grid, x, trunc)))
-    return _render(rows, ("t", "value"), args.format, mf, trunc, quad)
+        return _render(rows, ("t", "analytic", "estimate", "std_error", "z"), args.format, mf)
+    return _render(list(zip(grid, analytic)), ("t", "value"), args.format, mf)
 
 
 def main(argv=None) -> int:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (Distribution, Erlang, _check_positive, _poisson_pmf,
-                            _poisson_reach, _poisson_tail)
+                            _poisson_reach, _poisson_tail, _time_grid)
 from .errors import NonConvergedError, UnsupportedConvolutionError
 from .gamma_convolution import _bernstein_reach, _erlang_cdf_terms, _phase_pmf, _phase_tail
 from .numerics import integrate_decaying  # noqa: F401  (bench/tracer.py wraps this name)
@@ -78,7 +78,8 @@ class TruncationPolicy:
     absolute error below tail_epsilon.  Needing more than _MAX_TERMS
     phases, or arrival counts outside general_damage_cdf, raises NonConvergedError,
     except in damage_cdf, general_damage_cdf and model2_fptf_curve when the
-    phase counts past the cap carry less than tail_epsilon of probability.
+    phase counts past the cap carry less than tail_epsilon of probability, and
+    in model2_fptf_mean when the terms past it are below tail_epsilon of the mean.
     """
 
     tail_epsilon: float = 1e-10
@@ -341,6 +342,7 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(x, "x")
+    ts = _time_grid(ts).tolist()
     for t in ts:
         _check_nonneg(t, "t")
     h, deficits, trim = _crossing_index(model, x, policy)
@@ -377,7 +379,7 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
 
 def model2_fptf_curve(model: CumulativeModel, ts, policy: TruncationPolicy | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(CDF, survival, density) arrays of the failure time over the times ts.
+    """(CDF, survival, density) arrays of the failure time over the 1-D grid ts.
 
     One crossing-index sequence at the threshold serves every t; see
     _crossing_curve for the sums and their error bound.  The CDF keeps its
@@ -387,7 +389,7 @@ def model2_fptf_curve(model: CumulativeModel, ts, policy: TruncationPolicy | Non
 
 
 def model2_fptf_mean(model: CumulativeModel,
-                     truncation: TruncationPolicy | None = None) -> float:
+                     policy: TruncationPolicy | None = None) -> float:
     """Mean failure time, exact: E[T] = (1/L) sum_s U(s) P(Erlang(s, mu_f) <= K).
 
     Shocks of the merged stream arrive at rate L = rate1 + rate2, and the
@@ -397,19 +399,30 @@ def model2_fptf_mean(model: CumulativeModel,
     series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
+
+    Past _MAX_TERMS phases the series is cut at n = _MAX_TERMS.  Every mark
+    takes a phase at least, so U(s) <= 1 and the terms left out sum to at
+    most sum_{k >= n} (k - n + 1) P(Poisson(mu_f K) = k).  The cut mean is
+    returned when that bound is below tail_epsilon times the kept sum, a
+    relative error below tail_epsilon; else NonConvergedError names the bound.
     """
-    eps = (truncation or TruncationPolicy()).tail_epsilon
+    eps = (policy or TruncationPolicy()).tail_epsilon
     z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
-    if not converged:
-        raise NonConvergedError(f"phase series needs more than {_MAX_TERMS} terms "
-                                f"(Erlang CDF bound {eps} at rate * x = {z})")
     n = len(cdfs)
     steps = _merged(model, f1, f2)[1:]
     rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
     rev[-1] = 1.0
     for s in range(1, n):
         rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
-    return float(rev @ cdfs[::-1]) / (model.rate1 + model.rate2)
+    total = float(rev @ cdfs[::-1])
+    if not converged:
+        left_out = _poisson_pmf(z, _poisson_reach(z, n))[n:]
+        bound = float(left_out @ np.arange(1.0, left_out.size + 1.0))
+        if not bound < eps * total:
+            raise NonConvergedError(
+                f"phase series needs more than {_MAX_TERMS} terms at rate * x = {z}, "
+                f"and the terms it leaves out may sum to {bound!r}, against {total!r} kept")
+    return total / (model.rate1 + model.rate2)
 
 
 def _random_sum_pmf(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:

@@ -58,6 +58,22 @@ def _check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
+    """Check one shape, count or seed: a numbers.Integral but not a bool, in [low, high)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value < high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _time_grid(ts) -> np.ndarray:
+    """ts as a 1-D float array; a scalar or a grid of any other shape raises ValueError."""
+    grid = np.asarray(ts, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"a time grid must be 1-D, got shape {grid.shape}")
+    return grid
+
+
 def _check_time(t: float) -> None:
     if not t >= 0.0:
         raise ValueError(f"time/damage argument must be nonnegative, got {t}")
@@ -268,9 +284,7 @@ class Erlang(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.shape, (int, np.integer))
-                and not isinstance(self.shape, bool) and self.shape >= 1):
-            raise ValueError(f"shape must be an integer >= 1, got {self.shape!r}")
+        _check_integer(self.shape, "shape", 1)
         _check_positive(self.rate, "rate")
 
     def survival(self, t: float) -> float:

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_LOG_MAX, _SERIES_LIMIT, _check_positive, _log_poisson_term,
-                            _poisson_tail, _recur_outward, erlang_cdf, erlang_survival)
+from .distributions import (_LOG_MAX, _SERIES_LIMIT, _check_integer, _check_positive,
+                            _log_poisson_term, _poisson_tail, _recur_outward, erlang_cdf,
+                            erlang_survival)
 from .errors import EqualRatesError
 
 __all__ = ["ErlangProduct", "PartialFractionExpansion", "expand", "convolution_cdf"]
@@ -59,9 +60,7 @@ class ErlangProduct:
 
     def __post_init__(self):
         for name in ("shape_a", "shape_b"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            _check_integer(getattr(self, name), name, 0)
         for name in ("rate_a", "rate_b"):
             _check_positive(getattr(self, name), name)
 

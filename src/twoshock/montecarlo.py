@@ -45,7 +45,7 @@ import numpy as np
 
 from .cumulative import CumulativeModel, GeneralCumulativeModel
 from .catastrophic import CatastrophicModel
-from .distributions import Distribution, Exponential
+from .distributions import Distribution, Exponential, _check_integer
 from .errors import NonConvergedError
 
 __all__ = [
@@ -78,13 +78,9 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.replications, int) and self.replications >= 2):
-            raise ValueError(f"replications must be an integer >= 2, got {self.replications!r}")
-        if not (isinstance(self.master_seed, int) and not isinstance(self.master_seed, bool)
-                and 0 <= self.master_seed < 2 ** 64):
-            raise ValueError(f"master_seed must be a 64-bit integer, got {self.master_seed!r}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
+        _check_integer(self.replications, "replications", 2)
+        _check_integer(self.master_seed, "master_seed", 0, 2 ** 64)
+        _check_integer(self.workers, "workers", 1)
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,8 @@ class DamageSimulation:
 
     def ecdf(self, grid_index: int, x: float) -> SimulationEstimate:
         """Exact fraction of damage draws at grid point grid_index that are <= x."""
+        if not 0 <= grid_index < len(self.grid):  # a negative index would count from the end
+            raise IndexError(f"grid_index {grid_index} is outside the {len(self.grid)} grid points")
         row = self._samples[grid_index]
         return _ecdf_estimate(int(np.count_nonzero(row <= x)), row.size, x, "x",
                               f"damage_ecdf@t={self.grid[grid_index]!r},x={float(x)!r}")

@@ -111,6 +111,14 @@ class TestSurvivalCurve:
             survival_curve(model, [0.5, bad, 1.0])
         assert str(curve.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("proc", [Erlang(3, 2.0), Weibull(0.8, 1.5)],
+                             ids=["erlang", "weibull"])
+    @pytest.mark.parametrize("grid, shape", [([[0.5, 1.0]], r"\(1, 2\)"), (1.0, r"\(\)")],
+                             ids=["2-D", "scalar"])
+    def test_grid_must_be_1d(self, proc, grid, shape):
+        with pytest.raises(ValueError, match=rf"1-D, got shape {shape}$"):
+            survival_curve(CatastrophicModel(proc, proc), grid)
+
     def test_empty_grid(self):
         curve = survival_curve(CatastrophicModel(Erlang(3, 1.0), Weibull(2.0, 1.0)), [])
         assert curve.shape == (0,) and curve.dtype == np.float64

@@ -4,14 +4,17 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from twoshock import montecarlo
+from twoshock import catastrophic, cumulative, montecarlo
 from twoshock.catastrophic import survival_probability
-from twoshock.cumulative import model2_fptf_curve
+from twoshock.cumulative import model2_fptf_curve, model2_fptf_mean
 from twoshock.cli import _render, load_model_file, main, parse_grid, parse_points
 
 CATASTROPHIC = {
@@ -142,6 +145,17 @@ class TestAnalyticCommands:
         assert rc == 0
         assert capsys.readouterr().out == "0.75\n"
 
+    def test_mean_fptf_cumulative_is_model2_fptf_mean(self, model_file, capsys):
+        path = model_file(CUMULATIVE)
+        assert main(["mean-fptf", "--model", path]) == 0
+        expected = model2_fptf_mean(load_model_file(path).model)
+        assert capsys.readouterr().out == "%.17g\n" % expected
+
+    def test_mean_fptf_general_kind_exits_one(self, model_file, capsys):
+        assert main(["mean-fptf", "--model", model_file(GENERAL)]) == 1
+        assert capsys.readouterr().err == ("error: mean-fptf needs a model of kind "
+                                           "catastrophic or cumulative, got general_cumulative\n")
+
     def test_mean_fptf_tiny_weibull_shape(self, model_file, capsys):
         # Gamma(1 + 1/0.005) is past the double range: the Weibull mean is
         # infinite, the pair's mean is not.
@@ -250,6 +264,20 @@ class TestAnalyticCommands:
         assert payload["model"]["kind"] == "catastrophic"
         assert payload["policies"] == {"tail_epsilon": 1e-10, "rel_tol": 1e-10}
 
+    def test_json_policies_echo_the_model_file(self, model_file, capsys):
+        path = model_file(dict(CUMULATIVE, tail_epsilon=1e-8, rel_tol=1e-6))
+        assert main(["mean-fptf", "--model", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["policies"] == {"tail_epsilon": 1e-8, "rel_tol": 1e-6}
+        policy = cumulative.TruncationPolicy(tail_epsilon=1e-8)
+        assert payload["value"] == model2_fptf_mean(load_model_file(path).model, policy)
+
+    @pytest.mark.parametrize("flag", ["--tail-epsilon", "--rel-tol"])
+    def test_tolerance_flags_are_gone(self, model_file, capsys, flag):
+        assert main(["fptf-model2", "--model", model_file(CUMULATIVE), "--points", "1",
+                     flag, "1e-8"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestSimulationCommands:
     def test_simulate_survival(self, model_file, capsys):
@@ -316,11 +344,18 @@ class TestSimulationCommands:
                              "--reps", "1000", "--seed", "3"])
         assert_one_error_line(proc, "compare on a general_cumulative model requires --x")
 
-    def test_x_rejected_for_catastrophic(self, model_file, capsys):
-        rc = main(["compare", "--model", model_file(CATASTROPHIC),
-                   "--points", "1", "--x", "2.0", "--reps", "1000", "--seed", "3"])
-        assert rc == 1
-        assert "--x" in capsys.readouterr().err
+    def test_x_rejected_for_catastrophic(self, model_file, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("--x is checked before any analytic or simulation work")
+
+        monkeypatch.setattr(catastrophic, "survival_curve", fail)
+        monkeypatch.setattr(montecarlo, "simulate_catastrophic", fail)
+        for command in ("compare", "simulate"):
+            rc = main([command, "--model", model_file(CATASTROPHIC),
+                       "--points", "1", "--x", "2.0", "--reps", "1000", "--seed", "3"])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: --x is only meaningful for cumulative model kinds\n")
 
     def test_general_compare(self, model_file, capsys):
         rc = main(["compare", "--model", model_file(GENERAL),
@@ -509,6 +544,32 @@ class TestIntegerFields:
         assert outputs[0] == outputs[1]
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """The README's two model files and every twoshock line of its CLI block, as written."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    models = re.findall(r"```json\n(.*?)```", section, re.S)
+    shell = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for name, text in zip(("cat.json", "cum.json"), models):
+        (tmp_path / name).write_text(text)
+    lines = [shlex.split(line, comments=True) for line in shell.splitlines()
+             if line.startswith("twoshock ")]
+    assert len(models) == 2 and len(lines) == 9
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        if argv[1] == "mean-fptf":
+            assert len(out) == 1 and math.isfinite(float(out[0])), argv
+            continue
+        spec = argv[argv.index("--grid") + 1] if "--grid" in argv else None
+        points = parse_grid(spec) if spec else parse_points(argv[argv.index("--points") + 1])
+        header = "t,analytic,estimate,std_error,z" if argv[1] == "compare" else "t,value"
+        assert out[0] == header and len(out) == 1 + len(points), argv
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -564,7 +625,7 @@ class TestRepeatedCalls:
                 for i in range(len(values))]
         expected = [",".join(columns)]
         expected += [",".join(format(v, ".17g") for v in row) for row in rows]
-        assert _render(rows, columns, "csv", None, None, None) == "\n".join(expected) + "\n"
+        assert _render(rows, columns, "csv", None) == "\n".join(expected) + "\n"
 
     def test_parser_built_on_first_call_only(self):
         code = ("import argparse\n"

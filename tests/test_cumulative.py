@@ -203,6 +203,16 @@ class TestModel2Fptf:
                                 threshold=800.0)
         assert model2_fptf_mean(model) == pytest.approx(400.5, rel=1e-9)
 
+    def test_mean_past_phase_cap(self):
+        # The series needs more than _MAX_TERMS phases; the terms past the cap
+        # are bounded below tail_epsilon of the mean at K = 9,400, not at 9,500.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
+                                threshold=9400.0)
+        assert model2_fptf_mean(model) == pytest.approx(4700.5, rel=1e-12)
+        with pytest.raises(NonConvergedError, match="leaves out"):
+            model2_fptf_mean(CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
+                                             threshold=9500.0))
+
     def test_mean_raises_when_term_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(cumulative, "_MAX_TERMS", 3)
         with pytest.raises(NonConvergedError):
@@ -291,6 +301,12 @@ class TestFailureTimeCurve:
         for ts in ([-1.0], [1.0, math.inf], [math.nan]):
             with pytest.raises(ValueError, match="t must be"):
                 model2_fptf_curve(SYMMETRIC, ts)
+
+    @pytest.mark.parametrize("ts, shape", [([[0.5, 1.0]], r"\(1, 2\)"), (1.0, r"\(\)")],
+                             ids=["2-D", "scalar"])
+    def test_grid_must_be_1d(self, ts, shape):
+        with pytest.raises(ValueError, match=rf"1-D, got shape {shape}$"):
+            model2_fptf_curve(SYMMETRIC, ts)
 
 
 class TestMergedProcessReduction:

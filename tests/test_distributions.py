@@ -23,6 +23,7 @@ from twoshock.distributions import (
     distribution_to_dict,
 )
 from twoshock.gamma_convolution import ErlangProduct
+from twoshock.montecarlo import SimulationConfig
 
 RATES = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 TIMES = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -342,6 +343,15 @@ POSITIVE_FIELDS = {
         lambda v: compound_poisson_exponential_cdf(1.0, v, 1.0, 1.0),
 }
 
+INTEGER_FIELDS = {
+    "Erlang.shape": lambda v: Erlang(v, 1.0),
+    "ErlangProduct.shape_a": lambda v: ErlangProduct(v, 1.0, 1, 2.0),
+    "ErlangProduct.shape_b": lambda v: ErlangProduct(1, 1.0, v, 2.0),
+    "SimulationConfig.replications": lambda v: SimulationConfig(v, 1),
+    "SimulationConfig.master_seed": lambda v: SimulationConfig(100, v),
+    "SimulationConfig.workers": lambda v: SimulationConfig(100, 1, workers=v),
+}
+
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
@@ -369,6 +379,13 @@ class TestValidation:
                              ids=["float64", "float32", "int64", "int"])
     def test_numpy_scalars_and_ints_accepted(self, field, good):
         POSITIVE_FIELDS[field](good)
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_every_integer_field_takes_numpy_integers_not_bools(self, field):
+        name = field.split(".")[1]
+        assert getattr(INTEGER_FIELDS[field](np.int64(2)), name) == 2
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            INTEGER_FIELDS[field](True)
 
     @pytest.mark.parametrize("bad_shape", [0, -1, 1.5, True])
     def test_erlang_shape_must_be_positive_integer(self, bad_shape):

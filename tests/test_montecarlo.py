@@ -373,6 +373,12 @@ class TestEstimateContract:
         with pytest.raises(ValueError, match="t must be a number, got nan"):
             crossing.ecdf(math.nan)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_ecdf_index_outside_grid_raises(self, index):
+        damage = simulate_cumulative(DAMAGE, [0.5, 1.5], config(n=100))
+        with pytest.raises(IndexError, match="grid_index"):
+            damage.ecdf(index, 1.0)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_catastrophic(EXP_PAIR, config(n=100), [1.0, 1.0])

@@ -6,22 +6,17 @@ error.  Reports go to standard output or --out; all diagnostics go to
 standard error.  A fixed invocation produces byte-identical
 output (numbers are written with 17 significant digits).
 
-Each analytic command takes the model kinds _ANALYTIC lists for it;
-mean-fptf is catastrophic.mean_fptf or cumulative.model2_fptf_mean.
-simulate and compare estimate the curve _quantity picks from the kind and
---x.  The model file's tail_epsilon and rel_tol fields are the only
-tolerances.
+Each analytic command takes the model kinds _ANALYTIC lists for it, and
+its help names them.  simulate and compare estimate the curve _quantity
+picks from the kind and --x.  The model file's tail_epsilon and rel_tol
+fields are the only tolerances.
 
-On cumulative models, fptf-model2 and damage-cdf (and compare, which uses
-them) evaluate the whole grid from one crossing-index sequence
-(cumulative.model2_fptf_curve), so early failure probabilities keep their
-relative accuracy; general_cumulative models go point by point through
-general_damage_cdf.
-
-On catastrophic models, survival and compare evaluate the whole grid in one
-array pass per process (catastrophic.survival_curve), with values bit for
-bit those of survival_probability; fptf-cdf stays point by point, because
-F1 + S1 F2 needs the cancellation-free Erlang CDF series.
+Curves use a grid function where the kind has one: fptf-model2 and
+damage-cdf on cumulative models take one crossing-index sequence
+(cumulative.model2_fptf_curve), and survival takes one array pass
+(catastrophic.survival_curve, bit for bit survival_probability).  The rest
+go point by point: general_cumulative models through general_damage_cdf,
+and fptf-cdf because F1 + S1 F2 needs the cancellation-free Erlang CDF series.
 
 main(argv) may be called repeatedly in one process.  The argument parser is
 built on the first call and reused by every later one, so the --workers
@@ -137,6 +132,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, grid=True, x=None, sim=False):
+        if name in _ANALYTIC:
+            help_text += f" ({' or '.join(_ANALYTIC[name])} models)"
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON file")
         if grid:
@@ -155,12 +152,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         return p
 
-    add("survival", "survival probability curve (catastrophic models)")
-    add("fptf-cdf", "failure-time CDF curve (catastrophic models)")
-    add("mean-fptf", "mean failure time (kinds catastrophic and cumulative)", grid=False)
-    add("damage-cdf", "damage CDF curve at level --x (cumulative models)", x="required")
-    add("damage-mean", "mean damage curve (cumulative models)")
-    add("fptf-model2", "failure-time CDF curve (cumulative models)")
+    add("survival", "survival probability curve")
+    add("fptf-cdf", "failure-time CDF curve")
+    add("mean-fptf", "mean failure time", grid=False)
+    add("damage-cdf", "damage CDF curve at level --x", x="required")
+    add("damage-mean", "mean damage curve")
+    add("fptf-model2", "failure-time CDF curve")
     add("simulate", "Monte Carlo estimates on a grid", x="optional", sim=True)
     add("compare", "analytic values vs Monte Carlo estimates", x="optional", sim=True)
     return parser
@@ -209,9 +206,7 @@ def _quantity(command: str, kind: str, x) -> str:
 
 def _simulation_estimates(quantity: str, mf: ModelFile, args, grid: list) -> list:
     """Monte Carlo estimates of the quantity _quantity chose, one per grid time."""
-    cfg = montecarlo.SimulationConfig(replications=args.reps,
-                                      master_seed=args.seed,
-                                      workers=args.workers)
+    cfg = montecarlo.SimulationConfig(args.reps, args.seed, workers=args.workers)
     if quantity == "survival":
         return list(montecarlo.simulate_catastrophic(mf.model, cfg, grid).survival)
     if quantity == "fptf-model2":

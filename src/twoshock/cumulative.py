@@ -402,9 +402,11 @@ def model2_fptf_mean(model: CumulativeModel,
 
     Past _MAX_TERMS phases the series is cut at n = _MAX_TERMS.  Every mark
     takes a phase at least, so U(s) <= 1 and the terms left out sum to at
-    most sum_{k >= n} (k - n + 1) P(Poisson(mu_f K) = k).  The cut mean is
-    returned when that bound is below tail_epsilon times the kept sum, a
-    relative error below tail_epsilon; else NonConvergedError names the bound.
+    most E[(N - n + 1)^+], N ~ Poisson(mu_f K): below mu_f K = n the terms
+    k >= n out to _poisson_reach, from there on (mu_f K - n + 1) plus
+    sum_{k <= n-2} (n - 1 - k) P(N = k), two nonnegative parts of n terms.
+    The cut mean, within tail_epsilon relative, is returned when that bound
+    is below tail_epsilon times the kept sum; else NonConvergedError says so.
     """
     eps = (policy or TruncationPolicy()).tail_epsilon
     z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
@@ -416,8 +418,11 @@ def model2_fptf_mean(model: CumulativeModel,
         rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
     total = float(rev @ cdfs[::-1])
     if not converged:
-        left_out = _poisson_pmf(z, _poisson_reach(z, n))[n:]
-        bound = float(left_out @ np.arange(1.0, left_out.size + 1.0))
+        if z < n:
+            left_out = _poisson_pmf(z, _poisson_reach(z, n))[n:]
+            bound = float(left_out @ np.arange(1.0, left_out.size + 1.0))
+        else:  # at z = inf too, where every P(N = k) is 0 and the bound is inf
+            bound = z - n + 1 + float(_poisson_pmf(z, n - 1) @ np.arange(n - 1.0, 0.0, -1.0))
         if not bound < eps * total:
             raise NonConvergedError(
                 f"phase series needs more than {_MAX_TERMS} terms at rate * x = {z}, "

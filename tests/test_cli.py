@@ -15,7 +15,7 @@ import pytest
 from twoshock import catastrophic, cumulative, montecarlo
 from twoshock.catastrophic import survival_probability
 from twoshock.cumulative import model2_fptf_curve, model2_fptf_mean
-from twoshock.cli import _render, load_model_file, main, parse_grid, parse_points
+from twoshock.cli import _build_parser, _render, load_model_file, main, parse_grid, parse_points
 
 CATASTROPHIC = {
     "kind": "catastrophic",
@@ -175,6 +175,18 @@ class TestAnalyticCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numerical failure in mean-fptf" in captured.err
+
+    @pytest.mark.parametrize("fields", [{"threshold": 1e12},
+                                        {"mag1": {"type": "exponential", "rate": 1e200},
+                                         "threshold": 1e200}])
+    def test_mean_fptf_cumulative_past_phase_cap_exits_two(self, model_file, capsys, fields):
+        # mu_f K = 1e12 and mu_f K = inf (an overflowed product) both leave
+        # out more than tail_epsilon of the mean.
+        rc = main(["mean-fptf", "--model", model_file(dict(CUMULATIVE, **fields))])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure in mean-fptf: phase series")
 
     def test_damage_cdf_requires_x(self, model_file, capsys):
         rc = main(["damage-cdf", "--model", model_file(CUMULATIVE), "--grid", "0:2:3"])
@@ -585,6 +597,14 @@ class TestUsageErrors:
     def test_grid_required(self, model_file, capsys):
         rc = main(["survival", "--model", model_file(CATASTROPHIC)])
         assert rc == 1
+
+    def test_help_names_the_kinds_each_command_takes(self):
+        text = " ".join(_build_parser().format_help().split())
+        assert "survival survival probability curve (catastrophic models)" in text
+        assert "mean-fptf mean failure time (catastrophic or cumulative models)" in text
+        assert ("damage-cdf damage CDF curve at level --x "
+                "(cumulative or general_cumulative models)") in text
+        assert "compare analytic values vs Monte Carlo estimates options" in text
 
 
 def test_import_loads_neither_mpmath_nor_scipy_stats():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -212,6 +213,40 @@ class TestModel2Fptf:
         with pytest.raises(NonConvergedError, match="leaves out"):
             model2_fptf_mean(CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
                                              threshold=9500.0))
+
+    @pytest.mark.parametrize("z", [9500.0, 10050.0])
+    def test_mean_cut_bound(self, z):
+        # The bound E[(N - n + 1)^+], n = 10,000, is the sum over k >= n, here
+        # in log space; past z = n it comes from the n terms below n, and
+        # below z = n that identity would cancel to about 1e-12 absolute.
+        n = cumulative._MAX_TERMS
+        expected = math.fsum((k - n + 1) * math.exp(k * math.log(z) - z - math.lgamma(k + 1))
+                             for k in range(n, 12100))
+        with pytest.raises(NonConvergedError, match="leaves out") as err:
+            model2_fptf_mean(CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
+                                             threshold=z))
+        bound = float(re.search(r"may sum to (\S+),", str(err.value)).group(1))
+        assert bound == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_mean_far_past_phase_cap_keeps_arrays_short(self):
+        # mu_f K = 1e12: the bound on the left-out terms takes n Poisson terms,
+        # not an array about 1e12 long.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=1e12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergedError, match="leaves out"):
+                model2_fptf_mean(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_mean_infinite_phase_mean_raises(self):
+        # mu_f K = 1e200 * 1e200 overflows: every Poisson term is 0, the bound inf.
+        model = CumulativeModel(1.0, 1.0, Exponential(1e200), Exponential(1e200),
+                                threshold=1e200)
+        with pytest.raises(NonConvergedError, match=r"rate \* x = inf"):
+            model2_fptf_mean(model)
 
     def test_mean_raises_when_term_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(cumulative, "_MAX_TERMS", 3)

@@ -58,12 +58,14 @@ def _check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
-    """Check one shape, count or seed: a numbers.Integral but not a bool, in [low, high)."""
+def _check_integer(obj, name: str, low: int, high: int | None = None) -> None:
+    """Check field name of obj, a numbers.Integral but not a bool, in [low, high); store an int."""
+    value = getattr(obj, name)
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and low <= value and (high is None or value < high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    object.__setattr__(obj, name, int(value))  # obj is a frozen dataclass
 
 
 def _time_grid(ts) -> np.ndarray:
@@ -284,7 +286,7 @@ class Erlang(Distribution):
     rate: float
 
     def __post_init__(self):
-        _check_integer(self.shape, "shape", 1)
+        _check_integer(self, "shape", 1)
         _check_positive(self.rate, "rate")
 
     def survival(self, t: float) -> float:

@@ -60,7 +60,7 @@ class ErlangProduct:
 
     def __post_init__(self):
         for name in ("shape_a", "shape_b"):
-            _check_integer(getattr(self, name), name, 0)
+            _check_integer(self, name, 0)
         for name in ("rate_a", "rate_b"):
             _check_positive(getattr(self, name), name)
 

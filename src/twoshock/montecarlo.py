@@ -26,12 +26,13 @@ draws from an independent substream seeded by SeedSequence([master_seed, j]),
 and per-block partial results are reduced in block order, so the worker count
 can never change an output bit.
 
-Damage paths and crossing times are drawn into one array allocated up front:
-each block writes its own columns and, in its worker, reduces them to sums
-and sums of squares, whose fsum gives the means.  Damage rows stay unsorted,
-since every caller asks a row for one level and a count is cheaper than a
-sort; crossing times are sorted once in place, since callers ask them for a
-whole grid of times.
+Damage paths and crossing times are drawn straight into their block's
+columns of one array allocated up front.  Each block's worker returns one
+list of floats, such as its row sums and sums of squares, and _run_blocks
+fsums each position over the blocks in block order.  Damage rows stay
+unsorted, since every caller asks a row for one level and a count is cheaper
+than a sort; crossing times are sorted once in place, since callers ask them
+for a whole grid of times.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .cumulative import CumulativeModel, GeneralCumulativeModel
 from .catastrophic import CatastrophicModel
-from .distributions import Distribution, Exponential, _check_integer
+from .distributions import Distribution, Exponential, _check_integer, _time_grid
 from .errors import NonConvergedError
 
 __all__ = [
@@ -78,9 +79,9 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_integer(self.replications, "replications", 2)
-        _check_integer(self.master_seed, "master_seed", 0, 2 ** 64)
-        _check_integer(self.workers, "workers", 1)
+        _check_integer(self, "replications", 2)
+        _check_integer(self, "master_seed", 0, 2 ** 64)
+        _check_integer(self, "workers", 1)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def _usable_cpus() -> int:
 
 
 def _run_blocks(cfg: SimulationConfig, worker) -> list:
-    """worker(rng, cols) per block, cols its slice of the replications; results in block order."""
+    """Block-order fsum of each position of the float lists worker(rng, cols) returns per block."""
     n = cfg.replications
     blocks = [slice(start, min(start + _BLOCK_SIZE, n)) for start in range(0, n, _BLOCK_SIZE)]
 
@@ -170,14 +171,24 @@ def _run_blocks(cfg: SimulationConfig, worker) -> list:
 
     threads = min(cfg.workers, len(blocks), _usable_cpus())
     if threads == 1:
-        return [run(j) for j in range(len(blocks))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, j) for j in range(len(blocks))]
-        return [f.result() for f in futures]
+        parts = map(run, range(len(blocks)))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(run, j) for j in range(len(blocks))]
+            parts = [f.result() for f in futures]
+    return [math.fsum(column) for column in zip(*parts)]
+
+
+def _moments(block: np.ndarray) -> list:
+    """Row sums of block (1-D: one row), then row sums of squares, squared in one scratch row."""
+    rows = np.atleast_2d(block)
+    scratch = np.empty(rows.shape[1])
+    squares = [float(np.multiply(row, row, out=scratch).sum()) for row in rows]
+    return [float(row.sum()) for row in rows] + squares
 
 
 def _check_grid(t_grid) -> np.ndarray:
-    grid = np.asarray(list(t_grid), dtype=float)
+    grid = _time_grid(t_grid)
     if not (np.all(np.isfinite(grid) & (grid >= 0.0)) and np.all(np.diff(grid) > 0.0)):
         raise ValueError("grid points must be finite, nonnegative and strictly increasing")
     return grid
@@ -191,15 +202,10 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
     def worker(rng, cols):
         first = model.proc1.sample_n(rng, cols.stop - cols.start)
         np.minimum(first, model.proc2.sample_n(rng, first.size), out=first)
-        counts = np.array([np.count_nonzero(first > t) for t in grid], dtype=np.int64)
-        total = float(first.sum())
-        first *= first
-        return total, float(first.sum()), counts
+        # Counts travel as floats, exact below 2^53.
+        return _moments(first) + [float(np.count_nonzero(first > t)) for t in grid]
 
-    parts = _run_blocks(cfg, worker)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    counts = sum((p[2] for p in parts), np.zeros(grid.size, dtype=np.int64))
+    total, total_sq, *counts = _run_blocks(cfg, worker)
     n = cfg.replications
     survival = tuple(
         _proportion_estimate(int(c), n, f"survival@t={float(t)!r}")
@@ -273,17 +279,16 @@ def _arrival_slots(name: str, inter: Distribution, grid: np.ndarray, rng,
     return np.concatenate(slots)
 
 
-def _damage_paths(streams, grid: np.ndarray, rng, size: int) -> np.ndarray:
-    """Damage per replication by grid time, (len(grid), size), of (name, inter, mag) streams."""
-    cells = grid.size * size
-    damage = np.zeros(cells)
+def _damage_paths(streams, grid: np.ndarray, rng, out: np.ndarray) -> np.ndarray:
+    """Damage of (name, inter, mag) streams by grid time into out, (len(grid), reps); returns it."""
+    out[...] = 0.0
     for name, inter, mag in streams:
-        slots = _arrival_slots(name, inter, grid, rng, size)
-        damage += np.bincount(slots, weights=mag.sample_n(rng, slots.size), minlength=cells)
-    damage = damage.reshape(grid.size, size)
+        slots = _arrival_slots(name, inter, grid, rng, out.shape[1])
+        out += np.bincount(slots, weights=mag.sample_n(rng, slots.size),
+                           minlength=out.size).reshape(out.shape)
     for i in range(1, grid.size):
-        damage[i] += damage[i - 1]
-    return damage
+        out[i] += out[i - 1]
+    return out
 
 
 def _simulate_damage(streams, t_grid, cfg: SimulationConfig, tag: str) -> DamageSimulation:
@@ -293,19 +298,10 @@ def _simulate_damage(streams, t_grid, cfg: SimulationConfig, tag: str) -> Damage
 
     n = cfg.replications
     samples = np.empty((grid.size, n))
-
-    def worker(rng, cols):
-        paths = _damage_paths(streams, grid, rng, cols.stop - cols.start)
-        samples[:, cols] = paths
-        totals = paths.sum(axis=1)
-        paths *= paths
-        return totals, paths.sum(axis=1)
-
-    parts = _run_blocks(cfg, worker)
-    means = tuple(
-        _mean_estimate(math.fsum(p[0][i] for p in parts), math.fsum(p[1][i] for p in parts),
-                       n, f"{tag}_mean@t={float(t)!r}")
-        for i, t in enumerate(grid))
+    sums = _run_blocks(cfg, lambda rng, cols: _moments(
+        _damage_paths(streams, grid, rng, samples[:, cols])))
+    means = tuple(_mean_estimate(sums[i], sums[grid.size + i], n, f"{tag}_mean@t={float(t)!r}")
+                  for i, t in enumerate(grid))
     return DamageSimulation(grid=tuple(float(t) for t in grid),
                             means=means, _samples=tuple(samples))
 
@@ -347,8 +343,8 @@ def _merged_marks(model: CumulativeModel, p1: float, rng, steps: int, reps: int)
     return marks.reshape(steps, reps)
 
 
-def _crossing_times(model: CumulativeModel, rng, size: int) -> np.ndarray:
-    """First instants at which the merged stream's cumulative damage exceeds the threshold.
+def _crossing_times(model: CumulativeModel, rng, out: np.ndarray) -> np.ndarray:
+    """First instants at which the merged stream's damage exceeds the threshold, into out.
 
     Marks are drawn in chunks of shocks, the first about threshold / mean
     mark long and each later one half as long again; only the replications
@@ -361,12 +357,14 @@ def _crossing_times(model: CumulativeModel, rng, size: int) -> np.ndarray:
     total = model.rate1 + model.rate2
     p1 = model.rate1 / total
     mark_mean = p1 * model.mag1.mean() + (1.0 - p1) * model.mag2.mean()
-    shocks = np.ones(size, dtype=np.int64)
+    shocks = np.ones(out.size, dtype=np.int64)
     for reps, damage in _running_sums(
             lambda k, n: _merged_marks(model, p1, rng, k, n),
-            size, max(4, int(model.threshold / mark_mean) + 1), model.threshold):
+            out.size, max(4, int(model.threshold / mark_mean) + 1), model.threshold):
         shocks[reps] += np.count_nonzero(damage <= model.threshold, axis=0)
-    return rng.standard_gamma(shocks) / total
+    rng.standard_gamma(shocks, out=out)
+    out /= total
+    return out
 
 
 def simulate_fptf_cumulative(model: CumulativeModel,
@@ -378,16 +376,7 @@ def simulate_fptf_cumulative(model: CumulativeModel,
     """
     n = cfg.replications
     times = np.empty(n)
-
-    def worker(rng, cols):
-        block = _crossing_times(model, rng, cols.stop - cols.start)
-        times[cols] = block
-        total = float(block.sum())
-        block *= block
-        return total, float(block.sum())
-
-    parts = _run_blocks(cfg, worker)
-    est = _mean_estimate(math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts),
-                         n, "fptf_mean")
+    total, total_sq = _run_blocks(cfg, lambda rng, cols: _moments(
+        _crossing_times(model, rng, times[cols])))
     times.sort()
-    return FptfSimulation(mean=est, _times=times)
+    return FptfSimulation(mean=_mean_estimate(total, total_sq, n, "fptf_mean"), _times=times)

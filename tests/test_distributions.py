@@ -387,6 +387,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
             INTEGER_FIELDS[field](True)
 
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_every_integer_field_stores_a_python_int(self, field):
+        # A numpy integer kept as given leaks into results and JSON output.
+        assert type(getattr(INTEGER_FIELDS[field](np.int64(2)), field.split(".")[1])) is int
+
     @pytest.mark.parametrize("bad_shape", [0, -1, 1.5, True])
     def test_erlang_shape_must_be_positive_integer(self, bad_shape):
         with pytest.raises(ValueError):

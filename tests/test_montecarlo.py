@@ -183,8 +183,13 @@ class TestDamageSimulation:
     def test_path_shape(self, inter):
         grid = np.array([0.0, 0.5, 1.0, 3.0])
         streams = (("inter1", inter, Exponential(1.0)), ("inter2", inter, Erlang(2, 1.0)))
-        paths = montecarlo._damage_paths(streams, grid, np.random.default_rng(5), 1000)
+        # The paths go into the given columns of a wider array and nowhere else.
+        store = np.full((4, 3000), np.nan)
+        paths = montecarlo._damage_paths(streams, grid, np.random.default_rng(5),
+                                         store[:, 1000:2000])
+        assert np.shares_memory(paths, store)
         assert paths.shape == (4, 1000)
+        assert np.isnan(store[:, :1000]).all() and np.isnan(store[:, 2000:]).all()
         assert not paths[0].any()
         assert np.all(np.diff(paths, axis=0) >= 0.0)
         assert paths[-1].any()
@@ -363,6 +368,18 @@ class TestEstimateContract:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_damage_block_draws_into_its_columns(self):
+        # One block on 3 grid points stores 384 KiB of draws; a second copy
+        # of the block's paths beside them would push the peak past 1.6 MiB.
+        cfg = config(n=montecarlo._BLOCK_SIZE)
+        tracemalloc.start()
+        try:
+            simulate_cumulative(DAMAGE, [0.5, 1.0, 2.0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * 2**20
+
     def test_ecdf_of_nan_raises(self):
         # No draw compares <= nan, yet searchsorted would put nan past every
         # draw: neither count is an ECDF value.
@@ -384,6 +401,16 @@ class TestEstimateContract:
             simulate_catastrophic(EXP_PAIR, config(n=100), [1.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_catastrophic(EXP_PAIR, config(n=100), [-1.0, 1.0])
+
+    @pytest.mark.parametrize("simulate", [
+        lambda grid: simulate_catastrophic(EXP_PAIR, config(n=100), grid),
+        lambda grid: simulate_cumulative(DAMAGE, grid, config(n=100)),
+        lambda grid: simulate_general_cumulative(ERLANG_RENEWALS, grid, config(n=100)),
+    ], ids=["catastrophic", "cumulative", "general"])
+    @pytest.mark.parametrize("grid", [[[0.5, 1.0]], 1.0], ids=["2-D", "scalar"])
+    def test_grid_must_be_1d(self, simulate, grid):
+        with pytest.raises(ValueError, match=r"^a time grid must be 1-D, got shape"):
+            simulate(grid)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_grid_must_be_finite(self, bad):

@@ -7,14 +7,23 @@ total damage is Erlang(S, mu_f) for a random phase count S with pmf g, and
 
     P(damage <= x) = sum_s g(s) P(Erlang(s, mu_f) <= x).
 
-Under Poisson arrivals g is a compound-Poisson pmf, computed by the Panjer
-(1981) recursion; under renewal arrivals it is the convolution over the two
-streams of sum_k P(N_i(t) = k) f_i^{*k}, with f_i the phase pmf of one mark.
+Under Poisson arrivals g is a compound-Poisson pmf.  When the two marks
+share their rate, an Erlang(m_i, mu) mark is exactly m_i phases, so
+S = m1 P1 + m2 P2 with P_i ~ Poisson(rate_i t) the independent stream counts
+(Poisson splitting, Kingman 1993, 5.1): g is the Poisson pmf of each stream
+put on its m_i-lattice and the two convolved, or one Poisson pmf of the
+summed rate when m1 = m2, every term a positive Poisson term at any mean.
+At unequal mark rates g comes from the Panjer (1981) recursion over the
+merged stream.  Under renewal arrivals g is the convolution over the two
+streams of sum_k P(N_i(t) = k) f_i^{*k}, with f_i the phase pmf of one mark,
+which is P(N_i(t) = k) on the m_i-lattice when the mark is m_i phases.
 Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
 floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
-and needs no quadrature.  Every term is positive, and each series stops at
-the first S whose Erlang CDF is below the requested bound.
+and needs no quadrature; at equal mark rates a shock takes m1 or m2 phases,
+and the sequence is a two-term scalar recurrence.  Every term is positive,
+and each series stops at the first S whose Erlang CDF is below the
+requested bound.
 
 Failure-time curves use the law of the crossing index N, the shock of the
 merged stream (rate L = rate1 + rate2) that takes the damage past the
@@ -179,6 +188,34 @@ def _merged(model: CumulativeModel, a, b):
     return (model.rate1 * a + model.rate2 * b) / (model.rate1 + model.rate2)
 
 
+def _phase_shifts(model: CumulativeModel) -> tuple[int, int] | None:
+    """(m1, m2) when the marks share a rate, so each is exactly its shape in phases; else None.
+
+    The model checked at construction that both marks are Erlang.
+    """
+    mag1, mag2 = model.mag1, model.mag2
+    return (mag1.shape, mag2.shape) if mag1.rate == mag2.rate else None
+
+
+def _on_lattice(counts: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Phase pmf of N marks of m phases each, N with pmf counts: counts[k] at k m, cut at n."""
+    out = np.zeros(n)
+    kept = counts[:-(-n // m)]
+    out[:m * len(kept):m] = kept
+    return out
+
+
+def _poisson_lattice(z: float, m: int, n: int) -> np.ndarray:
+    """Phase pmf of Poisson(z) marks of m phases each, cut at n and at the Poisson reach.
+
+    The counts past _poisson_reach carry less than a double resolves, so
+    the pmf may end before n.  At z = inf all mass lies past the range: the
+    one count built is 0.
+    """
+    built = 1 if z == math.inf else min(-(-n // m), _poisson_reach(z, 1))
+    return _on_lattice(_poisson_pmf(z, built), m, min(n, m * built))
+
+
 def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
     """pmf of a Poisson(mean) sum of i.i.d. phase jumps (jumps[0] == 0), cut at len(jumps).
 
@@ -221,10 +258,13 @@ def _check_cut(mass: float, terms: int, policy: TruncationPolicy, z: float) -> N
 
 def _phase_series(g: np.ndarray, cdfs: np.ndarray, converged: bool,
                   policy: TruncationPolicy, z: float) -> float:
-    """sum_s g(s) cdfs(s) clamped to [0, 1]; a series cut at the cap passes _check_cut first."""
+    """sum_s g(s) cdfs(s) clamped to [0, 1], g no longer than cdfs and 0 past its end.
+
+    A series cut at the cap passes _check_cut first.
+    """
     if not converged:
         _check_cut(math.fsum(g), len(g), policy, z)
-    value = float(g @ cdfs)
+    value = float(g @ cdfs[:len(g)])
     return min(1.0, max(0.0, value))
 
 
@@ -232,15 +272,29 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
                policy: TruncationPolicy | None = None) -> float:
     """P(total damage by time t is <= x), within tail_epsilon absolute.
 
-    When the Erlang-CDF stop needs more than _MAX_TERMS phases, the series
-    is cut at the cap if the phase-count pmf has mass at least
+    When the marks share their rate mu, an Erlang(m_i, mu) mark is exactly
+    m_i Exp(mu) phases, so the phase count is m1 P1 + m2 P2 with P_i the
+    Poisson(rate_i t) count of stream i: g is the convolution of the two
+    Poisson pmfs on their lattices, or at m1 = m2 the Poisson((rate1 +
+    rate2) t) pmf on one lattice.  That is the compound-Poisson law exactly,
+    with positive terms at any mean.  At unequal rates the Panjer recursion
+    gives g.  When the Erlang-CDF stop needs more than _MAX_TERMS phases,
+    the series is cut at the cap if the phase-count pmf has mass at least
     1 - tail_epsilon below it (_phase_series).
     """
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
     z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon)
-    g = _compound_poisson_pmf((model.rate1 + model.rate2) * t, _merged(model, f1, f2))
+    n = len(cdfs)
+    shifts = _phase_shifts(model)
+    if shifts is None:
+        g = _compound_poisson_pmf((model.rate1 + model.rate2) * t, _merged(model, f1, f2))
+    elif shifts[0] == shifts[1]:
+        g = _poisson_lattice((model.rate1 + model.rate2) * t, shifts[0], n)
+    else:
+        g = np.convolve(_poisson_lattice(model.rate1 * t, shifts[0], n),
+                        _poisson_lattice(model.rate2 * t, shifts[1], n))[:n]
     return _phase_series(g, cdfs, converged, policy, z)
 
 
@@ -388,6 +442,26 @@ def model2_fptf_curve(model: CumulativeModel, ts, policy: TruncationPolicy | Non
     return _crossing_curve(model, model.threshold, ts, policy)
 
 
+def _lattice_renewal(model: CumulativeModel, m1: int, m2: int, n: int) -> np.ndarray:
+    """U(s) for s < n, reversed, when a shock takes exactly m1 or m2 phases.
+
+    U(0) = 1, U(s) = p1 U(s - m1) + p2 U(s - m2), p_i = rate_i / L, in
+    scalar steps.  Equal shapes give U = 1 on the multiples of m1, 0 elsewhere.
+    """
+    rev = np.zeros(n)
+    if m1 == m2:
+        rev[n - 1::-m1] = 1.0
+        return rev
+    total = model.rate1 + model.rate2
+    p1, p2 = model.rate1 / total, model.rate2 / total
+    lead = max(m1, m2)  # zeros before U(0), so U(s - m) reads 0 for s < m
+    u = [0.0] * lead + [1.0]
+    for _ in range(1, n):
+        u.append(p1 * u[-m1] + p2 * u[-m2])
+    rev[:] = u[:lead - 1:-1]
+    return rev
+
+
 def model2_fptf_mean(model: CumulativeModel,
                      policy: TruncationPolicy | None = None) -> float:
     """Mean failure time, exact: E[T] = (1/L) sum_s U(s) P(Erlang(s, mu_f) <= K).
@@ -395,7 +469,11 @@ def model2_fptf_mean(model: CumulativeModel,
     Shocks of the merged stream arrive at rate L = rate1 + rate2, and the
     unit outlives shock n when the damage D_n of the first n shocks is at
     most K, so E[T] = (1/L) sum_n P(D_n <= K).  U is the renewal sequence
-    of the per-shock phase pmf f: U(0) = 1, U(s) = sum_j f(j) U(s-j).  The
+    of the per-shock phase pmf f: U(0) = 1, U(s) = sum_j f(j) U(s-j).  When
+    the marks share their rate, a shock takes exactly m1 phases with
+    probability p1 = rate1 / L and m2 with p2 = rate2 / L, so f has two atoms
+    and U(s) = p1 U(s - m1) + p2 U(s - m2) is the same sequence in O(n)
+    scalar steps (_lattice_renewal); else each U(s) is a dot product.  The
     series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
@@ -411,11 +489,15 @@ def model2_fptf_mean(model: CumulativeModel,
     eps = (policy or TruncationPolicy()).tail_epsilon
     z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
     n = len(cdfs)
-    steps = _merged(model, f1, f2)[1:]
-    rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
-    rev[-1] = 1.0
-    for s in range(1, n):
-        rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
+    shifts = _phase_shifts(model)
+    if shifts is None:
+        steps = _merged(model, f1, f2)[1:]
+        rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
+        rev[-1] = 1.0
+        for s in range(1, n):
+            rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
+    else:
+        rev = _lattice_renewal(model, *shifts, n)
     total = float(rev @ cdfs[::-1])
     if not converged:
         if z < n:
@@ -433,13 +515,18 @@ def model2_fptf_mean(model: CumulativeModel,
 def _random_sum_pmf(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:
     """Phase pmf of a random sum of marks: sum_k counts[k] mark^{*k}, cut at len(mark).
 
-    The mark is convolved only over its support, and each power only as
-    far as its own, cut at len(mark): every product left out is an exact 0.
+    A mark of exactly m phases (one atom of mass 1, as the faster-rate mark
+    always is) has its k-th power at k m alone, so the sum is counts on the
+    m-lattice, with no convolution.  Any other mark is convolved only over
+    its support, and each power only as far as its own, cut at len(mark):
+    every product left out is an exact 0.
     """
     n = len(mark)
+    support = np.flatnonzero(mark)
+    if support.size == 1 and mark[support[0]] == 1.0:
+        return _on_lattice(counts, int(support[0]), n)
     out = np.zeros(n)
     out[0] = counts[0]
-    support = np.flatnonzero(mark)
     if not support.size:  # no mark fits below n phases
         return out
     mark = mark[:support[-1] + 1]

@@ -34,6 +34,7 @@ from twoshock.cumulative import (
     model2_fptf_mean,
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
+from twoshock.gamma_convolution import _phase_pmf
 from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
@@ -145,6 +146,88 @@ def test_panjer_forward_slices_match_reversed_recursion():
         for _ in range(halvings):
             ref = np.convolve(ref, ref)[:len(jumps)]
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
+
+
+def _dense_renewal(model: CumulativeModel, n: int) -> np.ndarray:
+    """U(s) for s < n from U(s) = sum_j f(j) U(s - j), f the merged per-shock phase pmf."""
+    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
+    fast = max(mu1, mu2)
+    steps = cumulative._merged(model, _phase_pmf(m1, mu1, fast, n), _phase_pmf(m2, mu2, fast, n))
+    u = np.zeros(n)
+    u[0] = 1.0
+    for s in range(1, n):
+        u[s] = steps[1:s + 1] @ u[s - 1::-1]
+    return u
+
+
+class TestLatticeRoutes:
+    """Equal mark rates: every mark is a fixed number of phases."""
+
+    # (mu, rate1, rate2, t, x): mark rates 1e-2 to 1e3; the third has a
+    # Poisson mean of 850, past exp underflow, and the fourth needs more
+    # phases than _MAX_TERMS, its series cut by the pmf mass.
+    POINTS = [(1e-2, 1e-2, 1e3, 0.3, 500.0), (1e3, 2.0, 0.5, 1.5, 4e-3),
+              (1.0, 400.0, 450.0, 1.0, 1500.0), (3.0, 0.7, 1.3, 2.0, 3500.0)]
+
+    @pytest.mark.parametrize("m1", range(1, 6))
+    @pytest.mark.parametrize("m2", range(1, 6))
+    def test_damage_cdf_matches_merged_panjer_route(self, m1, m2):
+        policy = TruncationPolicy()
+        converged = []
+        for mu, rate1, rate2, t, x in self.POINTS:
+            model = CumulativeModel(rate1, rate2, Erlang(m1, mu), Erlang(m2, mu), threshold=1.0)
+            z, cdfs, done, f1, f2 = _phases(model, x, policy.tail_epsilon)
+            g = _compound_poisson_pmf((rate1 + rate2) * t, cumulative._merged(model, f1, f2))
+            panjer = cumulative._phase_series(g, cdfs, done, policy, z)
+            assert damage_cdf(model, t, x, policy) == pytest.approx(panjer, abs=1e-13, rel=0.0)
+            converged.append(done)
+        assert converged == [True, True, True, False]
+
+    @pytest.mark.parametrize("m1,m2", [(1, 1), (3, 3), (1, 2), (2, 1), (2, 5), (4, 3)])
+    def test_two_atom_renewal_and_mean_match_dense_loop(self, m1, m2):
+        for rate1, rate2, mu, threshold in [(1.0, 2.0, 1.0, 40.0), (0.01, 50.0, 3.0, 100.0),
+                                            (7.0, 0.2, 0.5, 1e3)]:
+            model = CumulativeModel(rate1, rate2, Erlang(m1, mu), Erlang(m2, mu),
+                                    threshold=threshold)
+            cdfs = _phases(model, threshold, 1e-10)[1]
+            dense = _dense_renewal(model, len(cdfs))
+            u = cumulative._lattice_renewal(model, m1, m2, len(cdfs))[::-1]
+            np.testing.assert_allclose(u, dense, rtol=1e-13, atol=1e-300)
+            assert model2_fptf_mean(model) == pytest.approx(
+                float(dense @ cdfs) / (rate1 + rate2), rel=1e-13)
+
+    @pytest.mark.parametrize("mu,rate1,rate2,threshold", [
+        (1.0, 1.0, 1.0, 1.0), (2.0, 0.3, 5.0, 25.0), (0.5, 3.0, 1.0, 1400.0),
+        (10.0, 0.01, 0.02, 500.0)])
+    def test_equal_exponential_mean_is_closed_form(self, mu, rate1, rate2, threshold):
+        # U == 1, so E[T] = (1 + mu K) / L less the terms past the stop S, which
+        # sum to at most tail_epsilon (S + 1) / ((S + 1 - mu K) L); mu K up to 5,000.
+        eps = 1e-10
+        model = CumulativeModel(rate1, rate2, Exponential(mu), Exponential(mu), threshold)
+        total = rate1 + rate2
+        s = len(_phases(model, threshold, eps)[1])
+        exact = (1.0 + mu * threshold) / total
+        rounding = s * sys.float_info.epsilon * exact
+        mean = model2_fptf_mean(model, TruncationPolicy(eps))
+        assert exact - eps * (s + 1) / ((s + 1 - mu * threshold) * total) - rounding <= mean
+        assert mean <= exact + rounding
+
+    # A slower mark cut at n = shape + 1 is one atom of mass below 1: no lattice.
+    @pytest.mark.parametrize("shape,n,mass", [(1, 1, 1.0), (1, 50, 1.0), (3, 50, 1.0),
+                                              (7, 20, 1.0), (20, 20, 1.0), (3, 4, 0.3)])
+    def test_random_sum_of_one_atom_mark_is_convolution_powers(self, shape, n, mass):
+        mark = np.zeros(n)
+        if shape < n:
+            mark[shape] = mass
+        counts = _renewal_counts(2, 30.0, 1e-12, n)
+        power = np.zeros(n)
+        power[0] = 1.0
+        expected = counts[0] * power
+        for weight in counts[1:]:
+            power = np.convolve(power, mark)[:n]
+            expected += weight * power
+        got = _random_sum_pmf(counts, mark)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestDamageMean:

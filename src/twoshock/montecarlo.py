@@ -8,7 +8,10 @@ simulators use that in two ways:
 * Crossing times (simulate_fptf_cumulative) draw the merged marks with
   Bernoulli source labels until the damage exceeds the threshold at shock N.
   The merged interarrivals are i.i.d. Exp(L) and independent of the labels
-  and marks, so the crossing time is one Gamma(N, L) draw.
+  and marks, so the crossing time is one Gamma(N, L) draw.  Marks come in
+  chunks of shocks, each sized to what the replications not yet across
+  still need on average (_running_sums, shared with renewal arrivals), so
+  a block draws few more marks than it uses.
 * Damage paths (simulate_cumulative) split Poisson arrivals (Kingman 1993,
   section 5.1): a block's total in each grid interval is one Poisson draw,
   and each arrival goes to a uniform replication, so given the total the
@@ -62,8 +65,10 @@ __all__ = [
 ]
 
 _BLOCK_SIZE = 1 << 14
-# Chunk rounds of _running_sums; chunks grow geometrically, so hitting the
-# cap means a pathological model rather than bad luck.
+# Chunk rounds of _running_sums.  A chunk after the first is sized to the
+# mean gap left, but never below a floor that doubles each round, so a
+# replication still short of its limit at the cap has drawn over 2^62
+# increments: hitting it means a pathological model rather than bad luck.
 _MAX_EXTENSION_ROUNDS = 64
 # Most arrivals a block can draw: numpy's Poisson mean limit, an int64 step count.
 _INT64_MAX = float(np.iinfo(np.int64).max)
@@ -216,30 +221,45 @@ def simulate_catastrophic(model: CatastrophicModel, cfg: SimulationConfig,
         fptf_mean=_mean_estimate(total, total_sq, n, "fptf_mean"))
 
 
-def _running_sums(draw, size: int, steps: int, limit: float):
+def _running_sums(name: str, draw, size: int, limit: float, mean: float):
     """Yield (reps, sums): running sums down the columns of draw(steps, len(reps)) increments.
 
-    Column j belongs to replication reps[j].  Each replication's sum is
-    carried from chunk to chunk until it exceeds limit; only the
-    replications still at or below it are drawn again.  Each chunk has half
-    as many steps again as the one before.
+    Column j belongs to replication reps[j], or to replication j in the
+    first chunk, where reps is None; mean is the mean increment.  Each
+    replication's sum is carried from chunk to chunk until it exceeds limit;
+    only the replications still at or below it are drawn again.
+
+    The first chunk has limit // mean steps (at least one), the mean count:
+    a little under what most replications need, since steps drawn past a
+    replication's crossing are wasted and a later chunk is cheap.  Each
+    later chunk has g // mean + 1 steps, g the mean gap from the live
+    replications' sums to limit, so it holds about what they still need.
+    It never has fewer steps than a floor that doubles each round (1, 2,
+    4, ...): where a heavy tail makes the mean increment overstate the
+    typical one, the gap rule asks for a step or two while replications
+    need many, and the floor still retires them well within
+    _MAX_EXTENSION_ROUNDS.  A block whose expected steps cannot be counted
+    raises ValueError naming name.
     """
-    carried = np.zeros(size)
-    reps = np.arange(size)
-    rounds = 0
-    while reps.size:
-        rounds += 1
-        if rounds > _MAX_EXTENSION_ROUNDS:
-            raise NonConvergedError("extension cap exceeded before every replication "
-                                    "passed its limit; check the model's scales")
-        sums = draw(steps, reps.size)
-        sums[0] += carried[reps]
+    _check_drawable(name, size, size * limit / mean, _INT64_MAX)
+    reps = carry = None
+    steps, floor = max(1, int(limit / mean)), 1
+    for _ in range(_MAX_EXTENSION_ROUNDS):
+        sums = draw(steps, size if reps is None else reps.size)
+        if carry is not None:
+            sums[0] += carry
         for i in range(1, steps):  # row adds: numpy's accumulate is slow along axis 0
             sums[i] += sums[i - 1]
         yield reps, sums
-        carried[reps] = sums[-1]
-        reps = reps[sums[-1] <= limit]
-        steps += steps // 2
+        live = sums[-1] <= limit
+        if not live.any():
+            return
+        carry = sums[-1][live]
+        reps = np.flatnonzero(live) if reps is None else reps[live]
+        steps = max(floor, int((limit - carry.mean()) / mean) + 1)
+        floor *= 2
+    raise NonConvergedError("extension cap exceeded before every replication "
+                            "passed its limit; check the model's scales")
 
 
 def _check_drawable(name: str, size: int, expected: float, limit: float) -> None:
@@ -265,16 +285,16 @@ def _arrival_slots(name: str, inter: Distribution, grid: np.ndarray, rng,
         return np.concatenate([rng.integers(i * size, (i + 1) * size, total)
                                for i, total in enumerate(rng.poisson(means))])
     t_max = float(grid[-1])
-    _check_drawable(name, size, size * t_max / inter.mean(), _INT64_MAX)
+    every = np.arange(size)
     slots = []
     for reps, times in _running_sums(
-            lambda k, n: inter.sample_n(rng, k * n).reshape(k, n),
-            size, max(4, int(t_max / inter.mean()) + 1), t_max):
+            name, lambda k, n: inter.sample_n(rng, k * n).reshape(k, n),
+            size, t_max, inter.mean()):
         inside = times <= t_max
         # An arrival at time s belongs to the first grid point >= s.
         bins = np.searchsorted(grid, times[inside], side="left")
         bins *= size
-        bins += np.broadcast_to(reps, times.shape)[inside]
+        bins += np.broadcast_to(every if reps is None else reps, times.shape)[inside]
         slots.append(bins)
     return np.concatenate(slots)
 
@@ -333,36 +353,46 @@ def simulate_general_cumulative(model: GeneralCumulativeModel, t_grid,
 
 
 def _merged_marks(model: CumulativeModel, p1: float, rng, steps: int, reps: int) -> np.ndarray:
-    """Marks of the merged stream, (steps, reps): each from stream 1 with probability p1."""
-    from_first = rng.random(steps * reps) < p1
-    # Integer positions scatter the draws several times faster than a mask.
-    first, second = np.flatnonzero(from_first), np.flatnonzero(~from_first)
-    marks = np.empty(steps * reps)
-    marks[first] = model.mag1.sample_n(rng, first.size)
-    marks[second] = model.mag2.sample_n(rng, second.size)
+    """Marks of the merged stream, (steps, reps): each from stream 1 with probability p1.
+
+    The source labels' uniforms are drawn into the buffer that then takes
+    the marks.  Integer positions scatter the draws several times faster
+    than a mask, and each stream's positions are freed before the next.
+    """
+    marks = rng.random(steps * reps)
+    from_first = marks < p1
+    at = np.flatnonzero(from_first)
+    marks[at] = model.mag1.sample_n(rng, at.size)
+    del at
+    at = np.flatnonzero(~from_first)
+    del from_first
+    marks[at] = model.mag2.sample_n(rng, at.size)
     return marks.reshape(steps, reps)
 
 
 def _crossing_times(model: CumulativeModel, rng, out: np.ndarray) -> np.ndarray:
     """First instants at which the merged stream's damage exceeds the threshold, into out.
 
-    Marks are drawn in chunks of shocks, the first about threshold / mean
-    mark long and each later one half as long again; only the replications
+    Marks are drawn in the chunks of _running_sums; only the replications
     that have not yet crossed are carried into the next chunk.  Damage only
     grows, so the crossing index N is 1 plus the number of partial sums at
-    or below the threshold.  Given N, the crossing time is a sum of N
-    Exp(total rate) interarrivals, independent of the marks: one Gamma(N)
-    draw scaled by 1/total.
+    or below the threshold, counted row by row into out.  Given N, the
+    crossing time is a sum of N Exp(total rate) interarrivals, independent
+    of the marks: one Gamma(N) draw scaled by 1/total.
     """
     total = model.rate1 + model.rate2
     p1 = model.rate1 / total
     mark_mean = p1 * model.mag1.mean() + (1.0 - p1) * model.mag2.mean()
-    shocks = np.ones(out.size, dtype=np.int64)
+    out[...] = 1.0  # counts are exact in a double below 2^53
     for reps, damage in _running_sums(
-            lambda k, n: _merged_marks(model, p1, rng, k, n),
-            out.size, max(4, int(model.threshold / mark_mean) + 1), model.threshold):
-        shocks[reps] += np.count_nonzero(damage <= model.threshold, axis=0)
-    rng.standard_gamma(shocks, out=out)
+            "threshold", lambda k, n: _merged_marks(model, p1, rng, k, n),
+            out.size, model.threshold, mark_mean):
+        counts = out if reps is None else out[reps]
+        for row in damage:
+            counts += row <= model.threshold
+        if reps is not None:
+            out[reps] = counts
+    rng.standard_gamma(out, out=out)
     out /= total
     return out
 

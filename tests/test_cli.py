@@ -508,6 +508,15 @@ class TestBadParameters:
                              "--seed", "1", "--model", model_file(obj)])
         assert_one_error_line(proc, start)
 
+    def test_undrawable_crossing_index_exits_one(self, model_file):
+        # Without --x a cumulative model simulates crossing times, whose
+        # expected shock count is threshold / mean mark = 1e310 per replication.
+        tiny = {"type": "exponential", "rate": 1e300}
+        obj = dict(CUMULATIVE, mag1=tiny, mag2=tiny, threshold=1e10)
+        proc = run_twoshock(["simulate", "--points", "1", "--reps", "100", "--seed", "1",
+                             "--workers", "1", "--model", model_file(obj)])
+        assert_one_error_line(proc, "threshold: a block of 100 replications")
+
     def test_nan_level_exits_one(self, model_file):
         proc = run_twoshock(["simulate", "--points", "1", "--x", "nan", "--reps", "100",
                              "--seed", "1", "--model", model_file(CUMULATIVE)])

@@ -318,6 +318,51 @@ class TestGeneralSimulation:
         assert sim.means[0].mean > 0.0
 
 
+def count_draws(monkeypatch, cls) -> list:
+    """Sizes of the sample_n calls on cls and its subclasses, as they happen."""
+    sizes, sample_n = [], cls.sample_n
+
+    def counted(self, rng, n):
+        sizes.append(n)
+        return sample_n(self, rng, n)
+
+    monkeypatch.setattr(cls, "sample_n", counted)
+    return sizes
+
+
+class TestChunkSchedule:
+    """Chunks are sized to what the live replications still need.
+
+    Each bound sits between the draws of a schedule that grew every chunk
+    by half (first figure in each case) and those of the mean-gap schedule
+    (second figure).
+    """
+
+    @pytest.mark.parametrize("threshold, bound", [
+        (3.0, 1.25),   # 1.53, 1.16
+        (60.0, 1.15),  # 1.70, 1.07
+    ])
+    def test_crossing_draws_about_the_marks_it_uses(self, monkeypatch, threshold, bound):
+        # Equal Exp(1) marks: N - 1 is Poisson(K), so a block uses (1 + K) marks
+        # per replication on average.  Exponential inherits Erlang's sampler.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
+                                threshold=threshold)
+        drawn = count_draws(monkeypatch, Erlang)
+        n = montecarlo._BLOCK_SIZE
+        simulate_fptf_cumulative(model, config(n=n))
+        assert sum(drawn) / (n * (1.0 + threshold)) <= bound
+
+    @pytest.mark.parametrize("inter, t_max", [
+        (Erlang(2, 1.0), 400.0),   # 1.71, 1.03
+        (Weibull(2.0, 1.0), 50.0),  # 1.69, 1.05
+    ])
+    def test_renewal_draws_about_the_arrivals_it_keeps(self, monkeypatch, inter, t_max):
+        drawn = count_draws(monkeypatch, type(inter))
+        slots = montecarlo._arrival_slots("inter1", inter, np.array([t_max]),
+                                          np.random.default_rng(3), montecarlo._BLOCK_SIZE)
+        assert sum(drawn) / slots.size <= 1.15
+
+
 class TestCalibration:
     def test_confidence_interval_coverage(self):
         # Nominal 95% interval should cover the true value in >= 40 of 50 runs.
@@ -379,6 +424,35 @@ class TestEstimateContract:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * 2**20
+
+    @pytest.mark.parametrize("model, bound", [
+        (DAMAGE, 1.4 * 2**20),
+        (CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Exponential(1.0), threshold=5.0),
+         1.8 * 2**20),
+    ], ids=["equal-exp", "readme"])
+    def test_crossing_block_scratch(self, model, bound):
+        # One block stores 128 KiB of crossing times.  The labels' uniforms
+        # become the marks, one stream's positions are held at a time, and
+        # shocks are counted row by row: with a separate marks buffer, both
+        # position arrays and a shock-by-replication count mask the peaks
+        # were 1.82 and 2.25 MiB.
+        cfg = config(n=montecarlo._BLOCK_SIZE)
+        simulate_fptf_cumulative(model, cfg)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            simulate_fptf_cumulative(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_undrawable_crossing_index_raises(self):
+        # Marks of mean 1e-300 under a threshold of 1e10: the expected shock
+        # count of a block overflows a double.
+        model = CumulativeModel(1.0, 1.0, Exponential(1e300), Exponential(1e300),
+                                threshold=1e10)
+        with pytest.raises(ValueError, match="^threshold: a block of 100 replications"):
+            simulate_fptf_cumulative(model, config(n=100))
 
     def test_ecdf_of_nan_raises(self):
         # No draw compares <= nan, yet searchsorted would put nan past every

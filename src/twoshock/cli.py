@@ -42,7 +42,8 @@ from .numerics import QuadraturePolicy
 _MODEL_KINDS = {"catastrophic": catastrophic.CatastrophicModel,
                 "cumulative": cumulative.CumulativeModel,
                 "general_cumulative": cumulative.GeneralCumulativeModel}
-_POLICY_DEFAULTS = {"tail_epsilon": 1e-10, "rel_tol": 1e-10}
+_POLICY_DEFAULTS = {"tail_epsilon": cumulative.TruncationPolicy.tail_epsilon,
+                    "rel_tol": QuadraturePolicy.rel_tol}
 
 
 class _UsageError(Exception):

@@ -15,8 +15,8 @@ put on its m_i-lattice and the two convolved, or one Poisson pmf of the
 summed rate when m1 = m2, every term a positive Poisson term at any mean.
 At unequal mark rates g comes from the Panjer (1981) recursion over the
 merged stream.  Under renewal arrivals g is the convolution over the two
-streams of sum_k P(N_i(t) = k) f_i^{*k}, with f_i the phase pmf of one mark,
-which is P(N_i(t) = k) on the m_i-lattice when the mark is m_i phases.
+streams of sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of Erlang(k m_i,
+mu_i), the sum of k marks: P(N_i(t) = k) on the m_i-lattice at mu_i = mu_f.
 Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
 floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
@@ -512,30 +512,22 @@ def model2_fptf_mean(model: CumulativeModel,
     return total / (model.rate1 + model.rate2)
 
 
-def _random_sum_pmf(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """Phase pmf of a random sum of marks: sum_k counts[k] mark^{*k}, cut at len(mark).
+def _random_sum_pmf(counts: np.ndarray, shape: int, rate: float, fast: float,
+                    n: int) -> np.ndarray:
+    """Exp(fast) phase pmf of a random sum of Erlang(shape, rate) marks, cut at n phases.
 
-    A mark of exactly m phases (one atom of mass 1, as the faster-rate mark
-    always is) has its k-th power at k m alone, so the sum is counts on the
-    m-lattice, with no convolution.  Any other mark is convolved only over
-    its support, and each power only as far as its own, cut at len(mark):
-    every product left out is an exact 0.
+    counts[k] is the probability of k marks.  k marks are one Erlang(k shape,
+    rate) mark, so term k is counts[k] _phase_pmf(k shape, rate, fast, n), a
+    positive pmf with no convolution powers; the terms stop at k shape >= n,
+    since k marks take at least k shape phases.  A mark at the fast rate is
+    exactly shape phases, so its sum is counts on the shape-lattice.
     """
-    n = len(mark)
-    support = np.flatnonzero(mark)
-    if support.size == 1 and mark[support[0]] == 1.0:
-        return _on_lattice(counts, int(support[0]), n)
+    if rate == fast:
+        return _on_lattice(counts, shape, n)
     out = np.zeros(n)
     out[0] = counts[0]
-    if not support.size:  # no mark fits below n phases
-        return out
-    mark = mark[:support[-1] + 1]
-    power = np.ones(1)
-    for weight in counts[1:]:
-        power = np.convolve(power, mark)[:n]
-        if not power.any():  # k marks take at least k phases: none fit any more
-            break
-        out[:len(power)] += weight * power
+    for k, weight in enumerate(counts[1:-(-n // shape)], start=1):
+        out += weight * _phase_pmf(k * shape, rate, fast, n)
     return out
 
 
@@ -543,6 +535,7 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
                        policy: TruncationPolicy | None = None) -> float:
     """P(total damage by t is <= x) under renewal arrivals, within tail_epsilon.
 
+    k Erlang(m, mu) marks are one Erlang(k m, mu) mark (_random_sum_pmf).
     Half the bound goes to the phase series and a quarter to each stream's
     renewal counts, cut at the series length: k renewals take k phases.
     Past _MAX_TERMS phases the series is cut as in damage_cdf, whose mass
@@ -553,15 +546,18 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     policy = policy or TruncationPolicy()
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon / 2.0)
+    marks = (_mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2"))
+    fast = max(rate for _, rate in marks)
+    z = fast * x
+    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon / 2.0, _MAX_TERMS)
     streams = (_mark_params(model.inter1, "inter1"), _mark_params(model.inter2, "inter2"))
     counts = [_renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0, len(cdfs))
               for shape, rate in streams]
     if not converged:
         _check_cut(math.fsum(counts[0]) * math.fsum(counts[1]), len(cdfs), policy, z)
     g = np.ones(1)
-    for stream, mark in zip(counts, (f1, f2)):
-        g = np.convolve(g, _random_sum_pmf(stream, mark))[:len(cdfs)]
+    for stream, (shape, rate) in zip(counts, marks):
+        g = np.convolve(g, _random_sum_pmf(stream, shape, rate, fast, len(cdfs)))[:len(cdfs)]
     return _phase_series(g, cdfs, converged, policy, z)
 
 

@@ -16,6 +16,7 @@ from twoshock import catastrophic, cumulative, montecarlo
 from twoshock.catastrophic import survival_probability
 from twoshock.cumulative import model2_fptf_curve, model2_fptf_mean
 from twoshock.cli import _build_parser, _render, load_model_file, main, parse_grid, parse_points
+from twoshock.numerics import QuadraturePolicy
 
 CATASTROPHIC = {
     "kind": "catastrophic",
@@ -275,6 +276,13 @@ class TestAnalyticCommands:
         assert payload["points"][0] == {"t": 0.0, "value": 1.0}
         assert payload["model"]["kind"] == "catastrophic"
         assert payload["policies"] == {"tail_epsilon": 1e-10, "rel_tol": 1e-10}
+
+    def test_json_policies_default_to_the_policy_classes(self, model_file, capsys):
+        assert main(["damage-cdf", "--model", model_file(GENERAL), "--x", "1",
+                     "--points", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["policies"] == {"tail_epsilon": cumulative.TruncationPolicy().tail_epsilon,
+                                       "rel_tol": QuadraturePolicy().rel_tol}
 
     def test_json_policies_echo_the_model_file(self, model_file, capsys):
         path = model_file(dict(CUMULATIVE, tail_epsilon=1e-8, rel_tol=1e-6))

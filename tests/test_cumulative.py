@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,24 @@ def test_panjer_forward_slices_match_reversed_recursion():
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
 
 
+@pytest.mark.parametrize("t,x", [(700.0 / 3.0, 800.0), (300.0, 1000.0), (300.0, 500.0),
+                                 (582.0, 2000.0)])
+def test_halved_panjer_matches_split_streams(t, x):
+    # README marks at Poisson means 700, 900 and 1,746, past _PANJER_MAX_MEAN:
+    # the merged Panjer pmf is halved and squared.  The oracle keeps the two
+    # streams apart: the faster-rate mark on its lattice, the slower one
+    # summed as Poisson-many Erlang marks, with no recursion and no squaring.
+    _, cdfs, converged, _, _ = _phases(MIXED, x, 1e-10)
+    n = len(cdfs)
+    fast = max(MIXED.mag1.rate, MIXED.mag2.rate)
+    g = np.ones(1)
+    for rate, mag in ((MIXED.rate1, MIXED.mag1), (MIXED.rate2, MIXED.mag2)):
+        counts = _renewal_counts(1, rate * t, 0.0, n)
+        g = np.convolve(g, _random_sum_pmf(counts, mag.shape, mag.rate, fast, n))[:n]
+    assert converged
+    assert damage_cdf(MIXED, t, x) == pytest.approx(float(g @ cdfs), rel=1e-13, abs=0.0)
+
+
 def _dense_renewal(model: CumulativeModel, n: int) -> np.ndarray:
     """U(s) for s < n from U(s) = sum_j f(j) U(s - j), f the merged per-shock phase pmf."""
     (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
@@ -158,6 +177,25 @@ def _dense_renewal(model: CumulativeModel, n: int) -> np.ndarray:
     for s in range(1, n):
         u[s] = steps[1:s + 1] @ u[s - 1::-1]
     return u
+
+
+def _convolution_powers(counts: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """sum_k counts[k] mark^{*k}, each power a full-length convolution cut at len(mark)."""
+    n = len(mark)
+    power = np.zeros(n)
+    power[0] = 1.0
+    out = counts[0] * power
+    for weight in counts[1:]:
+        power = np.convolve(power, mark)[:n]
+        out += weight * power
+    return out
+
+
+def _assert_close_to_subnormals(got, expected, rtol, subnormal_atol):
+    """got within rtol of expected where that is a normal double, else within subnormal_atol."""
+    normal = expected >= np.finfo(float).tiny
+    np.testing.assert_allclose(got[normal], expected[normal], rtol=rtol, atol=0)
+    np.testing.assert_allclose(got[~normal], expected[~normal], rtol=0, atol=subnormal_atol)
 
 
 class TestLatticeRoutes:
@@ -213,12 +251,12 @@ class TestLatticeRoutes:
         assert mean <= exact + rounding
 
     # A slower mark cut at n = shape + 1 is one atom of mass below 1: no lattice.
-    @pytest.mark.parametrize("shape,n,mass", [(1, 1, 1.0), (1, 50, 1.0), (3, 50, 1.0),
-                                              (7, 20, 1.0), (20, 20, 1.0), (3, 4, 0.3)])
-    def test_random_sum_of_one_atom_mark_is_convolution_powers(self, shape, n, mass):
-        mark = np.zeros(n)
-        if shape < n:
-            mark[shape] = mass
+    @pytest.mark.parametrize("shape,rate,fast,n", [
+        (1, 1.0, 1.0, 1), (1, 2.0, 2.0, 50), (3, 0.5, 0.5, 50), (7, 3.0, 3.0, 20),
+        (20, 1.0, 1.0, 20), (3, 0.3 ** (1 / 3), 1.0, 4)])
+    def test_random_sum_of_one_atom_mark_is_convolution_powers(self, shape, rate, fast, n):
+        mark = _phase_pmf(shape, rate, fast, n)
+        assert np.count_nonzero(mark) == (shape < n)
         counts = _renewal_counts(2, 30.0, 1e-12, n)
         power = np.zeros(n)
         power[0] = 1.0
@@ -226,7 +264,7 @@ class TestLatticeRoutes:
         for weight in counts[1:]:
             power = np.convolve(power, mark)[:n]
             expected += weight * power
-        got = _random_sum_pmf(counts, mark)
+        got = _random_sum_pmf(counts, shape, rate, fast, n)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -492,25 +530,48 @@ class TestGeneralEvaluators:
         (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
                                 Exponential(1.0), Exponential(1.3), threshold=2.0), 1.0, 7300.0),
     ])
-    def test_random_sum_over_support_matches_full_convolutions(self, model, t, x):
-        def full_length_reference(counts, mark):
-            n = len(mark)
-            power = np.zeros(n)
-            power[0] = 1.0
-            out = counts[0] * power
-            for weight in counts[1:]:
-                power = np.convolve(power, mark)[:n]
-                if not power.any():
-                    break
-                out += weight * power
-            return out
-
+    def test_random_sum_matches_full_convolutions(self, model, t, x):
+        # k marks summed as one Erlang(k m) mark against k full-length convolutions.
+        # Below the smallest normal double only an absolute bound holds: at
+        # x = 7,300 subnormal entries differ by up to 6e-323.
         _, cdfs, _, *marks = _phases(model, x, 5e-11)
-        for inter, mark in zip((model.inter1, model.inter2), marks):
+        fast = max(mag.rate for mag in (model.mag1, model.mag2))
+        for inter, mag, mark in zip((model.inter1, model.inter2), (model.mag1, model.mag2), marks):
             shape, rate = _mark_params(inter, "inter")
             counts = _renewal_counts(shape, rate * t, 2.5e-11, 10_000)
-            np.testing.assert_allclose(_random_sum_pmf(counts, mark),
-                                       full_length_reference(counts, mark), rtol=1e-14, atol=0)
+            _assert_close_to_subnormals(
+                _random_sum_pmf(counts, mag.shape, mag.rate, fast, len(cdfs)),
+                _convolution_powers(counts, mark), rtol=1e-14, subnormal_atol=1e-322)
+
+    @pytest.mark.parametrize("shape", [1, 3, 20])
+    @pytest.mark.parametrize("ratio", [0.5, 0.05, 1e-3])
+    def test_k_marks_are_one_erlang_mark(self, shape, ratio):
+        # The identity _random_sum_pmf rests on: the phase pmf of Erlang(k m)
+        # is the k-th convolution power of Erlang(m)'s, including at m = 20,
+        # ratio 1e-3, k >= 6, where p^(k m) underflows and the pmf is
+        # anchored at its mode.  Subnormal entries differ by up to 2.7e-321.
+        n = 3000
+        mark = _phase_pmf(shape, ratio, 1.0, n)
+        power = mark
+        for k in range(2, 9):
+            power = np.convolve(power, mark)[:n]
+            _assert_close_to_subnormals(_phase_pmf(k * shape, ratio, 1.0, n), power,
+                                        rtol=1e-13, subnormal_atol=1e-320)
+
+    def test_renewal_series_at_a_large_level_is_fast(self):
+        # README marks, Exp(1) and Exp(2) arrivals, t = 300, x = 1,000: about
+        # 2,300 phases and 600 arrivals of the slower mark.  Summed as powers
+        # of its phase pmf this call took over a second.
+        g = GeneralCumulativeModel(Exponential(1.0), Exponential(2.0),
+                                   Erlang(3, 2.0), Exponential(1.0), threshold=5.0)
+        policy = TruncationPolicy()
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            value = general_damage_cdf(g, 300.0, 1000.0, policy)
+            seconds.append(time.perf_counter() - start)
+        assert abs(value - damage_cdf(MIXED, 300.0, 1000.0, policy)) <= 2.0 * policy.tail_epsilon
+        assert min(seconds) < 0.25
 
     def test_exponential_interarrivals_reduce_to_poisson_series(self):
         policy = TruncationPolicy(tail_epsilon=1e-10)
@@ -601,7 +662,7 @@ class TestGeneralEvaluators:
         g = GeneralCumulativeModel(Erlang(500, 1.0), Exponential(1.0),
                                    Exponential(1.0), Erlang(2, 3.0), threshold=1e4)
 
-        def no_random_sums(counts, mark):
+        def no_random_sums(*args):
             raise AssertionError("random sum built")
 
         monkeypatch.setattr(cumulative, "_random_sum_pmf", no_random_sums)

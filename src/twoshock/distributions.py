@@ -6,11 +6,12 @@ Evaluation methods are pure; sampling touches only the stream passed in.
 
 An exponential is the Erlang of shape 1, and Exponential an Erlang subclass.
 
-Draw layout: a Weibull draw of n values consumes n uniforms u, transformed in
-place through log1p(-u).  An Erlang(shape) draw of n values consumes shape * n
-uniforms stage-major, one stage of n at a time, each stage an exponential by
-inverse CDF added into one n-long buffer.  So Weibull(1, 1/r) draws exactly
-what Exponential(r) draws when 1/r is a power of two.
+Draw layout: a Weibull or exponential draw of n values consumes n uniforms
+u, transformed in place through log1p(-u).  An Erlang(shape >= 2) draw of n
+values consumes shape * n uniforms stage-major, one stage of n at a time.
+The complements 1 - u of up to 19 stages are multiplied into one n-long
+buffer and logged once; the group logs are summed.  So Weibull(1, 1/r) draws
+exactly what Exponential(r) draws when 1/r is a power of two.
 """
 
 from __future__ import annotations
@@ -85,6 +86,28 @@ def _log_complement(u: np.ndarray) -> np.ndarray:
     """log1p(-u), written over the uniforms u and returned: minus Exp(1) draws."""
     np.negative(u, out=u)
     return np.log1p(u, out=u)
+
+
+# 1 - u is exact for numpy's 53-bit uniforms u and at least 2^-53, so a
+# product of this many complements is at least 2^-1007: a normal double, with
+# no underflow and no lost relative precision, and one log serves them all.
+_STAGES_PER_LOG = 19
+
+
+def _log_complement_product(rng: np.random.Generator, stages: int, scratch: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+    """log of the product of 1 - u over `stages` stages of len(out) uniforms u, into out.
+
+    The stages are drawn in turn, the first into out and each later one into
+    scratch, and multiplied into out in stage order.
+    """
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    for _ in range(1, stages):
+        rng.random(out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        out *= scratch
+    return np.log(out, out=out)
 
 
 def _stirling_error(k: int) -> float:
@@ -261,9 +284,10 @@ class Distribution(ABC):
         Weibull and exponential draws take n uniforms, one per draw.  An
         Erlang(shape) draw of n values takes shape * n uniforms, stage-major:
         the first n are stage 1 of every draw, the next n stage 2, and so
-        on; each stage of n uniforms is drawn in turn, made an exponential by
-        inverse CDF and added into one buffer, which the caller owns and may
-        overwrite.
+        on.  Each stage of n uniforms is drawn in turn and its complements
+        multiplied into a group product; each group of up to 19 stages takes
+        one log, and the logs are summed into the returned buffer, which the
+        caller owns and may overwrite.
         """
 
     def cdf(self, t: float) -> float:
@@ -334,9 +358,17 @@ class Erlang(Distribution):
         return self.shape / self.rate
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = _log_complement(rng.random(n))
-        for _ in range(1, self.shape):
-            draws += _log_complement(rng.random(n))
+        if self.shape == 1:
+            draws = _log_complement(rng.random(n))
+        else:
+            stage = np.empty(n)
+            draws = _log_complement_product(rng, min(self.shape, _STAGES_PER_LOG),
+                                            stage, np.empty(n))
+            if self.shape > _STAGES_PER_LOG:
+                group = np.empty(n)
+                for first in range(_STAGES_PER_LOG, self.shape, _STAGES_PER_LOG):
+                    draws += _log_complement_product(
+                        rng, min(self.shape - first, _STAGES_PER_LOG), stage, group)
         draws /= -self.rate
         return draws
 

@@ -6,12 +6,14 @@ stream 1 with probability rate1 / L, independently of everything else.  The
 simulators use that in two ways:
 
 * Crossing times (simulate_fptf_cumulative) draw the merged marks with
-  Bernoulli source labels until the damage exceeds the threshold at shock N.
-  The merged interarrivals are i.i.d. Exp(L) and independent of the labels
-  and marks, so the crossing time is one Gamma(N, L) draw.  Marks come in
-  chunks of shocks, each sized to what the replications not yet across
-  still need on average (_running_sums, shared with renewal arrivals), so
-  a block draws few more marks than it uses.
+  Bernoulli source labels until the damage exceeds the threshold at shock N;
+  when both streams share one mark law the labels change nothing, and the
+  merged marks are drawn from that law alone.  The merged interarrivals are
+  i.i.d. Exp(L) and independent of the labels and marks, so the crossing
+  time is one Gamma(N, L) draw.  Marks come in chunks of shocks, each sized
+  to what the replications not yet across still need on average
+  (_running_sums, shared with renewal arrivals), so a block draws few more
+  marks than it uses.
 * Damage paths (simulate_cumulative) split Poisson arrivals (Kingman 1993,
   section 5.1): a block's total in each grid interval is one Poisson draw,
   and each arrival goes to a uniform replication, so given the total the
@@ -20,7 +22,7 @@ simulators use that in two ways:
   instead.  One bincount sums each stream's marks per (interval,
   replication) slot; the interval sums are accumulated along the grid.
 
-Marks are always drawn by each stream's own sampler; nothing comes from the
+Marks are always drawn by the streams' own samplers; nothing comes from the
 analytic kernels, so the oracle stays independent of them.
 
 Determinism contract: every summary depends only on (replications,
@@ -355,10 +357,14 @@ def simulate_general_cumulative(model: GeneralCumulativeModel, t_grid,
 def _merged_marks(model: CumulativeModel, p1: float, rng, steps: int, reps: int) -> np.ndarray:
     """Marks of the merged stream, (steps, reps): each from stream 1 with probability p1.
 
-    The source labels' uniforms are drawn into the buffer that then takes
-    the marks.  Integer positions scatter the draws several times faster
-    than a mask, and each stream's positions are freed before the next.
+    When both marks have one (shape, rate), the merged marks are i.i.d. from
+    that law and are drawn by mag1 alone, with no source labels.  Otherwise
+    the labels' uniforms are drawn into the buffer that then takes the
+    marks.  Integer positions scatter the draws several times faster than a
+    mask, and each stream's positions are freed before the next.
     """
+    if (model.mag1.shape, model.mag1.rate) == (model.mag2.shape, model.mag2.rate):
+        return model.mag1.sample_n(rng, steps * reps).reshape(steps, reps)
     marks = rng.random(steps * reps)
     from_first = marks < p1
     at = np.flatnonzero(from_first)

@@ -1,5 +1,6 @@
 """Distribution kernel tests: frozen values, quadrature oracles, sampling laws."""
 
+import functools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -287,8 +288,10 @@ class TestSampling:
         assert draws.flags.writeable
 
     def test_erlang_draws_one_stage_at_a_time(self):
-        # Stage-major uniforms, added stage by stage: the bits of one (shape, n)
-        # block summed over its rows, in the memory of two n-long arrays.
+        # Stage-major uniforms, one log per group of up to 19 stages: the bits
+        # of one (shape, n) block of complements 1 - u multiplied over rows
+        # 0-18, 19-37 and 38-49, each product logged, the logs summed in that
+        # order, in the memory of three n-long arrays.
         n = 100_000
         tracemalloc.start()
         try:
@@ -297,8 +300,24 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20
-        expected = -np.log1p(-rng_for(23).random((50, n))).sum(axis=0) / 20.0
+        complements = 1.0 - rng_for(23).random((50, n))
+        logs = [np.log(functools.reduce(np.multiply, complements[lo:hi]))
+                for lo, hi in ((0, 19), (19, 38), (38, 50))]
+        expected = (logs[0] + logs[1] + logs[2]) / -20.0
         assert np.array_equal(draws, expected)
+
+    def test_erlang_stage_products_do_not_underflow(self):
+        # Every uniform at its largest value, 1 - 2^-53: each complement is
+        # 2^-53, the least there is, and 1000 stages give 1000 * 53 * ln 2.
+        class LargestUniforms:
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, 1.0 - 2.0 ** -53)
+                out.fill(1.0 - 2.0 ** -53)
+                return out
+
+        draws = Erlang(1000, 1.0).sample_n(LargestUniforms(), 4)
+        assert np.allclose(draws, 1000 * 53 * math.log(2.0), rtol=1e-12, atol=0.0)
 
     def test_law_of_large_numbers(self):
         draws = Exponential(1.0).sample_n(rng_for(99), 1_000_000)
@@ -306,7 +325,8 @@ class TestSampling:
         assert abs(draws.mean() - 1.0) <= 3.5 * stderr
 
     @pytest.mark.parametrize("dist", [Exponential(1.5), Erlang(3, 2.0), Weibull(1.5, 1.0),
-                                      Erlang(50, 20.0), Weibull(0.6, 2.0)])
+                                      Erlang(19, 3.0), Erlang(20, 3.0), Erlang(38, 5.0),
+                                      Erlang(39, 5.0), Erlang(50, 20.0), Weibull(0.6, 2.0)])
     def test_empirical_cdf_matches_analytic(self, dist):
         n = 1_000_000
         draws = np.sort(dist.sample_n(rng_for(17), n))

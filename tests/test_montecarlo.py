@@ -363,6 +363,46 @@ class TestChunkSchedule:
         assert sum(drawn) / slots.size <= 1.15
 
 
+EQUAL_LAW_MARKS = [
+    CumulativeModel(1.0, 2.0, Erlang(2, 1.0), Erlang(2, 1.0), threshold=5.0),
+    CumulativeModel(1.0, 2.0, Erlang(1, 1.0), Exponential(1.0), threshold=3.0),
+]
+
+
+class TestEqualMarkLaws:
+    """Marks of one (shape, rate) are drawn by one sampler, with no source labels."""
+
+    @pytest.mark.parametrize("model", EQUAL_LAW_MARKS, ids=["erlang2", "erlang1-exp"])
+    def test_one_draw_per_chunk_and_no_labels(self, monkeypatch, model):
+        chunks, merged_marks = [], montecarlo._merged_marks
+
+        def recorded(model, p1, rng, steps, reps):
+            chunks.append(steps * reps)
+            return merged_marks(model, p1, rng, steps, reps)
+
+        monkeypatch.setattr(montecarlo, "_merged_marks", recorded)
+        drawn = count_draws(monkeypatch, Erlang)
+        simulate_fptf_cumulative(model, config(n=montecarlo._BLOCK_SIZE))
+        assert len(chunks) > 1
+        assert drawn == chunks
+
+        # No label uniforms: the marks are the bits of one mag1 draw.
+        marks = merged_marks(model, 1.0 / 3.0, np.random.default_rng(5), 3, 1000)
+        alone = model.mag1.sample_n(np.random.default_rng(5), 3000).reshape(3, 1000)
+        assert np.array_equal(marks, alone)
+
+    @pytest.mark.parametrize("model", EQUAL_LAW_MARKS, ids=["erlang2", "erlang1-exp"])
+    def test_ecdf_against_curve(self, model):
+        sim = simulate_fptf_cumulative(model, config(n=200_000))
+        mean = model2_fptf_mean(model)
+        times = (0.5 * mean, mean, 2.0 * mean)
+        cdf, _, _ = model2_fptf_curve(model, times)
+        for t, expected in zip(times, cdf):
+            est = sim.ecdf(t)
+            assert abs(est.mean - expected) <= 3.5 * est.std_error
+        assert abs(sim.mean.mean - mean) <= 3.5 * sim.mean.std_error
+
+
 class TestCalibration:
     def test_confidence_interval_coverage(self):
         # Nominal 95% interval should cover the true value in >= 40 of 50 runs.

@@ -214,26 +214,51 @@ def _poisson_tail(z: float, n: int) -> np.ndarray:
     return np.add.accumulate(pmf[::-1])[::-1][:n]
 
 
+# From this shape on, erlang_survival sums its series in two numpy passes, not
+# a Python loop.  Whole calls at x = 0.5, 0.8 and 1.2 times the shape, on a
+# 2-core x86-64 host under Python 3.11 and numpy 2.4.6 (interleaved timeit
+# minima): the loop took about 55 ns a term, the array path about 4 us at
+# 64-84 terms, and the two cost the same at 72-76 terms.
+_ARRAY_SHAPE = 75
+
+
 def erlang_survival(shape: int, x: float) -> float:
-    """Survival of a unit-rate Erlang at x (pass x = rate * t).
+    """Survival of a unit-rate Erlang at x (pass x = rate * t), at most 1.
 
     Evaluates exp(-x) * sum_{l < shape} x^l / l! = P(Poisson(x) < shape)
     with a multiplicative term recurrence; past _SERIES_LIMIT, where that
-    overflows, the sum of the Poisson pmf terms from _poisson_pmf, up to
-    _poisson_reach.  Requires shape >= 1.
+    overflows, the sum of the Poisson pmf terms from _poisson_pmf.  From
+    shape _ARRAY_SHAPE on, and always past the limit, the sum stops after
+    min(shape, _poisson_reach(x, 1)) terms: past the reach every term is
+    below e^-50 of the largest, so less than half an ulp of the running sum,
+    and leaving it out changes no bit.  So the cost stops growing with the
+    shape past about x + 10 sqrt(x) + 41 terms.  At those shapes the
+    recurrence runs as two sequential numpy passes, a cumulative product of
+    the ratios [1, x/1, x/2, ...] and a cumulative sum of the terms, which
+    round exactly as the loop does.  Rounding can carry the sum an ulp past
+    1; it is clamped there.  Requires shape >= 1; x = 0 gives 1, and a
+    negative or nan x raises ValueError.
     """
-    if x == 0.0:
-        return 1.0
+    if not x > 0.0:
+        if x == 0.0:
+            return 1.0
+        raise ValueError(f"x must be nonnegative, got {x}")
     if x > _SERIES_LIMIT:
         if x == math.inf:
             return 0.0
-        return float(_poisson_pmf(x, min(shape, _poisson_reach(x, 1))).sum())
-    term = 1.0
-    acc = 1.0
-    for l in range(1, shape):
-        term *= x / l
-        acc += term
-    return math.exp(-x) * acc
+        return min(1.0, float(_poisson_pmf(x, min(shape, _poisson_reach(x, 1))).sum()))
+    if shape < _ARRAY_SHAPE:
+        term = 1.0
+        acc = 1.0
+        for l in range(1, shape):
+            term *= x / l
+            acc += term
+    else:
+        terms = np.arange(min(shape, _poisson_reach(x, 1)), dtype=float)
+        terms[1:] = x / terms[1:]
+        acc = float(np.add.accumulate(_recur_outward(terms, 0, 1.0))[-1])
+    value = math.exp(-x) * acc
+    return value if value < 1.0 else 1.0
 
 
 def erlang_cdf(shape: int, x: float) -> float:
@@ -326,8 +351,12 @@ class Erlang(Distribution):
 
         Up to x = rate * t = _SERIES_LIMIT, erlang_survival's term recurrence
         runs as whole-array steps, times exp(-x) from math.exp point by point
-        (numpy's exp can differ from it by an ulp); points past the limit go
-        to erlang_survival one at a time.
+        (numpy's exp can differ from it by an ulp), clamped at 1 as there;
+        points past the limit go to erlang_survival one at a time.  The
+        steps stop at min(shape, _poisson_reach(x, 1)) for the largest such
+        x: a point whose own reach is smaller adds only terms below half an
+        ulp of its sum, so every value keeps erlang_survival's bits, and the
+        curve costs at most about 1,000 steps at any shape.
         """
         bad = ~(t >= 0.0)  # negative or nan
         if bad.any():
@@ -336,12 +365,14 @@ class Erlang(Distribution):
             x = self.rate * t
         near = x <= _SERIES_LIMIT
         xs = x[near]
+        n = min(self.shape, _poisson_reach(float(xs.max()), 1)) if xs.size else 1
         term = np.ones_like(xs)
         acc = np.ones_like(xs)
-        for l in range(1, self.shape):
+        for l in range(1, n):
             term *= xs / l
             acc += term
         acc *= np.fromiter(map(math.exp, (-xs).tolist()), float, xs.size)
+        np.minimum(acc, 1.0, out=acc)
         out = np.empty_like(x)
         out[near] = acc
         out[~near] = [erlang_survival(self.shape, v) for v in x[~near].tolist()]

@@ -94,6 +94,17 @@ class TestSurvivalCurve:
         assert survival_curve(model, grid).tolist() == [
             survival_probability(model, t) for t in grid]
 
+    @pytest.mark.parametrize("proc2", [Exponential(2.0), Weibull(1.5, 80.0)],
+                             ids=["exponential", "weibull"])
+    def test_long_erlang_series_bit_identical_to_survival_probability(self, proc2):
+        # Shape 200 cuts the curve's recurrence at the reach of its largest
+        # x; points with x << shape stop the scalar series far earlier.
+        model = CatastrophicModel(Erlang(200, 1.0), proc2)
+        grid = np.concatenate([np.geomspace(1e-6, 30.0, 40), np.linspace(150.0, 260.0, 45),
+                               [5e-324, 199.0, 200.0, 201.0, 650.0]])
+        assert survival_curve(model, grid).tolist() == [
+            survival_probability(model, t) for t in grid.tolist()]
+
     def test_edge_times_straddle_the_series_limit(self):
         rate = 19.27
         x = [rate * t for t in _edge_times(CatastrophicModel(Erlang(50, rate), Weibull(1, 1)))]

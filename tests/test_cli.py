@@ -353,6 +353,19 @@ class TestSimulationCommands:
         assert 0.0 < analytic < 1e-6 and estimate == std_error == 0.0
         assert -1.0 < z < 0.0
 
+    def test_compare_z_zero_where_survival_rounds_past_one(self, model_file, capsys):
+        # Erlang(48, 1) survival at this t sums to 1 + 2^-52 before the clamp;
+        # the rate-1e-300 exponential never fires, so every replication survives.
+        obj = dict(ERLANG_EXP, proc1={"type": "erlang", "shape": 48, "rate": 1.0},
+                   proc2={"type": "exponential", "rate": 1e-300})
+        rc = main(["compare", "--model", model_file(obj), "--points", "0.2340773591197066",
+                   "--reps", "16384", "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        _, analytic, estimate, std_error, z = map(float, row.split(","))
+        assert analytic == estimate == 1.0 and std_error == 0.0
+        assert z == 0.0
+
     def test_general_requires_x(self, model_file, capsys):
         rc = main(["simulate", "--model", model_file(GENERAL),
                    "--points", "1", "--reps", "1000", "--seed", "3"])

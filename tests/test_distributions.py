@@ -22,6 +22,7 @@ from twoshock.distributions import (
     Weibull,
     distribution_from_dict,
     distribution_to_dict,
+    erlang_survival,
 )
 from twoshock.gamma_convolution import ErlangProduct
 from twoshock.montecarlo import SimulationConfig
@@ -125,6 +126,25 @@ class TestSurvival:
     def test_complement_identity(self, rate, t):
         dist = Erlang(2, rate)
         assert dist.cdf(t) + dist.survival(t) == pytest.approx(1.0, abs=1e-12)
+
+    def test_erlang_survival_never_above_one(self):
+        # The series' rounding can carry exp(-x) * sum an ulp past 1 (at
+        # shape 48, x = 0.2340773591197066); the scalar and curve clamp it.
+        xs = np.concatenate([np.geomspace(1e-3, 699.0, 40), np.linspace(0.05, 3.0, 40)])
+        for shape in range(2, 1001, 7):
+            values = [erlang_survival(shape, x) for x in xs.tolist()]
+            assert all(0.0 <= v <= 1.0 for v in values), shape
+            assert Erlang(shape, 1.0).survival_curve(xs).tolist() == values
+        assert erlang_survival(48, 0.2340773591197066) == 1.0
+
+    @pytest.mark.parametrize("shape", [3, 100])
+    @pytest.mark.parametrize("x", [math.nan, -1.0])
+    def test_erlang_survival_rejects_nan_and_negative_x(self, shape, x):
+        with pytest.raises(ValueError, match=rf"^x must be nonnegative, got {x}$"):
+            erlang_survival(shape, x)
+
+    def test_erlang_survival_at_signed_zero(self):
+        assert erlang_survival(3, -0.0) == erlang_survival(100, 0.0) == 1.0
 
 
 class TestPdf:

@@ -8,14 +8,22 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from twoshock.catastrophic import CatastrophicModel, mean_fptf
+from twoshock.catastrophic import CatastrophicModel, mean_fptf, survival_curve
 from twoshock.cumulative import GeneralCumulativeModel, _renewal_counts, general_damage_mean
-from twoshock.distributions import Erlang, Exponential, _poisson_tail, erlang_survival
+from twoshock.distributions import (
+    _ARRAY_SHAPE,
+    Erlang,
+    Exponential,
+    _poisson_reach,
+    _poisson_tail,
+    erlang_survival,
+)
 from twoshock.gamma_convolution import _phase_pmf
 
 
@@ -40,6 +48,53 @@ def test_erlang_survival_past_series_limit_matches_gammaincc(x):
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), shape
         else:  # scipy underflows to 0 below the normal range
             assert 0.0 <= got < 1e-300, shape
+
+
+def _plain_series(shape: int, x: float) -> float:
+    """exp(-x) sum_{l < shape} x^l / l!, every term in a Python loop, clamped at 1."""
+    term = acc = 1.0
+    for l in range(1, shape):
+        term *= x / l
+        acc += term
+    return min(1.0, math.exp(-x) * acc)
+
+
+# 5e-324 up to just below _SERIES_LIMIT, with x near the shapes below.
+SERIES_XS = sorted({5e-324, 1e-300, 1e-20, 1e-3, 0.2340773591197066, 0.5, 1.0, 3.95,
+                    *np.geomspace(1e-8, 699.0, 60).tolist(), 46.5, 47.0, 48.3, 59.9, 149.0,
+                    199.0, 200.5, 650.0, math.nextafter(700.0, 0.0)})
+
+
+@pytest.mark.parametrize("shape", sorted({47, 48, 49, _ARRAY_SHAPE - 1, _ARRAY_SHAPE,
+                                          _ARRAY_SHAPE + 1, 200, 1000}))
+def test_erlang_survival_is_the_plain_series_bit_for_bit(shape):
+    # From shape _ARRAY_SHAPE on the sum stops at the Poisson reach and runs
+    # as numpy accumulates; neither may change a bit of the full loop.
+    got = [erlang_survival(shape, x) for x in SERIES_XS]
+    assert got == [_plain_series(shape, x) for x in SERIES_XS]
+    if shape >= 200:
+        assert any(_poisson_reach(x, 1) < shape for x in SERIES_XS)
+
+
+@pytest.mark.parametrize("shape, x, call", [
+    (10 ** 18, 650.0, lambda: erlang_survival(10 ** 18, 650.0)),
+    (10 ** 9, 5.0, lambda: Erlang(10 ** 9, 1.0).survival(5.0)),
+], ids=["shape-1e18", "shape-1e9"])
+def test_huge_erlang_shapes_cost_no_more_than_their_reach(shape, x, call):
+    start = time.perf_counter()
+    got = call()
+    assert time.perf_counter() - start < 0.1
+    assert got == pytest.approx(special.gammaincc(shape, x), rel=1e-12, abs=0.0)
+
+
+def test_huge_erlang_shape_curve_matches_gammaincc():
+    grid = np.linspace(0.0, 100.0, 4001)
+    model = CatastrophicModel(Erlang(10 ** 9, 1.0), Exponential(1.0))
+    start = time.perf_counter()
+    got = survival_curve(model, grid)
+    assert time.perf_counter() - start < 0.1
+    ref = special.gammaincc(1e9, grid) * np.exp(-grid)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("shape", [2, 120, 200])

@@ -14,9 +14,11 @@ S = m1 P1 + m2 P2 with P_i ~ Poisson(rate_i t) the independent stream counts
 put on its m_i-lattice and the two convolved, or one Poisson pmf of the
 summed rate when m1 = m2, every term a positive Poisson term at any mean.
 At unequal mark rates g comes from the Panjer (1981) recursion over the
-merged stream.  Under renewal arrivals g is the convolution over the two
-streams of sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of Erlang(k m_i,
-mu_i), the sum of k marks: P(N_i(t) = k) on the m_i-lattice at mu_i = mu_f.
+merged stream.  Only the routes that read the marks' phase pmfs build them
+(_phases): the lattice routes read the Erlang-CDF terms alone.  Under
+renewal arrivals g is the convolution over the two streams of
+sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of Erlang(k m_i, mu_i),
+the sum of k marks: P(N_i(t) = k) on the m_i-lattice at mu_i = mu_f.
 Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
 floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
@@ -96,6 +98,10 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 < self.tail_epsilon <= 1e-3:
             raise ValueError(f"tail_epsilon must be in (0, 1e-3], got {self.tail_epsilon}")
+
+
+# The policy of every call made without one; the class is frozen, so one serves all.
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 def _mark_params(dist: Distribution, name: str) -> tuple[int, float]:
@@ -209,11 +215,13 @@ def _poisson_lattice(z: float, m: int, n: int) -> np.ndarray:
     """Phase pmf of Poisson(z) marks of m phases each, cut at n and at the Poisson reach.
 
     The counts past _poisson_reach carry less than a double resolves, so
-    the pmf may end before n.  At z = inf all mass lies past the range: the
-    one count built is 0.
+    the pmf may end before n; _phase_series reads such a g as 0 past its
+    end.  At m = 1 the lattice is the Poisson pmf itself, with no copy.  At
+    z = inf all mass lies past the range: the one count built is 0.
     """
     built = 1 if z == math.inf else min(-(-n // m), _poisson_reach(z, 1))
-    return _on_lattice(_poisson_pmf(z, built), m, min(n, m * built))
+    pmf = _poisson_pmf(z, built)
+    return pmf if m == 1 else _on_lattice(pmf, m, min(n, m * built))
 
 
 def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
@@ -278,19 +286,24 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     Poisson pmfs on their lattices, or at m1 = m2 the Poisson((rate1 +
     rate2) t) pmf on one lattice.  That is the compound-Poisson law exactly,
     with positive terms at any mean.  At unequal rates the Panjer recursion
-    gives g.  When the Erlang-CDF stop needs more than _MAX_TERMS phases,
-    the series is cut at the cap if the phase-count pmf has mass at least
-    1 - tail_epsilon below it (_phase_series).
+    gives g, from the two marks' phase pmfs; the lattice routes read only
+    the Erlang-CDF terms and build no mark pmf.  When the Erlang-CDF stop
+    needs more than _MAX_TERMS phases, the series is cut at the cap if the
+    phase-count pmf has mass at least 1 - tail_epsilon below it
+    (_phase_series).
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon)
-    n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is None:
+        z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon)
         g = _compound_poisson_pmf((model.rate1 + model.rate2) * t, _merged(model, f1, f2))
-    elif shifts[0] == shifts[1]:
+        return _phase_series(g, cdfs, converged, policy, z)
+    z = model.mag1.rate * x  # the marks' common rate is mu_f
+    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon, _MAX_TERMS)
+    n = len(cdfs)
+    if shifts[0] == shifts[1]:
         g = _poisson_lattice((model.rate1 + model.rate2) * t, shifts[0], n)
     else:
         g = np.convolve(_poisson_lattice(model.rate1 * t, shifts[0], n),
@@ -394,7 +407,7 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     _crossing_index is below tail_epsilon.  The times are taken one at a
     time, so each value depends only on its own t.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     _check_nonneg(x, "x")
     ts = _time_grid(ts).tolist()
     for t in ts:
@@ -473,8 +486,9 @@ def model2_fptf_mean(model: CumulativeModel,
     the marks share their rate, a shock takes exactly m1 phases with
     probability p1 = rate1 / L and m2 with p2 = rate2 / L, so f has two atoms
     and U(s) = p1 U(s - m1) + p2 U(s - m2) is the same sequence in O(n)
-    scalar steps (_lattice_renewal); else each U(s) is a dot product.  The
-    series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
+    scalar steps (_lattice_renewal), read with the Erlang-CDF terms and no
+    mark pmf; else each U(s) is a dot product over the marks' phase pmfs.
+    The series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
 
@@ -486,17 +500,20 @@ def model2_fptf_mean(model: CumulativeModel,
     The cut mean, within tail_epsilon relative, is returned when that bound
     is below tail_epsilon times the kept sum; else NonConvergedError says so.
     """
-    eps = (policy or TruncationPolicy()).tail_epsilon
-    z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
-    n = len(cdfs)
+    eps = (policy or _DEFAULT_POLICY).tail_epsilon
     shifts = _phase_shifts(model)
     if shifts is None:
+        z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
+        n = len(cdfs)
         steps = _merged(model, f1, f2)[1:]
         rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
         rev[-1] = 1.0
         for s in range(1, n):
             rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
     else:
+        z = model.mag1.rate * model.threshold  # the marks' common rate is mu_f
+        cdfs, converged = _erlang_cdf_terms(z, eps, _MAX_TERMS)
+        n = len(cdfs)
         rev = _lattice_renewal(model, *shifts, n)
     total = float(rev @ cdfs[::-1])
     if not converged:
@@ -543,7 +560,7 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     on the product of the two kept count masses, which bounds g's mass
     because k marks take at least k phases.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
     marks = (_mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2"))
@@ -555,10 +572,9 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
               for shape, rate in streams]
     if not converged:
         _check_cut(math.fsum(counts[0]) * math.fsum(counts[1]), len(cdfs), policy, z)
-    g = np.ones(1)
-    for stream, (shape, rate) in zip(counts, marks):
-        g = np.convolve(g, _random_sum_pmf(stream, shape, rate, fast, len(cdfs)))[:len(cdfs)]
-    return _phase_series(g, cdfs, converged, policy, z)
+    g1, g2 = (_random_sum_pmf(stream, shape, rate, fast, len(cdfs))
+              for stream, (shape, rate) in zip(counts, marks))
+    return _phase_series(np.convolve(g1, g2)[:len(cdfs)], cdfs, converged, policy, z)
 
 
 def general_damage_mean(model: GeneralCumulativeModel, t: float,
@@ -569,7 +585,7 @@ def general_damage_mean(model: GeneralCumulativeModel, t: float,
     interarrivals, out to _poisson_reach.  It raises NonConvergedError when
     P(N(t) >= _MAX_TERMS) >= tail_epsilon.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
     total = 0.0
     for name, inter, mag in (("inter1", model.inter1, model.mag1),
@@ -600,7 +616,7 @@ def compound_poisson_exponential_cdf(rate: float, mark_rate: float, t: float,
     is Erlang(k, mark_rate), whose CDF at x is P(Poisson(mark_rate x) >= k):
     one array of positive tails serves every k.
     """
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
     _check_positive(rate, "rate")

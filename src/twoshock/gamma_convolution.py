@@ -173,15 +173,19 @@ def _erlang_cdf_terms(z: float, eps: float, max_terms: float) -> tuple[np.ndarra
     """P(Erlang(s, 1) <= z) for s = 0..S-1, where S is the first s with a value below eps.
 
     s = 0 is the unit step.  P(Erlang(s, 1) <= z) = P(N >= s), N ~ Poisson(z),
-    evaluated out to _bernstein_reach.  Returns (values, True); when S would
-    exceed max_terms, returns (the first max_terms values, False).
+    evaluated out to _bernstein_reach.  The values never increase: past the
+    unit step they are reverse sums of nonnegative terms, or 1 minus
+    nondecreasing sums, and rounding keeps both monotone.  So S, the first
+    index below eps, is the count of values at or above eps.  Returns
+    (values, True); when S would exceed max_terms, or no value built is
+    below eps, returns (the first max_terms values, False).
     """
     cdfs = _poisson_tail(z, int(min(_bernstein_reach(z, eps), max_terms)) + 2)
     cdfs[0] = 1.0
-    below = np.flatnonzero(cdfs < eps)
-    if not below.size or below[0] > max_terms:
+    stop = np.count_nonzero(cdfs >= eps)
+    if stop == len(cdfs) or stop > max_terms:
         return cdfs[:int(max_terms)], False
-    return cdfs[:below[0]], True
+    return cdfs[:stop], True
 
 
 def convolution_cdf(product: ErlangProduct, x: float) -> float:

@@ -267,6 +267,17 @@ class TestLatticeRoutes:
         got = _random_sum_pmf(counts, shape, rate, fast, n)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("model", [
+        SYMMETRIC, CumulativeModel(0.7, 1.3, Erlang(2, 1.0), Exponential(1.0), threshold=4.0)])
+    def test_lattice_routes_build_no_mark_pmf(self, model, monkeypatch):
+        expected = [damage_cdf(model, 2.0, 5.0), model2_fptf_mean(model)]
+
+        def no_mark_pmfs(*args):
+            raise AssertionError("a lattice route built a mark phase pmf")
+
+        monkeypatch.setattr(cumulative, "_phase_pmf", no_mark_pmfs)
+        assert [damage_cdf(model, 2.0, 5.0), model2_fptf_mean(model)] == expected
+
 
 class TestDamageMean:
     def test_zero_at_origin(self):

@@ -20,8 +20,10 @@ from twoshock.distributions import (
     Erlang,
     Exponential,
     Weibull,
+    _deviance,
     distribution_from_dict,
     distribution_to_dict,
+    erlang_cdf,
     erlang_survival,
 )
 from twoshock.gamma_convolution import ErlangProduct
@@ -145,6 +147,20 @@ class TestSurvival:
 
     def test_erlang_survival_at_signed_zero(self):
         assert erlang_survival(3, -0.0) == erlang_survival(100, 0.0) == 1.0
+
+    @pytest.mark.parametrize("shape", [1, 3, 100])
+    @pytest.mark.parametrize("x", [math.nan, -1.0])
+    def test_erlang_cdf_rejects_nan_and_negative_x(self, shape, x):
+        with pytest.raises(ValueError, match=rf"^x must be nonnegative, got {x}$"):
+            erlang_cdf(shape, x)
+
+    def test_erlang_cdf_at_zero(self):
+        assert erlang_cdf(3, 0.0) == erlang_cdf(1, 0.0) == erlang_cdf(100, -0.0) == 0.0
+
+    def test_deviance_series_ends_on_nan(self):
+        # The series near k = z is summed for at most a few dozen terms, so a
+        # nan z, which never meets the stop, returns nan instead of looping.
+        assert math.isnan(_deviance(5, math.nan))
 
 
 class TestPdf:

@@ -9,9 +9,10 @@ import pytest
 from scipy import integrate, special, stats
 
 from _oracles import trapezoid_convolution_cdf
-from twoshock.distributions import Erlang, erlang_survival
+from twoshock.distributions import Erlang, _poisson_tail, erlang_survival
 from twoshock.errors import EqualRatesError
-from twoshock.gamma_convolution import ErlangProduct, convolution_cdf, expand
+from twoshock.gamma_convolution import (ErlangProduct, _bernstein_reach, _erlang_cdf_terms,
+                                        convolution_cdf, expand)
 
 
 def transform(product, coeffs_a, coeffs_b, s):
@@ -208,6 +209,32 @@ class TestConvolutionCdf:
             p_hat = np.searchsorted(draws, x, side="right") / n
             p = convolution_cdf(ErlangProduct(a, ra, b, rb), x)
             assert abs(p_hat - p) <= 3.5 * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+
+
+def _first_below_reference(z, eps, max_terms):
+    """_erlang_cdf_terms with its stop found by searching for the first value below eps."""
+    cdfs = _poisson_tail(z, int(min(_bernstein_reach(z, eps), max_terms)) + 2)
+    cdfs[0] = 1.0
+    below = np.flatnonzero(cdfs < eps)
+    if not below.size or below[0] > max_terms:
+        return cdfs[:int(max_terms)], False
+    return cdfs[:below[0]], True
+
+
+class TestErlangCdfTerms:
+    @pytest.mark.parametrize("z", [0.0, 5e-324, 3.0, 50.0, 699.0, 800.0, 9000.0, 20000.0,
+                                   math.inf])
+    @pytest.mark.parametrize("eps", [1e-10, 1e-17, 1e-300])
+    def test_count_stop_is_the_first_value_below_eps(self, z, eps):
+        # The values never increase, so counting those at or above eps finds
+        # the same stop as a search for the first one below it.
+        caps = [10_000] if z == math.inf else [10_000, math.inf]  # convolution_cdf uses inf
+        for max_terms in caps:
+            cdfs, converged = _erlang_cdf_terms(z, eps, max_terms)
+            ref, ref_converged = _first_below_reference(z, eps, max_terms)
+            assert converged is ref_converged
+            assert len(cdfs) == len(ref)
+            assert cdfs.tobytes() == ref.tobytes()
 
 
 class TestValidation:

@@ -14,8 +14,9 @@ S = m1 P1 + m2 P2 with P_i ~ Poisson(rate_i t) the independent stream counts
 put on its m_i-lattice and the two convolved, or one Poisson pmf of the
 summed rate when m1 = m2, every term a positive Poisson term at any mean.
 At unequal mark rates g comes from the Panjer (1981) recursion over the
-merged stream.  Only the routes that read the marks' phase pmfs build them
-(_phases): the lattice routes read the Erlang-CDF terms alone.  Under
+merged stream.  Every series builds its Erlang-CDF terms once
+(_erlang_axis), and only the routes that read the marks' phase pmfs build
+them (_mark_pmfs): the lattice routes read the Erlang-CDF terms alone.  Under
 renewal arrivals g is the convolution over the two streams of
 sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of Erlang(k m_i, mu_i),
 the sum of k marks: P(N_i(t) = k) on the m_i-lattice at mu_i = mu_f.
@@ -35,7 +36,8 @@ and every curve value is a sum over h(k) = P(N = k) of positive Poisson
 terms.  model2_fptf_curve builds h once per model, from positive sums and
 one convolution per shock, and stops at the first k with P(N > k) below
 tail_epsilon / 4; together with its phase cut and the trim of the jump pmf
-every value is within tail_epsilon (_crossing_index).  Each time reads its
+every value is within tail_epsilon (_crossing_index), and past the phase cap
+each time passes the cut rule of the scalar series.  Each time reads its
 own Poisson(L t) terms from _poisson_pmf, so a value depends only on the
 model, the level and its t.  The scalar damage_cdf and model2_fptf_cdf keep
 the phase series: at a large threshold a single point costs less than the
@@ -86,11 +88,12 @@ class TruncationPolicy:
     A damage series stops at the first phase count whose Erlang CDF is
     below its share of tail_epsilon, and a renewal-count pmf at the first
     count K whose left-out counts carry less than its share, giving an
-    absolute error below tail_epsilon.  Needing more than _MAX_TERMS
-    phases, or arrival counts outside general_damage_cdf, raises NonConvergedError,
-    except in damage_cdf, general_damage_cdf and model2_fptf_curve when the
-    phase counts past the cap carry less than tail_epsilon of probability, and
-    in model2_fptf_mean when the terms past it are below tail_epsilon of the mean.
+    absolute error below tail_epsilon.  Past _MAX_TERMS terms a probability
+    series (damage_cdf, general_damage_cdf, the failure-time curve) is cut
+    at the cap when its phase-count mass below it clears 1 - tail_epsilon
+    (_check_cut), model2_fptf_mean when the terms left out are below
+    tail_epsilon of the kept sum, and a count axis (general_damage_mean,
+    compound_poisson_exponential_cdf) never: else NonConvergedError.
     """
 
     tail_epsilon: float = 1e-10
@@ -173,20 +176,23 @@ def _renewal_counts(shape: int, z: float, tail: float, n: int) -> np.ndarray:
     return counts[:max(1, np.count_nonzero(above >= tail))]
 
 
-def _phases(model: CumulativeModel | GeneralCumulativeModel, x: float, eps: float,
-            extra: int = 0):
-    """(z, cdfs, converged, f1, f2): the pieces of a phase series at damage level x.
+def _erlang_axis(model: CumulativeModel | GeneralCumulativeModel, x: float, eps: float):
+    """(fast, z, cdfs, converged): the Erlang-CDF axis of a phase series at damage level x.
 
-    z = mu_f x for the faster mark rate mu_f; (cdfs, converged) are
-    _erlang_cdf_terms(z, eps, _MAX_TERMS); f1 and f2 are the phase pmfs of
-    mag1 and mag2 in units of mu_f, extra terms longer than cdfs.
+    fast is the faster mark rate mu_f, z = mu_f x, and (cdfs, converged) are
+    _erlang_cdf_terms(z, eps, _MAX_TERMS).  A CumulativeModel checks at
+    construction that its marks are Erlang; callers with a
+    GeneralCumulativeModel check them first.
     """
-    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
-    fast = max(mu1, mu2)
+    fast = max(model.mag1.rate, model.mag2.rate)
     z = fast * x
     cdfs, converged = _erlang_cdf_terms(z, eps, _MAX_TERMS)
-    n = len(cdfs) + extra
-    return z, cdfs, converged, _phase_pmf(m1, mu1, fast, n), _phase_pmf(m2, mu2, fast, n)
+    return fast, z, cdfs, converged
+
+
+def _mark_pmfs(model: CumulativeModel, fast: float, n: int) -> list[np.ndarray]:
+    """Phase pmfs of mag1 and mag2 in Exp(fast) phases, cut at n."""
+    return [_phase_pmf(mag.shape, mag.rate, fast, n) for mag in (model.mag1, model.mag2)]
 
 
 def _merged(model: CumulativeModel, a, b):
@@ -195,10 +201,7 @@ def _merged(model: CumulativeModel, a, b):
 
 
 def _phase_shifts(model: CumulativeModel) -> tuple[int, int] | None:
-    """(m1, m2) when the marks share a rate, so each is exactly its shape in phases; else None.
-
-    The model checked at construction that both marks are Erlang.
-    """
+    """(m1, m2) when the marks share a rate, so each is exactly its shape in phases; else None."""
     mag1, mag2 = model.mag1, model.mag2
     return (mag1.shape, mag2.shape) if mag1.rate == mag2.rate else None
 
@@ -250,8 +253,8 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
     return g
 
 
-def _check_cut(mass: float, terms: int, policy: TruncationPolicy, z: float) -> None:
-    """NonConvergedError unless the phase-count mass below the cap (or a bound above it) suffices.
+def _check_cut(mass: float, terms: int, policy: TruncationPolicy, where: str) -> None:
+    """NonConvergedError unless the phase-count mass below the cap, or a bound on it, suffices.
 
     Each term of the exact series is a phase probability times a CDF, so a
     series cut at the cap falls short by at most the mass left out; the mass
@@ -260,7 +263,7 @@ def _check_cut(mass: float, terms: int, policy: TruncationPolicy, z: float) -> N
     if mass - terms * sys.float_info.epsilon < 1.0 - policy.tail_epsilon:
         raise NonConvergedError(
             f"phase series needs more than {_MAX_TERMS} terms "
-            f"at rate * x = {z}, and the phase-count mass below the cap, "
+            f"at {where}, and the phase-count mass below the cap, "
             f"{mass!r}, is short of 1 - {policy.tail_epsilon}")
 
 
@@ -271,7 +274,7 @@ def _phase_series(g: np.ndarray, cdfs: np.ndarray, converged: bool,
     A series cut at the cap passes _check_cut first.
     """
     if not converged:
-        _check_cut(math.fsum(g), len(g), policy, z)
+        _check_cut(math.fsum(g), len(g), policy, f"rate * x = {z}")
     value = float(g @ cdfs[:len(g)])
     return min(1.0, max(0.0, value))
 
@@ -287,23 +290,19 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     rate2) t) pmf on one lattice.  That is the compound-Poisson law exactly,
     with positive terms at any mean.  At unequal rates the Panjer recursion
     gives g, from the two marks' phase pmfs; the lattice routes read only
-    the Erlang-CDF terms and build no mark pmf.  When the Erlang-CDF stop
-    needs more than _MAX_TERMS phases, the series is cut at the cap if the
-    phase-count pmf has mass at least 1 - tail_epsilon below it
-    (_phase_series).
+    the Erlang-CDF terms and build no mark pmf.  Past _MAX_TERMS phases the
+    series is cut as TruncationPolicy says (_phase_series).
     """
     policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
+    fast, z, cdfs, converged = _erlang_axis(model, x, policy.tail_epsilon)
+    n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is None:
-        z, cdfs, converged, f1, f2 = _phases(model, x, policy.tail_epsilon)
-        g = _compound_poisson_pmf((model.rate1 + model.rate2) * t, _merged(model, f1, f2))
-        return _phase_series(g, cdfs, converged, policy, z)
-    z = model.mag1.rate * x  # the marks' common rate is mu_f
-    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon, _MAX_TERMS)
-    n = len(cdfs)
-    if shifts[0] == shifts[1]:
+        g = _compound_poisson_pmf((model.rate1 + model.rate2) * t,
+                                  _merged(model, *_mark_pmfs(model, fast, n)))
+    elif shifts[0] == shifts[1]:
         g = _poisson_lattice((model.rate1 + model.rate2) * t, shifts[0], n)
     else:
         g = np.convolve(_poisson_lattice(model.rate1 * t, shifts[0], n),
@@ -314,9 +313,8 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
 def damage_mean(model: CumulativeModel, t: float) -> float:
     """E(total damage by time t); exact, linear in t."""
     _check_nonneg(t, "t")
-    m1, mu1 = _mark_params(model.mag1, "mag1")
-    m2, mu2 = _mark_params(model.mag2, "mag2")
-    return m1 * model.rate1 * t / mu1 + m2 * model.rate2 * t / mu2
+    mag1, mag2 = model.mag1, model.mag2
+    return mag1.shape * model.rate1 * t / mag1.rate + mag2.shape * model.rate2 * t / mag2.rate
 
 
 def model2_fptf_cdf(model: CumulativeModel, t: float,
@@ -328,10 +326,10 @@ def model2_fptf_cdf(model: CumulativeModel, t: float,
 def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
     """pmf of the index N of the shock that takes the damage past x.
 
-    Returns (h, deficits, trim): h[k - 1] = P(N = k) for k = 1..K + 1, each
-    a sum of positive terms; past the phase cap, deficits[k] bounds the
-    phase-count mass of k shocks beyond it, for k = 0..K (None when the
-    series converges); trim the bound on what trimming J loses.  With
+    Returns (h, kept, n): h[k - 1] = P(N = k) for k = 1..K + 1, each a sum
+    of positive terms; n the phase terms of the series; and, past the phase
+    cap, kept[k] the phase-count mass of k shocks below it less the trim
+    bound, for k = 0..K (None when the series converges).  With
     C(s) = P(Erlang(s, mu_f) <= x) = P(Poisson(z) >= s), z = mu_f x, and q_k
     the phase-count pmf of k shocks kept below the cut S,
 
@@ -348,18 +346,18 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
     E[N] <= 1 + z, and each shock loses at most 2 P(J >= w) of the mass
     still below x, in all less than eps / 4.  So a sum of h against values
     in [0, 1] is within eps of the exact one, or, past _MAX_TERMS phases,
-    within trim plus the phase mass the cap leaves out.
+    within the trim bound plus the phase mass the cap leaves out.
     """
     eps = policy.tail_epsilon
-    z, cdfs, converged, f1, f2 = _phases(model, x, eps / 2.0, extra=1)
+    fast, z, cdfs, converged = _erlang_axis(model, x, eps / 2.0)
     n = len(cdfs)
+    f1, f2 = _mark_pmfs(model, fast, n + 1)
     lumped = _poisson_pmf(z, n)
     lumped[-1] = cdfs[-1]
     jumps = _merged(model, f1[:n], f2[:n])
-    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
     exceed = np.empty(n)  # P(J > i) for i < n
-    exceed[-1] = _merged(model, _phase_tail(m1, mu1, max(mu1, mu2), f1),
-                         _phase_tail(m2, mu2, max(mu1, mu2), f2))
+    exceed[-1] = _merged(model, _phase_tail(model.mag1.shape, model.mag1.rate, fast, f1),
+                         _phase_tail(model.mag2.shape, model.mag2.rate, fast, f2))
     exceed[:-1] = np.add.accumulate(jumps[:0:-1])[::-1] + exceed[-1]
     width = n  # a jump of n phases or more leaves the cut from anywhere: nothing is lost
     small = np.flatnonzero(exceed[:-1] <= eps / (8.0 * (1.0 + z)))  # exceed[i] = P(J >= i + 1)
@@ -379,11 +377,10 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
         if (alive if converged else masses[-1]) < eps / 4.0:
             break
     h.append(alive)
-    trim = 2.0 * exceed[width - 1] * visits if width < n else 0.0
     if converged:
-        return np.array(h), None, trim
-    # each mass sums n terms: allow n roundings, as _phase_series does
-    return np.array(h), 1.0 - np.array(masses) + n * sys.float_info.epsilon, trim
+        return np.array(h), None, n
+    trim = 2.0 * exceed[width - 1] * visits if width < n else 0.0
+    return np.array(h), np.array(masses) - trim, n
 
 
 def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPolicy | None = None
@@ -402,17 +399,17 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
     of the two probabilities is summed and the other is 1 minus it, so they
     add to 1 and both keep their relative accuracy.  Each is within
     tail_epsilon of the exact value, and the density within L times that.
-    Past _MAX_TERMS phases, a t raises NonConvergedError unless its omitted
-    phase mass, sum_k P(M = k) (1 - mass_k), plus the trim bound of
-    _crossing_index is below tail_epsilon.  The times are taken one at a
-    time, so each value depends only on its own t.
+    Past _MAX_TERMS phases each t passes _check_cut on the phase mass it
+    keeps, sum_{j < k} P(M = j) kept[j] (_crossing_index); counts from k on
+    may all be past the cap and count as none kept.  The times are taken one
+    at a time, so each value depends only on its own t.
     """
     policy = policy or _DEFAULT_POLICY
     _check_nonneg(x, "x")
     ts = _time_grid(ts).tolist()
     for t in ts:
         _check_nonneg(t, "t")
-    h, deficits, trim = _crossing_index(model, x, policy)
+    h, kept, phases = _crossing_index(model, x, policy)
     k = len(h)
     below = np.add.accumulate(h)  # P(N <= j + 1) at j
     # P(N <= j - 1), P(N > j) and P(N = j + 1) at row j
@@ -427,13 +424,8 @@ def _crossing_curve(model: CumulativeModel, x: float, ts, policy: TruncationPoli
         else:
             head = _poisson_pmf(z, k)
             tail = 1.0 - head.sum()
-        if deficits is not None:  # counts from k on may all be past the cap
-            bound = head @ deficits + tail + trim
-            if not bound < policy.tail_epsilon:
-                raise NonConvergedError(
-                    f"phase series needs more than {_MAX_TERMS} terms at level x = {x}, "
-                    f"and the phase-count mass it leaves out at t = {t} "
-                    f"reaches {float(bound)!r}")
+        if kept is not None:
+            _check_cut(float(head @ kept), phases, policy, f"level x = {x} and t = {t}")
         failed, alive, density = head @ sums
         failed += tail * below[-1]
         if failed <= alive:
@@ -501,19 +493,16 @@ def model2_fptf_mean(model: CumulativeModel,
     is below tail_epsilon times the kept sum; else NonConvergedError says so.
     """
     eps = (policy or _DEFAULT_POLICY).tail_epsilon
+    fast, z, cdfs, converged = _erlang_axis(model, model.threshold, eps)
+    n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is None:
-        z, cdfs, converged, f1, f2 = _phases(model, model.threshold, eps)
-        n = len(cdfs)
-        steps = _merged(model, f1, f2)[1:]
+        steps = _merged(model, *_mark_pmfs(model, fast, n))[1:]
         rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
         rev[-1] = 1.0
         for s in range(1, n):
             rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
     else:
-        z = model.mag1.rate * model.threshold  # the marks' common rate is mu_f
-        cdfs, converged = _erlang_cdf_terms(z, eps, _MAX_TERMS)
-        n = len(cdfs)
         rev = _lattice_renewal(model, *shifts, n)
     total = float(rev @ cdfs[::-1])
     if not converged:
@@ -564,14 +553,13 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
     marks = (_mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2"))
-    fast = max(rate for _, rate in marks)
-    z = fast * x
-    cdfs, converged = _erlang_cdf_terms(z, policy.tail_epsilon / 2.0, _MAX_TERMS)
+    fast, z, cdfs, converged = _erlang_axis(model, x, policy.tail_epsilon / 2.0)
     streams = (_mark_params(model.inter1, "inter1"), _mark_params(model.inter2, "inter2"))
     counts = [_renewal_counts(shape, rate * t, policy.tail_epsilon / 4.0, len(cdfs))
               for shape, rate in streams]
     if not converged:
-        _check_cut(math.fsum(counts[0]) * math.fsum(counts[1]), len(cdfs), policy, z)
+        _check_cut(math.fsum(counts[0]) * math.fsum(counts[1]), len(cdfs), policy,
+                   f"rate * x = {z}")
     g1, g2 = (_random_sum_pmf(stream, shape, rate, fast, len(cdfs))
               for stream, (shape, rate) in zip(counts, marks))
     return _phase_series(np.convolve(g1, g2)[:len(cdfs)], cdfs, converged, policy, z)

@@ -230,17 +230,18 @@ def erlang_survival(shape: int, x: float) -> float:
 
     Evaluates exp(-x) * sum_{l < shape} x^l / l! = P(Poisson(x) < shape)
     with a multiplicative term recurrence; past _SERIES_LIMIT, where that
-    overflows, the sum of the Poisson pmf terms from _poisson_pmf.  From
-    shape _ARRAY_SHAPE on, and always past the limit, the sum stops after
-    min(shape, _poisson_reach(x, 1)) terms: past the reach every term is
-    below e^-50 of the largest, so less than half an ulp of the running sum,
-    and leaving it out changes no bit.  So the cost stops growing with the
-    shape past about x + 10 sqrt(x) + 41 terms.  At those shapes the
-    recurrence runs as two sequential numpy passes, a cumulative product of
-    the ratios [1, x/1, x/2, ...] and a cumulative sum of the terms, which
-    round exactly as the loop does.  Rounding can carry the sum an ulp past
-    1; it is clamped there.  Requires shape >= 1; x = 0 gives 1, and a
-    negative or nan x raises ValueError.
+    overflows, the sum of the Poisson pmf terms near the largest kept one.
+    From shape _ARRAY_SHAPE on, and always past the limit, the sum stops
+    after min(shape, _poisson_reach(x, 1)) terms: past the reach every term
+    is below e^-50 of the largest, so less than half an ulp of the running
+    sum, and leaving it out changes no bit.  So the cost stops growing with
+    the shape past about x + 10 sqrt(x) + 41 terms; past the limit, where the
+    terms below the largest fall as fast, at about 20 sqrt(x) + 80.  At
+    those shapes below the limit the recurrence runs as two sequential numpy
+    passes, a cumulative product of the ratios [1, x/1, x/2, ...] and a
+    cumulative sum of the terms, which round exactly as the loop does.
+    Rounding can carry the sum an ulp past 1; it is clamped there.  Requires
+    shape >= 1; x = 0 gives 1, and a negative or nan x raises ValueError.
     """
     if not x > 0.0:
         if x == 0.0:
@@ -249,7 +250,17 @@ def erlang_survival(shape: int, x: float) -> float:
     if x > _SERIES_LIMIT:
         if x == math.inf:
             return 0.0
-        return min(1.0, float(_poisson_pmf(x, min(shape, _poisson_reach(x, 1))).sum()))
+        # Terms [low, n) of _poisson_pmf(x, n), from its anchor m and ratios,
+        # so each keeps its bits.  Below m each is at most m/x times the one
+        # above: past min(10 sqrt(x) + 40, 50 / ln(x/m)) steps, under e^-50 t[m].
+        n = min(shape, _poisson_reach(x, 1))
+        m = int(min(x, n - 1))
+        steep = 50.0 / math.log(x / m) if 0 < m < x else math.inf
+        low = max(0, m - int(min(10.0 * math.sqrt(x) + 40.0, steep)))
+        ratios = np.arange(low, n, dtype=float)
+        ratios[1:] = x / ratios[1:]
+        anchor = math.exp(_log_poisson_term(m, x))
+        return min(1.0, float(_recur_outward(ratios, m - low, anchor).sum()))
     if shape < _ARRAY_SHAPE:
         term = 1.0
         acc = 1.0

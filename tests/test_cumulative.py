@@ -21,7 +21,8 @@ from twoshock.cumulative import (
     GeneralCumulativeModel,
     TruncationPolicy,
     _compound_poisson_pmf,
-    _phases,
+    _erlang_axis,
+    _mark_pmfs,
     _random_sum_pmf,
     _mark_params,
     _renewal_counts,
@@ -35,7 +36,7 @@ from twoshock.cumulative import (
     model2_fptf_mean,
 )
 from twoshock.distributions import Erlang, Exponential, Weibull
-from twoshock.gamma_convolution import _phase_pmf
+from twoshock.gamma_convolution import _erlang_cdf_terms, _phase_pmf
 from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
@@ -156,7 +157,7 @@ def test_halved_panjer_matches_split_streams(t, x):
     # the merged Panjer pmf is halved and squared.  The oracle keeps the two
     # streams apart: the faster-rate mark on its lattice, the slower one
     # summed as Poisson-many Erlang marks, with no recursion and no squaring.
-    _, cdfs, converged, _, _ = _phases(MIXED, x, 1e-10)
+    _, _, cdfs, converged = _erlang_axis(MIXED, x, 1e-10)
     n = len(cdfs)
     fast = max(MIXED.mag1.rate, MIXED.mag2.rate)
     g = np.ones(1)
@@ -214,7 +215,8 @@ class TestLatticeRoutes:
         converged = []
         for mu, rate1, rate2, t, x in self.POINTS:
             model = CumulativeModel(rate1, rate2, Erlang(m1, mu), Erlang(m2, mu), threshold=1.0)
-            z, cdfs, done, f1, f2 = _phases(model, x, policy.tail_epsilon)
+            fast, z, cdfs, done = _erlang_axis(model, x, policy.tail_epsilon)
+            f1, f2 = _mark_pmfs(model, fast, len(cdfs))
             g = _compound_poisson_pmf((rate1 + rate2) * t, cumulative._merged(model, f1, f2))
             panjer = cumulative._phase_series(g, cdfs, done, policy, z)
             assert damage_cdf(model, t, x, policy) == pytest.approx(panjer, abs=1e-13, rel=0.0)
@@ -227,7 +229,7 @@ class TestLatticeRoutes:
                                             (7.0, 0.2, 0.5, 1e3)]:
             model = CumulativeModel(rate1, rate2, Erlang(m1, mu), Erlang(m2, mu),
                                     threshold=threshold)
-            cdfs = _phases(model, threshold, 1e-10)[1]
+            cdfs = _erlang_axis(model, threshold, 1e-10)[2]
             dense = _dense_renewal(model, len(cdfs))
             u = cumulative._lattice_renewal(model, m1, m2, len(cdfs))[::-1]
             np.testing.assert_allclose(u, dense, rtol=1e-13, atol=1e-300)
@@ -243,7 +245,7 @@ class TestLatticeRoutes:
         eps = 1e-10
         model = CumulativeModel(rate1, rate2, Exponential(mu), Exponential(mu), threshold)
         total = rate1 + rate2
-        s = len(_phases(model, threshold, eps)[1])
+        s = len(_erlang_axis(model, threshold, eps)[2])
         exact = (1.0 + mu * threshold) / total
         rounding = s * sys.float_info.epsilon * exact
         mean = model2_fptf_mean(model, TruncationPolicy(eps))
@@ -277,6 +279,30 @@ class TestLatticeRoutes:
 
         monkeypatch.setattr(cumulative, "_phase_pmf", no_mark_pmfs)
         assert [damage_cdf(model, 2.0, 5.0), model2_fptf_mean(model)] == expected
+
+
+# Lattice routes (two shapes and one), Panjer with the dense renewal loop, renewal arrivals.
+@pytest.mark.parametrize("model", [
+    SYMMETRIC, CumulativeModel(0.7, 1.3, Erlang(2, 1.0), Exponential(1.0), threshold=4.0), MIXED,
+    GeneralCumulativeModel(Erlang(2, 1.0), Exponential(0.5), Erlang(3, 2.0), Exponential(1.0),
+                           threshold=4.0)])
+def test_each_evaluator_builds_its_erlang_axis_once(model, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _erlang_cdf_terms(*args)
+
+    monkeypatch.setattr(cumulative, "_erlang_cdf_terms", counted)
+    if isinstance(model, GeneralCumulativeModel):
+        evaluators = [lambda: general_damage_cdf(model, 2.0, 5.0)]
+    else:
+        evaluators = [lambda: damage_cdf(model, 2.0, 5.0), lambda: model2_fptf_cdf(model, 2.0),
+                      lambda: model2_fptf_mean(model), lambda: model2_fptf_curve(model, [0.5, 2.0])]
+    for evaluate in evaluators:
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
 
 
 class TestDamageMean:
@@ -453,13 +479,14 @@ class TestFailureTimeCurve:
     def test_phase_cap_as_scalar_path(self):
         # mu K = 9,400 needs about 10,100 phases against a cap of 10,000.
         model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=9400.0)
-        cdf, survival, _ = model2_fptf_curve(model, [1.0, 4000.0])
+        cdf, survival, _ = model2_fptf_curve(model, [1.0, 4000.0, 4650.0])
         assert np.all(cdf + survival == 1.0)
         assert cdf[1] == pytest.approx(
             equal_exponential_marks_failure_law(9400.0, 2.0, [4000.0])[0][0], rel=1e-10)
-        for t in (1.0, 4000.0):
+        for t in (1.0, 4000.0, 4650.0):
             model2_fptf_cdf(model, t)
-        with pytest.raises(NonConvergedError, match="phase series"):
+        with pytest.raises(NonConvergedError,
+                           match=r"^phase series .* at level x = 9400\.0 and t = 4700\.0, "):
             model2_fptf_curve(model, [1.0, 4700.0])
         with pytest.raises(NonConvergedError, match="phase series"):
             model2_fptf_cdf(model, 4700.0)
@@ -545,8 +572,8 @@ class TestGeneralEvaluators:
         # k marks summed as one Erlang(k m) mark against k full-length convolutions.
         # Below the smallest normal double only an absolute bound holds: at
         # x = 7,300 subnormal entries differ by up to 6e-323.
-        _, cdfs, _, *marks = _phases(model, x, 5e-11)
-        fast = max(mag.rate for mag in (model.mag1, model.mag2))
+        fast, _, cdfs, _ = _erlang_axis(model, x, 5e-11)
+        marks = _mark_pmfs(model, fast, len(cdfs))
         for inter, mag, mark in zip((model.inter1, model.inter2), (model.mag1, model.mag2), marks):
             shape, rate = _mark_params(inter, "inter")
             counts = _renewal_counts(shape, rate * t, 2.5e-11, 10_000)
@@ -698,8 +725,9 @@ class TestGeneralEvaluators:
     def test_weibull_marks_unsupported_for_cdf_but_fine_for_mean(self):
         g = GeneralCumulativeModel(Exponential(1.0), Exponential(1.0),
                                    Weibull(2.0, 1.0), Exponential(1.0), threshold=1.0)
-        with pytest.raises(UnsupportedConvolutionError):
-            general_damage_cdf(g, 1.0, 1.0)
+        for t in (0.0, 1.0):  # the marks are checked before any series reads a rate
+            with pytest.raises(UnsupportedConvolutionError, match="mag1"):
+                general_damage_cdf(g, t, 1.0)
         # the mean needs no mark convolution, only E(mark) and the renewal count
         expected = Weibull(2.0, 1.0).mean() * 1.0 + 1.0
         assert general_damage_mean(g, 1.0) == pytest.approx(expected, abs=1e-9)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from _oracles import poisson_cdf_decimal
 from twoshock.cumulative import (
     CumulativeModel,
     GeneralCumulativeModel,
@@ -138,6 +140,31 @@ class TestSurvival:
             assert all(0.0 <= v <= 1.0 for v in values), shape
             assert Erlang(shape, 1.0).survival_curve(xs).tolist() == values
         assert erlang_survival(48, 0.2340773591197066) == 1.0
+
+    @pytest.mark.parametrize("shape,x", [(10**7, 1e7), (10**9, 1e9), (10**9, 1e308)])
+    def test_erlang_survival_past_limit_builds_only_terms_near_the_largest(self, shape, x):
+        # Past x = 700 the sum keeps the terms within about 10 sqrt(x) + 40 of
+        # the largest kept one: a few MiB at 1e9, nothing at 1e308, where a
+        # min(shape, x + 10 sqrt(x) + 41)-term array would take gigabytes.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            erlang_survival(shape, x)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert elapsed < 0.1
+
+    def test_erlang_survival_past_limit_matches_decimal_sum(self):
+        # Shapes within 12 sqrt(x) of x: the sum stops at the shape on one
+        # side of the mode and is cut below the largest kept term on both.
+        for x in np.geomspace(700.5, 1e7, 13).tolist():
+            for k in range(-12, 13, 3):
+                shape = int(x + k * math.sqrt(x))
+                assert erlang_survival(shape, x) == pytest.approx(
+                    poisson_cdf_decimal(shape - 1, x), rel=1e-12, abs=0.0), (shape, x)
 
     @pytest.mark.parametrize("shape", [3, 100])
     @pytest.mark.parametrize("x", [math.nan, -1.0])

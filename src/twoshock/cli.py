@@ -7,9 +7,12 @@ standard error.  A fixed invocation produces byte-identical
 output (numbers are written with 17 significant digits).
 
 Each analytic command takes the model kinds _ANALYTIC lists for it, and
-its help names them.  simulate and compare estimate the curve _quantity
-picks from the kind and --x.  The model file's tail_epsilon and rel_tol
-fields are the only tolerances.
+its help names them.  mean-fptf and fptf-model2 also take a
+general_cumulative model whose interarrivals are both exponential: its
+arrivals are Poisson, so they evaluate the cumulative model of the same law.
+simulate and compare estimate the curve _quantity picks from the model and
+--x; without --x that is the failure-time CDF of a model mean-fptf takes.
+The model file's tail_epsilon and rel_tol fields are the only tolerances.
 
 Curves use a grid function where the kind has one: fptf-model2 and
 damage-cdf on cumulative models take one crossing-index sequence
@@ -35,7 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from . import catastrophic, cumulative, montecarlo
-from .distributions import _check_positive, _require_keys, distribution_from_dict
+from .distributions import Erlang, _check_positive, _require_keys, distribution_from_dict
 from .errors import NonConvergedError
 from .numerics import QuadraturePolicy
 
@@ -190,32 +193,51 @@ _ANALYTIC = {
         "general_cumulative": lambda m, ts, x, trunc, quad:
             [1.0 - cumulative.general_damage_cdf(m, t, m.threshold, trunc) for t in ts]},
 }
+# Commands that evaluate a general_cumulative model with exponential
+# interarrivals as the cumulative model of the same law (_analytic_model).
+_POISSON_EQUIVALENT = ("mean-fptf", "fptf-model2")
 
 
-def _quantity(command: str, kind: str, x) -> str:
-    """The analytic command whose curve simulate and compare estimate for this kind and --x."""
-    if kind == "catastrophic":
+def _analytic_model(mf: ModelFile, quantity: str) -> tuple[str, object]:
+    """(kind, model) that _ANALYTIC evaluates for the quantity.
+
+    A general_cumulative model whose interarrivals are both exponential (Erlang
+    of shape 1) has Poisson arrivals: for a _POISSON_EQUIVALENT quantity it is
+    the cumulative model with those rates.  Any other model is the file's own.
+    """
+    model = mf.model
+    if mf.kind == "general_cumulative" and quantity in _POISSON_EQUIVALENT:
+        inter1, inter2 = model.inter1, model.inter2
+        if all(isinstance(inter, Erlang) and inter.shape == 1 for inter in (inter1, inter2)):
+            return "cumulative", cumulative.CumulativeModel(
+                inter1.rate, inter2.rate, model.mag1, model.mag2, model.threshold)
+    return mf.kind, model
+
+
+def _quantity(command: str, mf: ModelFile, x) -> str:
+    """The analytic command whose curve simulate and compare estimate for this model and --x."""
+    if mf.kind == "catastrophic":
         if x is not None:
             raise ValueError("--x is only meaningful for cumulative model kinds")
         return "survival"
     if x is not None:
         return "damage-cdf"
-    if kind == "cumulative":
+    if _analytic_model(mf, "fptf-model2")[0] == "cumulative":
         return "fptf-model2"
-    raise ValueError(f"{command} on a {kind} model requires --x")
+    raise ValueError(f"{command} on a {mf.kind} model requires --x")
 
 
-def _simulation_estimates(quantity: str, mf: ModelFile, args, grid: list) -> list:
+def _simulation_estimates(quantity: str, kind: str, model, args, grid: list) -> list:
     """Monte Carlo estimates of the quantity _quantity chose, one per grid time."""
     cfg = montecarlo.SimulationConfig(args.reps, args.seed, workers=args.workers)
     if quantity == "survival":
-        return list(montecarlo.simulate_catastrophic(mf.model, cfg, grid).survival)
+        return list(montecarlo.simulate_catastrophic(model, cfg, grid).survival)
     if quantity == "fptf-model2":
-        sim = montecarlo.simulate_fptf_cumulative(mf.model, cfg)
+        sim = montecarlo.simulate_fptf_cumulative(model, cfg)
         return [sim.ecdf(t) for t in grid]
-    simulate = (montecarlo.simulate_cumulative if mf.kind == "cumulative"
+    simulate = (montecarlo.simulate_cumulative if kind == "cumulative"
                 else montecarlo.simulate_general_cumulative)
-    sim = simulate(mf.model, grid, cfg)
+    sim = simulate(model, grid, cfg)
     return [sim.ecdf(i, args.x) for i in range(len(grid))]
 
 
@@ -254,22 +276,24 @@ def _dispatch(args) -> str:
     quad = QuadraturePolicy(rel_tol=mf.rel_tol)
     x = getattr(args, "x", None)
     simulated = args.command in ("simulate", "compare")
-    quantity = _quantity(args.command, mf.kind, x) if simulated else args.command
+    quantity = _quantity(args.command, mf, x) if simulated else args.command
     kinds = _ANALYTIC[quantity]
-    if mf.kind not in kinds:
+    kind, model = _analytic_model(mf, quantity)
+    if kind not in kinds:
         raise ValueError(f"{args.command} needs a model of kind {' or '.join(kinds)}, "
-                         f"got {mf.kind}")
-    evaluate = kinds[mf.kind]
+                         f"got {kind}")
+    evaluate = kinds[kind]
     if args.command == "mean-fptf":
-        return _render(evaluate(mf.model, None, None, trunc, quad), None, args.format, mf)
+        return _render(evaluate(model, None, None, trunc, quad), None, args.format, mf)
 
     grid = parse_grid(args.grid) if args.grid is not None else parse_points(args.points)
     if args.command == "simulate":
-        rows = [(t, e.mean) for t, e in zip(grid, _simulation_estimates(quantity, mf, args, grid))]
-        return _render(rows, ("t", "value"), args.format, mf)
-    analytic = evaluate(mf.model, grid, x, trunc, quad)
+        estimates = _simulation_estimates(quantity, kind, model, args, grid)
+        return _render([(t, e.mean) for t, e in zip(grid, estimates)], ("t", "value"),
+                       args.format, mf)
+    analytic = evaluate(model, grid, x, trunc, quad)
     if args.command == "compare":
-        estimates = _simulation_estimates(quantity, mf, args, grid)
+        estimates = _simulation_estimates(quantity, kind, model, args, grid)
         rows = [(t, a, e.mean, e.std_error, _zscore(a, e.mean, e.n))
                 for t, a, e in zip(grid, analytic, estimates)]
         return _render(rows, ("t", "analytic", "estimate", "std_error", "z"), args.format, mf)

@@ -14,17 +14,23 @@ S = m1 P1 + m2 P2 with P_i ~ Poisson(rate_i t) the independent stream counts
 put on its m_i-lattice and the two convolved, or one Poisson pmf of the
 summed rate when m1 = m2, every term a positive Poisson term at any mean.
 At unequal mark rates g comes from the Panjer (1981) recursion over the
-merged stream.  Every series builds its Erlang-CDF terms once
-(_erlang_axis), and only the routes that read the marks' phase pmfs build
-them (_mark_pmfs): the lattice routes read the Erlang-CDF terms alone.  Under
-renewal arrivals g is the convolution over the two streams of
-sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of Erlang(k m_i, mu_i),
-the sum of k marks: P(N_i(t) = k) on the m_i-lattice at mu_i = mu_f.
+merged stream.  The faster mark is exactly m_f phases and the slower,
+Erlang(m, p mu_f), is m + NegBin(m, p), so for m up to _STAGE_SHAPE the
+recursion runs on m + 1 running stage sums of g with positive coefficients
+p and q = 1 - p (_stage_panjer), and a larger m takes one dot product per
+phase over the merged jump pmf.  Every series builds its Erlang-CDF terms
+once (_erlang_axis), and only the routes that read the marks' phase pmfs
+build them (_mark_pmfs): the lattice and stage routes read the Erlang-CDF
+terms alone.  Under renewal arrivals g is the convolution over the two
+streams of sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of
+Erlang(k m_i, mu_i), the sum of k marks: P(N_i(t) = k) on the m_i-lattice
+at mu_i = mu_f.
 Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
 floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
 and needs no quadrature; at equal mark rates a shock takes m1 or m2 phases,
-and the sequence is a two-term scalar recurrence.  Every term is positive,
+and the sequence is a two-term scalar recurrence; at unequal rates it
+takes stage sums as g does (_stage_renewal).  Every term is positive,
 and each series stops at the first S whose Erlang CDF is below the
 requested bound.
 
@@ -76,6 +82,15 @@ __all__ = [
 # larger Poisson mean is halved until it is at most this, and the pmf squared
 # back up.
 _PANJER_MAX_MEAN = 500.0
+
+# At unequal mark rates a slower mark of at most this shape takes the
+# stage-sum recursions (_stage_panjer, _stage_renewal), whose scalar steps
+# cost O(shape); a larger one takes one dot product per phase over the mark
+# pmfs.  Whole damage_cdf and model2_fptf_mean calls on three models, on a
+# 2-core x86-64 host under Python 3.11 and numpy 2.4.6 (timeit minima): the
+# stage route ran 1.4-2.4x as fast at shape 1, 1.7-1.9x at 3, 1.1-1.3x at
+# 8, 1.0-1.2x at 10, 0.95-1.1x at 11, 0.65-0.85x at 20 and 0.3-0.4x at 50.
+_STAGE_SHAPE = 10
 
 # Most phases, Poisson counts or renewal counts any series takes on one axis.
 _MAX_TERMS = 10_000
@@ -227,30 +242,121 @@ def _poisson_lattice(z: float, m: int, n: int) -> np.ndarray:
     return pmf if m == 1 else _on_lattice(pmf, m, min(n, m * built))
 
 
-def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
-    """pmf of a Poisson(mean) sum of i.i.d. phase jumps (jumps[0] == 0), cut at len(jumps).
+def _halved(mean: float, n: int, panjer) -> np.ndarray:
+    """A compound-Poisson(mean) phase pmf cut at n, from panjer(part) at part <= _PANJER_MAX_MEAN.
 
-    Panjer: g(0) = exp(-mean), g(s) = (mean/s) sum_j j jumps(j) g(s-j).  The
-    first n values of a convolution need only the first n of each factor,
-    so squaring the pmf at mean/2 is exact on the kept range.  An infinite
-    mean puts all mass past the range: the pmf is 0.
+    Panjer starts from g(0) = exp(-mean), which underflows past ~745, so a
+    larger mean is halved k times and the pmf at mean / 2^k squared k times.
+    The first n values of a convolution need only the first n of each
+    factor, so each squaring is exact on the kept range.  An infinite mean
+    puts all mass past the range: the pmf is 0.
     """
     if mean == math.inf:
-        return np.zeros(len(jumps))
+        return np.zeros(n)
     halvings = 0
     while mean > _PANJER_MAX_MEAN:
         mean /= 2.0
         halvings += 1
-    n = len(jumps)
-    weighted = mean * np.arange(1, n) * jumps[1:]  # weighted[j - 1] = mean j jumps(j)
-    rev = np.zeros(n)  # g reversed, so each step dots two forward slices
-    rev[-1] = math.exp(-mean)
-    for s in range(1, n):
-        rev[n - 1 - s] = weighted[:s].dot(rev[n - s:]) / s
-    g = rev[::-1]
+    g = panjer(mean)
     for _ in range(halvings):
         g = np.convolve(g, g)[:n]
     return g
+
+
+def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
+    """pmf of a Poisson(mean) sum of i.i.d. phase jumps (jumps[0] == 0), cut at len(jumps).
+
+    Panjer: g(0) = exp(-mean), g(s) = (mean/s) sum_j j jumps(j) g(s-j), one
+    dot product per phase, halved past _PANJER_MAX_MEAN (_halved).
+    """
+    n = len(jumps)
+
+    def panjer(part: float) -> np.ndarray:
+        weighted = part * np.arange(1, n) * jumps[1:]  # weighted[j - 1] = part j jumps(j)
+        rev = np.zeros(n)  # g reversed, so each step dots two forward slices
+        rev[-1] = math.exp(-part)
+        for s in range(1, n):
+            rev[n - 1 - s] = weighted[:s].dot(rev[n - s:]) / s
+        return rev[::-1]
+
+    return _halved(mean, n, panjer)
+
+
+@dataclass(frozen=True)
+class _Stages:
+    """The marks at unequal rates, in Exp(mu_f) phases, mu_f the faster rate.
+
+    A merged shock carries the faster mark, exactly fast_shape phases, with
+    probability fast_weight, and with slow_weight the slower Erlang(shape,
+    p mu_f) mark, shape + NegBin(shape, p) phases, q = 1 - p.
+    """
+
+    fast_shape: int
+    fast_weight: float
+    shape: int
+    p: float
+    q: float
+    slow_weight: float
+
+
+def _stages(model: CumulativeModel) -> _Stages:
+    """_Stages of a model whose marks have different rates."""
+    total = model.rate1 + model.rate2
+    (fast, fast_rate), (slow, slow_rate) = sorted(
+        [(model.mag1, model.rate1), (model.mag2, model.rate2)], key=lambda mark: -mark[0].rate)
+    return _Stages(fast.shape, fast_rate / total, slow.shape, slow.rate / fast.rate,
+                   (fast.rate - slow.rate) / fast.rate, slow_rate / total)
+
+
+def _stage_panjer(mean: float, stages: _Stages, n: int) -> np.ndarray:
+    """Panjer's g(s) for s < n at mean <= _PANJER_MAX_MEAN, by m + 1 running stage sums.
+
+    With J = m + NegBin(m, p) the slower mark's phase count, j P(J = j) =
+    m P(Bin(j, p) = m), so its part of sum_j j f(j) g(s - j) is m B_m(s),
+    where B_k(s) = sum_j P(Bin(j, p) = k) g(s - j) steps as
+
+        B_0(s) = g(s) + q B_0(s - 1),  B_k(s) = q B_k(s - 1) + p B_{k-1}(s - 1),
+
+    and g(s) = (mean / s) (w_f m_f g(s - m_f) + w_s m B_m(s)).  B_m(s) reads
+    g only up to s - 1, every coefficient is positive, and each B_k is at
+    most the mass of g.  No mark pmf is built.
+    """
+    lead = min(stages.fast_shape, n)  # zeros before g(0), so g(s - m_f) reads 0 for s < m_f
+    fast = mean * stages.fast_weight * stages.fast_shape
+    m, p, q = stages.shape, stages.p, stages.q
+    slow = mean * stages.slow_weight * m
+    g = [0.0] * lead + [math.exp(-mean)]
+    b = [g[-1]] + [0.0] * m  # B_k(0)
+    for s in range(1, n):
+        for k in range(m, 0, -1):
+            b[k] = q * b[k] + p * b[k - 1]
+        value = (fast * g[-lead] + slow * b[m]) / s
+        g.append(value)
+        b[0] = value + q * b[0]
+    return np.array(g[lead:])
+
+
+def _stage_renewal(stages: _Stages, n: int) -> np.ndarray:
+    """Renewal sequence U(s) for s < n of the merged per-shock phase pmf, by m running stage sums.
+
+    With J = m + NegBin(m, p), P(J = j) = p P(Bin(j - 1, p) = m - 1), so
+
+        U(s) = w_f U(s - m_f) + w_s p B_{m-1}(s - 1),  U(0) = 1,
+
+    with B_k the stage sums of _stage_panjer taken over U.
+    """
+    lead = min(stages.fast_shape, n)
+    m, p, q = stages.shape, stages.p, stages.q
+    fast, slow = stages.fast_weight, stages.slow_weight * p
+    u = [0.0] * lead + [1.0]
+    b = [1.0] + [0.0] * (m - 1)  # B_k(0)
+    for _ in range(1, n):
+        value = fast * u[-lead] + slow * b[m - 1]
+        u.append(value)
+        for k in range(m - 1, 0, -1):
+            b[k] = q * b[k] + p * b[k - 1]
+        b[0] = value + q * b[0]
+    return np.array(u[lead:])
 
 
 def _check_cut(mass: float, terms: int, policy: TruncationPolicy, where: str) -> None:
@@ -289,9 +395,11 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     Poisson pmfs on their lattices, or at m1 = m2 the Poisson((rate1 +
     rate2) t) pmf on one lattice.  That is the compound-Poisson law exactly,
     with positive terms at any mean.  At unequal rates the Panjer recursion
-    gives g, from the two marks' phase pmfs; the lattice routes read only
-    the Erlang-CDF terms and build no mark pmf.  Past _MAX_TERMS phases the
-    series is cut as TruncationPolicy says (_phase_series).
+    gives g: by running stage sums of the slower mark when its shape is at
+    most _STAGE_SHAPE (_stage_panjer), else by one dot product per phase
+    over the two marks' phase pmfs.  Only that last route builds a mark pmf.
+    Past _MAX_TERMS phases the series is cut as TruncationPolicy says
+    (_phase_series).
     """
     policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
@@ -300,8 +408,12 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is None:
-        g = _compound_poisson_pmf((model.rate1 + model.rate2) * t,
-                                  _merged(model, *_mark_pmfs(model, fast, n)))
+        mean = (model.rate1 + model.rate2) * t
+        stages = _stages(model)
+        if stages.shape <= _STAGE_SHAPE:
+            g = _halved(mean, n, lambda part: _stage_panjer(part, stages, n))
+        else:
+            g = _compound_poisson_pmf(mean, _merged(model, *_mark_pmfs(model, fast, n)))
     elif shifts[0] == shifts[1]:
         g = _poisson_lattice((model.rate1 + model.rate2) * t, shifts[0], n)
     else:
@@ -448,23 +560,22 @@ def model2_fptf_curve(model: CumulativeModel, ts, policy: TruncationPolicy | Non
 
 
 def _lattice_renewal(model: CumulativeModel, m1: int, m2: int, n: int) -> np.ndarray:
-    """U(s) for s < n, reversed, when a shock takes exactly m1 or m2 phases.
+    """U(s) for s < n when a shock takes exactly m1 or m2 phases.
 
     U(0) = 1, U(s) = p1 U(s - m1) + p2 U(s - m2), p_i = rate_i / L, in
     scalar steps.  Equal shapes give U = 1 on the multiples of m1, 0 elsewhere.
     """
-    rev = np.zeros(n)
     if m1 == m2:
-        rev[n - 1::-m1] = 1.0
-        return rev
+        u = np.zeros(n)
+        u[::m1] = 1.0
+        return u
     total = model.rate1 + model.rate2
     p1, p2 = model.rate1 / total, model.rate2 / total
     lead = max(m1, m2)  # zeros before U(0), so U(s - m) reads 0 for s < m
     u = [0.0] * lead + [1.0]
     for _ in range(1, n):
         u.append(p1 * u[-m1] + p2 * u[-m2])
-    rev[:] = u[:lead - 1:-1]
-    return rev
+    return np.array(u[lead:])
 
 
 def model2_fptf_mean(model: CumulativeModel,
@@ -478,8 +589,10 @@ def model2_fptf_mean(model: CumulativeModel,
     the marks share their rate, a shock takes exactly m1 phases with
     probability p1 = rate1 / L and m2 with p2 = rate2 / L, so f has two atoms
     and U(s) = p1 U(s - m1) + p2 U(s - m2) is the same sequence in O(n)
-    scalar steps (_lattice_renewal), read with the Erlang-CDF terms and no
-    mark pmf; else each U(s) is a dot product over the marks' phase pmfs.
+    scalar steps (_lattice_renewal).  At unequal rates a slower mark of
+    shape m up to _STAGE_SHAPE gives U in O(n m) scalar steps of running
+    stage sums (_stage_renewal); a larger one takes a dot product over the
+    marks' phase pmfs for each U(s), the only route that builds a mark pmf.
     The series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
@@ -496,15 +609,17 @@ def model2_fptf_mean(model: CumulativeModel,
     fast, z, cdfs, converged = _erlang_axis(model, model.threshold, eps)
     n = len(cdfs)
     shifts = _phase_shifts(model)
-    if shifts is None:
-        steps = _merged(model, *_mark_pmfs(model, fast, n))[1:]
-        rev = np.zeros(n)  # U reversed, as in _compound_poisson_pmf
-        rev[-1] = 1.0
-        for s in range(1, n):
-            rev[n - 1 - s] = steps[:s].dot(rev[n - s:])
+    if shifts is not None:
+        u = _lattice_renewal(model, *shifts, n)
+    elif (stages := _stages(model)).shape <= _STAGE_SHAPE:
+        u = _stage_renewal(stages, n)
     else:
-        rev = _lattice_renewal(model, *shifts, n)
-    total = float(rev @ cdfs[::-1])
+        steps = _merged(model, *_mark_pmfs(model, fast, n))[:0:-1].copy()  # f(n-1), ..., f(1)
+        u = np.zeros(n)
+        u[0] = 1.0
+        for s in range(1, n):
+            u[s] = steps[n - 1 - s:].dot(u[:s])
+    total = float(u @ cdfs)
     if not converged:
         if z < n:
             left_out = _poisson_pmf(z, _poisson_reach(z, n))[n:]

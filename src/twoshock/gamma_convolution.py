@@ -144,6 +144,47 @@ def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     return out
 
 
+# log(2^-1075), half the smallest subnormal double: a term below it rounds to 0.
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
+
+
+def _phase_reach(shape: int, rate: float, fast: float, length: int) -> int:
+    """Length past which every term of _phase_pmf(shape, rate, fast, length) is below 2^-1075.
+
+    Such a term's exact value rounds to 0 (the recurrence may still carry
+    it as a subnormal, _recur_outward), so a sum that leaves it out moves by
+    less than one subnormal per term.  Past the mode of K ~ NegBin(shape, p)
+    the terms fall, so the first one below the bound is bisected on log
+    terms.  Returns 0 when no term in range reaches the bound, and length
+    when the last one does.
+    """
+    if shape >= length:
+        return 0
+    if rate == fast:
+        return shape + 1
+    p, q = rate / fast, (fast - rate) / fast
+    if p == 0.0:  # p^shape underflows: every term is 0
+        return 0
+
+    def log_term(k: int) -> float:
+        return (math.lgamma(shape + k) - math.lgamma(shape) - math.lgamma(k + 1)
+                + shape * math.log(p) + k * math.log(q))
+
+    n = length - shape
+    if log_term(n - 1) >= _LOG_UNDERFLOW:
+        return length
+    lo, hi = min(int((shape - 1) * q / p), n - 1), n - 1  # the mode holds the largest term
+    if log_term(lo) < _LOG_UNDERFLOW:
+        return 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_term(mid) < _LOG_UNDERFLOW:
+            hi = mid
+        else:
+            lo = mid
+    return shape + hi
+
+
 def _phase_tail(shape: int, rate: float, fast: float, pmf: np.ndarray) -> float:
     """P(J >= n) for the phase count J of one Erlang(shape, rate) mark, given its pmf up to n.
 

@@ -115,3 +115,37 @@ def poisson_cdf_decimal(k: int, z: float) -> float:
             term = term * zd / j
             total += term
         return float(total)
+
+
+def merged_phase_sequences_decimal(rates, marks, mean: float, n: int) -> tuple:
+    """(g, U) for s < n at 40 significant digits, as floats: Panjer's pmf and the renewal sequence.
+
+    rates are the two stream rates and marks their (shape, rate) Erlang marks
+    at unequal rates.  A shock of the merged stream is mark i with
+    probability rate_i / L; in Exp(mu_f) phases, mu_f the larger mark rate,
+    the faster mark is its shape and the slower one shape + NegBin(shape, p),
+    p = rate / mu_f, with pmf C(j - 1, shape - 1) p^shape q^(j - shape).
+    g is the compound-Poisson(mean) pmf by the dense Panjer sum, g(s) =
+    (mean / s) sum_j j f(j) g(s - j), and U(s) = sum_j f(j) U(s - j).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = Decimal(rates[0]) + Decimal(rates[1])
+        fast = max(rate for _, rate in marks)
+        jumps = [Decimal(0)] * n
+        for weight, (shape, rate) in zip(rates, marks):
+            weight = Decimal(weight) / total
+            if rate == fast:
+                if shape < n:
+                    jumps[shape] += weight
+                continue
+            p = Decimal(rate) / Decimal(fast)
+            for j in range(shape, n):
+                jumps[j] += (weight * math.comb(j - 1, shape - 1)
+                             * p ** shape * (1 - p) ** (j - shape))
+        lam = Decimal(mean)
+        g, u = [(-lam).exp()], [Decimal(1)]
+        for s in range(1, n):
+            g.append(lam / s * sum(j * jumps[j] * g[s - j] for j in range(1, s + 1)))
+            u.append(sum(jumps[j] * u[s - j] for j in range(1, s + 1)))
+        return np.array([float(v) for v in g]), np.array([float(v) for v in u])

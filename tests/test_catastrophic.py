@@ -1,6 +1,8 @@
 """First-failure model tests: factorization, closed-form means, quadrature."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy import special
 
 from _oracles import quad_mean_of_min
 from twoshock.catastrophic import (
+    _REACH_LENGTH,
     CatastrophicModel,
     fptf_cdf,
     mean_fptf,
@@ -20,6 +23,7 @@ from twoshock.catastrophic import (
 )
 from twoshock.distributions import _SERIES_LIMIT, Erlang, Exponential, Weibull
 from twoshock.errors import NonConvergedError
+from twoshock.gamma_convolution import _phase_pmf, _phase_reach
 from twoshock import numerics
 from twoshock.numerics import QuadraturePolicy
 
@@ -233,6 +237,40 @@ class TestMeanFptf:
         model = CatastrophicModel(Weibull(0.005, 1.0), Weibull(0.004, 1.0))
         with pytest.raises(NonConvergedError, match="initial_scale"):
             mean_fptf(model)
+
+    def test_erlang_of_large_shape_beside_an_exponential_is_cheap(self):
+        # The Exp(1) process's phase pmf, (1/2)^s, rounds to 0 past s = 1,075,
+        # and the Erlang(10^7) one is 0 everywhere below 10^7 + 1.
+        model = CatastrophicModel(Erlang(10 ** 7, 1.0), Exponential(1.0))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            value = mean_fptf(model)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert peak < 16 * 2 ** 20
+        assert elapsed < 0.1
+
+    def test_cut_phase_pmfs_give_the_whole_sum_bit_for_bit(self):
+        # The sum over all m1 + m2 phases, built whole.
+        rng = np.random.default_rng(29)
+        cuts = 0
+        for _ in range(400):
+            shapes = rng.integers(1, 2001, 2)
+            rates = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            first, second = (Erlang(int(m), float(r)) for m, r in zip(shapes, rates))
+            total, length = first.rate + second.rate, first.shape + second.shape
+            pmf = (_phase_pmf(first.shape, first.rate, total, length)
+                   + _phase_pmf(second.shape, second.rate, total, length))
+            whole = float(np.arange(length, dtype=float) @ pmf) / total
+            assert mean_fptf(CatastrophicModel(first, second)) == whole
+            cuts += length > _REACH_LENGTH and max(
+                _phase_reach(mark.shape, mark.rate, total, length)
+                for mark in (first, second)) < length
+        assert cuts >= 50
 
     def test_monotone_in_rates(self):
         base = mean_fptf(CatastrophicModel(Erlang(2, 1.0), Exponential(1.0)))

@@ -253,6 +253,54 @@ class TestAnalyticCommands:
         assert 0.99 < float(lines[1].split(",")[1]) < 1.0
         assert lines[2] == "20000,1"
 
+    # README marks with exponential arrivals: the law of the cumulative model below.
+    POISSON_GENERAL = {"kind": "general_cumulative", "inter1": {"type": "exponential", "rate": 1.0},
+                       "inter2": {"type": "exponential", "rate": 2.0},
+                       "mag1": {"type": "erlang", "shape": 3, "rate": 2.0},
+                       "mag2": {"type": "exponential", "rate": 1.0}, "threshold": 5.0}
+    POISSON_CUMULATIVE = {"kind": "cumulative", "rate1": 1.0, "rate2": 2.0,
+                          "mag1": POISSON_GENERAL["mag1"], "mag2": POISSON_GENERAL["mag2"],
+                          "threshold": 5.0}
+
+    @pytest.mark.parametrize("argv", [
+        ["fptf-model2", "--points", "1e-6,0.001,0.1,1,4"],
+        ["mean-fptf"],
+        ["compare", "--points", "0.5,1.5,2.5", "--reps", "2000", "--seed", "3", "--workers", "1"]])
+    def test_exponential_arrivals_take_the_cumulative_model(self, model_file, capsys, argv):
+        outputs = []
+        for spec in (self.POISSON_GENERAL, self.POISSON_CUMULATIVE):
+            assert main([argv[0], "--model", model_file(spec), *argv[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_exponential_arrivals_keep_early_failure_digits(self, model_file, capsys):
+        # 1 - general_damage_cdf cancels at t = 1e-6 (1.5e-4 relative); the crossing curve does not.
+        assert main(["fptf-model2", "--model", model_file(self.POISSON_GENERAL),
+                     "--points", "1e-6"]) == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        model = load_model_file(model_file(self.POISSON_CUMULATIVE)).model
+        assert value == pytest.approx(model2_fptf_curve(model, [1e-6])[0][0], rel=1e-12, abs=0)
+        general = load_model_file(model_file(self.POISSON_GENERAL)).model
+        cancelled = 1.0 - cumulative.general_damage_cdf(general, 1e-6, 5.0)
+        assert abs(cancelled - value) > 1e-6 * value
+
+    @pytest.mark.parametrize("spec,argv", [
+        (GENERAL, ["fptf-model2", "--points", "0.5,1,2"]),
+        (POISSON_GENERAL, ["damage-cdf", "--points", "0.5,1,2", "--x", "3"]),
+        (POISSON_GENERAL, ["damage-mean", "--points", "0.5,1,2"])])
+    def test_other_general_commands_stay_point_by_point(self, model_file, capsys, spec, argv):
+        assert main([argv[0], "--model", model_file(spec), *argv[1:]]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        model = load_model_file(model_file(spec)).model
+        ts = [float(row[0]) for row in rows]
+        if argv[0] == "fptf-model2":
+            expected = [1.0 - cumulative.general_damage_cdf(model, t, model.threshold) for t in ts]
+        elif argv[0] == "damage-cdf":
+            expected = [cumulative.general_damage_cdf(model, t, 3.0) for t in ts]
+        else:
+            expected = [cumulative.general_damage_mean(model, t) for t in ts]
+        assert [row[1] for row in rows] == ["%.17g" % value for value in expected]
+
     def test_kind_mismatch_exits_one(self, model_file, capsys):
         rc = main(["survival", "--model", model_file(CUMULATIVE), "--grid", "0:1:2"])
         assert rc == 1

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import compound_poisson_exponential_reference, equal_exponential_marks_failure_law
+from _oracles import (compound_poisson_exponential_reference, equal_exponential_marks_failure_law,
+                      merged_phase_sequences_decimal)
 from twoshock import cumulative
 from twoshock.cumulative import (
     CumulativeModel,
@@ -41,6 +42,8 @@ from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
 
 SYMMETRIC = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
 MIXED = CumulativeModel(1.0, 2.0, Erlang(3, 2.0), Erlang(1, 1.0), threshold=5.0)
+# The bench's MIX marks: a slower Erlang(2, 1) beside Exp(2).
+MIX = CumulativeModel(0.5, 1.5, Erlang(2, 1.0), Exponential(2.0), threshold=4.0)
 # rate1 * t overflows to inf at t = 1e10; at t = 1 it is the finite 1e300.
 HUGE_RATE = CumulativeModel(1e300, 1.0, Exponential(1.0), Exponential(1.0), threshold=3.0)
 HUGE_RENEWALS = GeneralCumulativeModel(Erlang(2, 1e300), Exponential(1.0),
@@ -231,7 +234,7 @@ class TestLatticeRoutes:
                                     threshold=threshold)
             cdfs = _erlang_axis(model, threshold, 1e-10)[2]
             dense = _dense_renewal(model, len(cdfs))
-            u = cumulative._lattice_renewal(model, m1, m2, len(cdfs))[::-1]
+            u = cumulative._lattice_renewal(model, m1, m2, len(cdfs))
             np.testing.assert_allclose(u, dense, rtol=1e-13, atol=1e-300)
             assert model2_fptf_mean(model) == pytest.approx(
                 float(dense @ cdfs) / (rate1 + rate2), rel=1e-13)
@@ -279,6 +282,85 @@ class TestLatticeRoutes:
 
         monkeypatch.setattr(cumulative, "_phase_pmf", no_mark_pmfs)
         assert [damage_cdf(model, 2.0, 5.0), model2_fptf_mean(model)] == expected
+
+
+def _stage_model(shape: int, p: float, fast_shape: int, threshold: float = 1.0) -> CumulativeModel:
+    """A slower Erlang(shape, 2p) mark beside a faster Erlang(fast_shape, 2); rates 0.7, 1.9."""
+    return CumulativeModel(0.7, 1.9, Erlang(shape, 2.0 * p), Erlang(fast_shape, 2.0), threshold)
+
+
+class TestStageRoutes:
+    """Unequal mark rates: the slower mark's phases summed by running stage sums."""
+
+    PROBS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6)
+    SHAPES = range(1, cumulative._STAGE_SHAPE + 2)  # the first shape past the constant too
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stage_pmf_matches_dot_panjer(self, shape):
+        # Both routes gain a few ulps of relative error per phase (up to
+        # 8.6e-14 each from a 40-digit Panjer at mean 1,746), and each
+        # squaring past _PANJER_MAX_MEAN can double a relative difference.
+        n = 800
+        for p in self.PROBS:
+            for fast_shape in (1, 3):
+                model = _stage_model(shape, p, fast_shape)
+                jumps = cumulative._merged(model, *_mark_pmfs(model, 2.0, n))
+                stages = cumulative._stages(model)
+                for mean, halvings in ((0.1, 0), (2.0, 0), (499.0, 0), (700.0, 1), (1746.0, 2),
+                                       (math.inf, 0)):
+                    dots = _compound_poisson_pmf(mean, jumps)
+                    got = cumulative._halved(
+                        mean, n, lambda part: cumulative._stage_panjer(part, stages, n))
+                    kept = dots >= 1e-300
+                    np.testing.assert_allclose(got[kept], dots[kept], rtol=1e-13 * 2 ** halvings,
+                                               atol=0)
+                    assert np.all(got[~kept] < 1e-290)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stage_mean_matches_dot_loop(self, shape):
+        for p in self.PROBS:
+            for fast_shape, threshold in ((1, 40.0), (3, 300.0)):
+                model = _stage_model(shape, p, fast_shape, threshold)
+                cdfs = _erlang_axis(model, threshold, 1e-10)[2]
+                total = model.rate1 + model.rate2
+                dense = float(_dense_renewal(model, len(cdfs)) @ cdfs) / total
+                stage = float(cumulative._stage_renewal(cumulative._stages(model), len(cdfs))
+                              @ cdfs) / total
+                assert stage == pytest.approx(dense, rel=1e-13, abs=0)
+                assert model2_fptf_mean(model) == (
+                    stage if shape <= cumulative._STAGE_SHAPE else pytest.approx(dense, rel=1e-14))
+
+    @pytest.mark.parametrize("rates,marks,mean,n", [
+        ((0.5, 1.5), ((2, 1.0), (1, 2.0)), 2.0, 200),  # MIX marks
+        ((1.0, 2.0), ((3, 2.0), (1, 1.0)), 60.0, 400),  # README marks
+        ((0.7, 1.9), ((4, 1.98), (3, 2.0)), 30.0, 300)])  # p = 0.99, the fast mark 3 phases
+    def test_stage_sequences_match_decimal_panjer(self, rates, marks, mean, n):
+        model = CumulativeModel(*rates, Erlang(*marks[0]), Erlang(*marks[1]), threshold=1.0)
+        g_ref, u_ref = merged_phase_sequences_decimal(rates, marks, mean, n)
+        stages = cumulative._stages(model)
+        g = cumulative._stage_panjer(mean, stages, n)
+        kept = g_ref >= 1e-300
+        np.testing.assert_allclose(g[kept], g_ref[kept], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(cumulative._stage_renewal(stages, n), u_ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model", [MIXED, MIX])
+    def test_stage_routes_build_no_mark_pmf(self, model, monkeypatch):
+        points = [(0.5, 3.0), (1.0, 8.0), (300.0, 1000.0)]  # the last is halved and squared
+
+        def evaluate():
+            return [damage_cdf(model, t, x) for t, x in points] + [model2_fptf_mean(model)]
+
+        stage = evaluate()
+        monkeypatch.setattr(cumulative, "_STAGE_SHAPE", 0)
+        dots = evaluate()
+        assert stage == pytest.approx(dots, rel=1e-13, abs=1e-15)
+        monkeypatch.undo()
+
+        def no_mark_pmfs(*args):
+            raise AssertionError("a stage route built a mark phase pmf")
+
+        monkeypatch.setattr(cumulative, "_phase_pmf", no_mark_pmfs)
+        assert evaluate() == stage
 
 
 # Lattice routes (two shapes and one), Panjer with the dense renewal loop, renewal arrivals.

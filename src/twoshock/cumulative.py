@@ -14,17 +14,16 @@ S = m1 P1 + m2 P2 with P_i ~ Poisson(rate_i t) the independent stream counts
 put on its m_i-lattice and the two convolved, or one Poisson pmf of the
 summed rate when m1 = m2, every term a positive Poisson term at any mean.
 At unequal mark rates g comes from the Panjer (1981) recursion over the
-merged stream.  The faster mark is exactly m_f phases and the slower,
-Erlang(m, p mu_f), is m + NegBin(m, p), so for m up to _STAGE_SHAPE the
-recursion runs on m + 1 running stage sums of g with positive coefficients
-p and q = 1 - p (_stage_panjer), and a larger m takes one dot product per
-phase over the merged jump pmf.  Every series builds its Erlang-CDF terms
-once (_erlang_axis), and only the routes that read the marks' phase pmfs
-build them (_mark_pmfs): the lattice and stage routes read the Erlang-CDF
-terms alone.  Under renewal arrivals g is the convolution over the two
-streams of sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of
-Erlang(k m_i, mu_i), the sum of k marks: P(N_i(t) = k) on the m_i-lattice
-at mu_i = mu_f.
+merged stream.  A merged shock (_Stages) is the faster mark, exactly m_f
+phases, or the slower, Erlang(m, p mu_f), which is m + NegBin(m, p), so for
+m up to _STAGE_SHAPE the recursion runs on m + 1 running stage sums of g
+with positive coefficients p and q = 1 - p (_stage_panjer), and a larger m
+takes one dot product per phase over the merged jump pmf (_Stages.jumps);
+the lattice and stage routes build no mark pmf.  Every series builds its
+Erlang-CDF terms once (_erlang_axis).  Under renewal arrivals g is the
+convolution over the two streams of sum_k P(N_i(t) = k) f_ik, with f_ik
+the phase pmf of Erlang(k m_i, mu_i), the sum of k marks: P(N_i(t) = k) on
+the m_i-lattice at mu_i = mu_f.
 Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
 floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
@@ -205,16 +204,6 @@ def _erlang_axis(model: CumulativeModel | GeneralCumulativeModel, x: float, eps:
     return fast, z, cdfs, converged
 
 
-def _mark_pmfs(model: CumulativeModel, fast: float, n: int) -> list[np.ndarray]:
-    """Phase pmfs of mag1 and mag2 in Exp(fast) phases, cut at n."""
-    return [_phase_pmf(mag.shape, mag.rate, fast, n) for mag in (model.mag1, model.mag2)]
-
-
-def _merged(model: CumulativeModel, a, b):
-    """(rate1 a + rate2 b) / L: a stream-1 and a stream-2 quantity mixed as one merged shock."""
-    return (model.rate1 * a + model.rate2 * b) / (model.rate1 + model.rate2)
-
-
 def _phase_shifts(model: CumulativeModel) -> tuple[int, int] | None:
     """(m1, m2) when the marks share a rate, so each is exactly its shape in phases; else None."""
     mag1, mag2 = model.mag1, model.mag2
@@ -284,28 +273,41 @@ def _compound_poisson_pmf(mean: float, jumps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Stages:
-    """The marks at unequal rates, in Exp(mu_f) phases, mu_f the faster rate.
+    """One merged shock in Exp(fast) phases, fast = mu_f the faster mark rate.
 
-    A merged shock carries the faster mark, exactly fast_shape phases, with
-    probability fast_weight, and with slow_weight the slower Erlang(shape,
-    p mu_f) mark, shape + NegBin(shape, p) phases, q = 1 - p.
+    It carries the faster mark, exactly fast_shape phases, with probability
+    fast_weight, and with slow_weight the slower Erlang(shape, rate) mark,
+    shape + NegBin(shape, p) phases, p = rate / fast and q = 1 - p.  Equal
+    mark rates are p = 1, q = 0: both marks are atoms.
     """
 
     fast_shape: int
     fast_weight: float
     shape: int
-    p: float
-    q: float
+    rate: float
+    fast: float
     slow_weight: float
+    p = property(lambda self: self.rate / self.fast)
+    q = property(lambda self: (self.fast - self.rate) / self.fast)
+
+    def jumps(self, n: int) -> np.ndarray:
+        """P(J = j) for j < n, J the phase count of one merged shock."""
+        if self.rate < self.fast:
+            out = self.slow_weight * _phase_pmf(self.shape, self.rate, self.fast, n)
+        else:  # equal rates: the slower mark is an atom too
+            out = np.zeros(n)
+            out[self.shape:self.shape + 1] = self.slow_weight  # a slice: empty past n
+        out[self.fast_shape:self.fast_shape + 1] += self.fast_weight
+        return out
 
 
 def _stages(model: CumulativeModel) -> _Stages:
-    """_Stages of a model whose marks have different rates."""
+    """_Stages of a model; at equal mark rates mag1 is taken as the faster."""
     total = model.rate1 + model.rate2
     (fast, fast_rate), (slow, slow_rate) = sorted(
         [(model.mag1, model.rate1), (model.mag2, model.rate2)], key=lambda mark: -mark[0].rate)
-    return _Stages(fast.shape, fast_rate / total, slow.shape, slow.rate / fast.rate,
-                   (fast.rate - slow.rate) / fast.rate, slow_rate / total)
+    return _Stages(fast.shape, fast_rate / total, slow.shape, slow.rate, fast.rate,
+                   slow_rate / total)
 
 
 def _stage_panjer(mean: float, stages: _Stages, n: int) -> np.ndarray:
@@ -397,14 +399,14 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
     with positive terms at any mean.  At unequal rates the Panjer recursion
     gives g: by running stage sums of the slower mark when its shape is at
     most _STAGE_SHAPE (_stage_panjer), else by one dot product per phase
-    over the two marks' phase pmfs.  Only that last route builds a mark pmf.
+    over the merged jump pmf, the only route that builds a mark pmf.
     Past _MAX_TERMS phases the series is cut as TruncationPolicy says
     (_phase_series).
     """
     policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
     _check_nonneg(x, "x")
-    fast, z, cdfs, converged = _erlang_axis(model, x, policy.tail_epsilon)
+    _, z, cdfs, converged = _erlang_axis(model, x, policy.tail_epsilon)
     n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is None:
@@ -413,7 +415,7 @@ def damage_cdf(model: CumulativeModel, t: float, x: float,
         if stages.shape <= _STAGE_SHAPE:
             g = _halved(mean, n, lambda part: _stage_panjer(part, stages, n))
         else:
-            g = _compound_poisson_pmf(mean, _merged(model, *_mark_pmfs(model, fast, n)))
+            g = _compound_poisson_pmf(mean, stages.jumps(n))
     elif shifts[0] == shifts[1]:
         g = _poisson_lattice((model.rate1 + model.rate2) * t, shifts[0], n)
     else:
@@ -448,7 +450,7 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
         P(N = k + 1) = sum_s q_k(s) G(s),  G(s) = sum_{p >= s} pi(p) P(J > p - s),
 
     with pi the Poisson(z) pmf, its mass from S - 1 on lumped at S - 1, and
-    J the phase count of one shock.  Then sum_{j > k} h(j) telescopes to
+    J the phase count of one shock (_Stages).  Then sum_{j > k} h(j) telescopes to
     b(k) = sum_s q_k(s) C(s), which is P(N > k) as cut at S.  One
     convolution per shock steps q_k.  The loop stops at the first K with
     b(K) < eps / 4 (past the cap: q_K has mass below eps / 4) and puts b(K)
@@ -461,15 +463,14 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
     within the trim bound plus the phase mass the cap leaves out.
     """
     eps = policy.tail_epsilon
-    fast, z, cdfs, converged = _erlang_axis(model, x, eps / 2.0)
+    _, z, cdfs, converged = _erlang_axis(model, x, eps / 2.0)
     n = len(cdfs)
-    f1, f2 = _mark_pmfs(model, fast, n + 1)
     lumped = _poisson_pmf(z, n)
     lumped[-1] = cdfs[-1]
-    jumps = _merged(model, f1[:n], f2[:n])
+    jumps = (stages := _stages(model)).jumps(n)
     exceed = np.empty(n)  # P(J > i) for i < n
-    exceed[-1] = _merged(model, _phase_tail(model.mag1.shape, model.mag1.rate, fast, f1),
-                         _phase_tail(model.mag2.shape, model.mag2.rate, fast, f2))
+    exceed[-1] = (stages.fast_weight * (stages.fast_shape >= n) + stages.slow_weight
+                  * _phase_tail(stages.shape, stages.rate, stages.fast, n))
     exceed[:-1] = np.add.accumulate(jumps[:0:-1])[::-1] + exceed[-1]
     width = n  # a jump of n phases or more leaves the cut from anywhere: nothing is lost
     small = np.flatnonzero(exceed[:-1] <= eps / (8.0 * (1.0 + z)))  # exceed[i] = P(J >= i + 1)
@@ -571,11 +572,11 @@ def _lattice_renewal(model: CumulativeModel, m1: int, m2: int, n: int) -> np.nda
         return u
     total = model.rate1 + model.rate2
     p1, p2 = model.rate1 / total, model.rate2 / total
-    lead = max(m1, m2)  # zeros before U(0), so U(s - m) reads 0 for s < m
-    u = [0.0] * lead + [1.0]
+    d1, d2 = min(m1, n), min(m2, n)  # s < n, so a shift of n reads 0 as a longer one does
+    u = [0.0] * max(d1, d2) + [1.0]  # zeros before U(0), so U(s - m) reads 0 for s < m
     for _ in range(1, n):
-        u.append(p1 * u[-m1] + p2 * u[-m2])
-    return np.array(u[lead:])
+        u.append(p1 * u[-d1] + p2 * u[-d2])
+    return np.array(u[-n:])
 
 
 def model2_fptf_mean(model: CumulativeModel,
@@ -592,7 +593,7 @@ def model2_fptf_mean(model: CumulativeModel,
     scalar steps (_lattice_renewal).  At unequal rates a slower mark of
     shape m up to _STAGE_SHAPE gives U in O(n m) scalar steps of running
     stage sums (_stage_renewal); a larger one takes a dot product over the
-    marks' phase pmfs for each U(s), the only route that builds a mark pmf.
+    merged jump pmf for each U(s), the only route that builds a mark pmf.
     The series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
@@ -606,7 +607,7 @@ def model2_fptf_mean(model: CumulativeModel,
     is below tail_epsilon times the kept sum; else NonConvergedError says so.
     """
     eps = (policy or _DEFAULT_POLICY).tail_epsilon
-    fast, z, cdfs, converged = _erlang_axis(model, model.threshold, eps)
+    _, z, cdfs, converged = _erlang_axis(model, model.threshold, eps)
     n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is not None:
@@ -614,7 +615,7 @@ def model2_fptf_mean(model: CumulativeModel,
     elif (stages := _stages(model)).shape <= _STAGE_SHAPE:
         u = _stage_renewal(stages, n)
     else:
-        steps = _merged(model, *_mark_pmfs(model, fast, n))[:0:-1].copy()  # f(n-1), ..., f(1)
+        steps = stages.jumps(n)[:0:-1].copy()  # f(n-1), ..., f(1)
         u = np.zeros(n)
         u[0] = 1.0
         for s in range(1, n):

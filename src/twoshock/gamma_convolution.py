@@ -124,19 +124,19 @@ def _phase_pmf(shape: int, rate: float, fast: float, length: int) -> np.ndarray:
     overflows or loses accuracy at any shape.
     """
     out = np.zeros(length)
-    if shape >= length:
+    p, q = rate / fast, (fast - rate) / fast
+    if shape >= length or p == 0.0:  # p = 0: rate / fast underflows, and every term is 0
         return out
     if rate == fast:
         out[shape] = 1.0
         return out
-    p, q = rate / fast, (fast - rate) / fast
     n = length - shape
     terms = out[shape:]
     terms[1:] = q * np.arange(shape, length - 1) / np.arange(1, n)
     if shape * math.log(p) >= -_SERIES_LIMIT:
         _recur_outward(terms, 0, p ** shape)
         return out
-    m = min(int((shape - 1) * q / p), n - 1)
+    m = int(min((shape - 1) * q / p, n - 1))  # q / p overflows at a subnormal p
     s = shape + m
     anchor = math.exp(math.log(shape / s) + _log_poisson_term(shape, s * p)
                       + _log_poisson_term(m, s * q) - _log_poisson_term(s, s))
@@ -173,7 +173,7 @@ def _phase_reach(shape: int, rate: float, fast: float, length: int) -> int:
     n = length - shape
     if log_term(n - 1) >= _LOG_UNDERFLOW:
         return length
-    lo, hi = min(int((shape - 1) * q / p), n - 1), n - 1  # the mode holds the largest term
+    lo, hi = int(min((shape - 1) * q / p, n - 1)), n - 1  # the mode holds the largest term
     if log_term(lo) < _LOG_UNDERFLOW:
         return 0
     while hi - lo > 1:
@@ -185,23 +185,19 @@ def _phase_reach(shape: int, rate: float, fast: float, length: int) -> int:
     return shape + hi
 
 
-def _phase_tail(shape: int, rate: float, fast: float, pmf: np.ndarray) -> float:
-    """P(J >= n) for the phase count J of one Erlang(shape, rate) mark, given its pmf up to n.
+def _phase_tail(shape: int, rate: float, fast: float, n: int) -> float:
+    """P(J >= n) for the Exp(fast) phase count J of one Erlang(shape, rate) mark.
 
-    pmf holds P(J = j) for j <= n (_phase_pmf at length n + 1).  J >= n when
-    fewer than shape of the first n - 1 phases end a stage, so the tail is
-    P(Binomial(n - 1, p) < shape), p = rate/fast.  Where it is below 1/2 it
-    is summed as shape positive binomial terms run down from the last,
-    pmf[n] / p; elsewhere 1 minus the head of the pmf loses nothing.
+    J = shape + K, K ~ NegBin(shape, p), p = rate/fast, counts the phases
+    that end no stage, so J >= n exactly when the (n - shape)-th such phase
+    comes before the shape-th that ends one: fewer than shape of the phases
+    before it end a stage.  That count is NegBin(n - shape, q), q = 1 - p,
+    so the tail is the last shape terms of
+    _phase_pmf(n - shape, fast - rate, fast, n), all positive.
     """
-    n = len(pmf) - 1
-    head = math.fsum(pmf[:n])
-    if head <= 0.5 or rate == fast:  # equal rates: J == shape, and head is 0 or 1
-        return max(0.0, 1.0 - head)
-    p, q = rate / fast, (fast - rate) / fast
-    stages = np.arange(shape - 1, 0, -1)  # l: term l - 1 is term l times l q / ((n - l) p)
-    ratios = stages * q / ((n - stages) * p)
-    return float(pmf[n] / p * (1.0 + np.multiply.accumulate(ratios).sum()))
+    if shape >= n:
+        return 1.0
+    return float(_phase_pmf(n - shape, fast - rate, fast, n)[n - shape:].sum())
 
 
 def _bernstein_reach(z: float, eps: float) -> float:

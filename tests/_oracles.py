@@ -149,3 +149,21 @@ def merged_phase_sequences_decimal(rates, marks, mean: float, n: int) -> tuple:
             g.append(lam / s * sum(j * jumps[j] * g[s - j] for j in range(1, s + 1)))
             u.append(sum(jumps[j] * u[s - j] for j in range(1, s + 1)))
         return np.array([float(v) for v in g]), np.array([float(v) for v in u])
+
+
+def binomial_cdf_decimal(k: int, trials: int, rate: float, fast: float) -> float:
+    """P(Binomial(trials, p) <= k), p = rate / fast, summed at 40 significant digits, as a float.
+
+    p and q = 1 - p are taken exactly from the two doubles; the k + 1 terms
+    C(trials, i) p^i q^(trials - i) run up from i = 0 by their ratio.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p = Decimal(rate) / Decimal(fast)
+        q = 1 - p
+        term = q ** trials
+        total = term
+        for i in range(1, min(k, trials) + 1):
+            term = term * (trials - i + 1) / i * p / q
+            total += term
+        return float(total)

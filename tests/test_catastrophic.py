@@ -31,6 +31,12 @@ RATES = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
 
 class TestSurvivalProbability:
+    @pytest.mark.parametrize("field", ["proc1", "proc2"])
+    def test_processes_must_be_distributions(self, field):
+        procs = {"proc1": Exponential(1.0), "proc2": Exponential(2.0), field: 1.0}
+        with pytest.raises(ValueError, match=f"{field} must be a Distribution"):
+            CatastrophicModel(**procs)
+
     def test_one_at_origin(self):
         for model in (
             CatastrophicModel(Exponential(1.0), Exponential(2.0)),
@@ -254,6 +260,11 @@ class TestMeanFptf:
         assert peak < 16 * 2 ** 20
         assert elapsed < 0.1
 
+    def test_rate_ratio_below_the_smallest_double(self):
+        # The slower rate over the summed one underflows to 0: its phase pmf is 0.
+        model = CatastrophicModel(Exponential(1e-300), Exponential(1e300))
+        assert mean_fptf(model) == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+
     def test_cut_phase_pmfs_give_the_whole_sum_bit_for_bit(self):
         # The sum over all m1 + m2 phases, built whole.
         rng = np.random.default_rng(29)
@@ -343,6 +354,11 @@ class TestMeanFptfQuadrature:
         value = mean_fptf(CatastrophicModel(Erlang(2, 0.5), Weibull(0.6, 0.5)))
         assert value == pytest.approx(0.6174270521238168, rel=1e-12, abs=0.0)
         assert calls[0] <= 100
+
+    @pytest.mark.parametrize("bad", [1.0, 0.0])
+    def test_rel_tol_must_be_below_one(self, bad):
+        with pytest.raises(ValueError, match="rel_tol must be in"):
+            QuadraturePolicy(rel_tol=bad)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         model = CatastrophicModel(Exponential(1.0), Exponential(1.0))

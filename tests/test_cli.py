@@ -64,6 +64,8 @@ class TestGridParsing:
 
     def test_single_point_grid(self):
         assert parse_grid("2:2:1") == [2.0]
+        with pytest.raises(ValueError, match="a single-step grid needs MIN == MAX"):
+            parse_grid("1:2:1")
 
     @pytest.mark.parametrize("bad", ["0:5", "5:0:3", "-1:2:3", "0:5:0", "a:b:c", "1:1:2x",
                                      "0:inf:3", "nan:1:2"])
@@ -102,6 +104,10 @@ class TestModelFile:
         del obj["threshold"]
         with pytest.raises(ValueError, match="missing fields"):
             load_model_file(model_file(obj))
+
+    def test_json_array_rejected(self, model_file):
+        with pytest.raises(ValueError, match="must contain a JSON object"):
+            load_model_file(model_file([CATASTROPHIC]))
 
     def test_unknown_kind_rejected(self, model_file):
         with pytest.raises(ValueError, match="unknown model kind"):

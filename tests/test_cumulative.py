@@ -23,7 +23,6 @@ from twoshock.cumulative import (
     TruncationPolicy,
     _compound_poisson_pmf,
     _erlang_axis,
-    _mark_pmfs,
     _random_sum_pmf,
     _mark_params,
     _renewal_counts,
@@ -171,11 +170,20 @@ def test_halved_panjer_matches_split_streams(t, x):
     assert damage_cdf(MIXED, t, x) == pytest.approx(float(g @ cdfs), rel=1e-13, abs=0.0)
 
 
+def _mark_pmfs(model, fast: float, n: int) -> list[np.ndarray]:
+    """Phase pmfs of mag1 and mag2 in Exp(fast) phases, cut at n."""
+    return [_phase_pmf(mag.shape, mag.rate, fast, n) for mag in (model.mag1, model.mag2)]
+
+
+def _merged_jumps(model: CumulativeModel, n: int) -> np.ndarray:
+    """Per-shock phase pmf cut at n: the two marks' pmfs mixed by arrival rate."""
+    f1, f2 = _mark_pmfs(model, max(model.mag1.rate, model.mag2.rate), n)
+    return (model.rate1 * f1 + model.rate2 * f2) / (model.rate1 + model.rate2)
+
+
 def _dense_renewal(model: CumulativeModel, n: int) -> np.ndarray:
     """U(s) for s < n from U(s) = sum_j f(j) U(s - j), f the merged per-shock phase pmf."""
-    (m1, mu1), (m2, mu2) = _mark_params(model.mag1, "mag1"), _mark_params(model.mag2, "mag2")
-    fast = max(mu1, mu2)
-    steps = cumulative._merged(model, _phase_pmf(m1, mu1, fast, n), _phase_pmf(m2, mu2, fast, n))
+    steps = _merged_jumps(model, n)
     u = np.zeros(n)
     u[0] = 1.0
     for s in range(1, n):
@@ -218,9 +226,8 @@ class TestLatticeRoutes:
         converged = []
         for mu, rate1, rate2, t, x in self.POINTS:
             model = CumulativeModel(rate1, rate2, Erlang(m1, mu), Erlang(m2, mu), threshold=1.0)
-            fast, z, cdfs, done = _erlang_axis(model, x, policy.tail_epsilon)
-            f1, f2 = _mark_pmfs(model, fast, len(cdfs))
-            g = _compound_poisson_pmf((rate1 + rate2) * t, cumulative._merged(model, f1, f2))
+            _, z, cdfs, done = _erlang_axis(model, x, policy.tail_epsilon)
+            g = _compound_poisson_pmf((rate1 + rate2) * t, _merged_jumps(model, len(cdfs)))
             panjer = cumulative._phase_series(g, cdfs, done, policy, z)
             assert damage_cdf(model, t, x, policy) == pytest.approx(panjer, abs=1e-13, rel=0.0)
             converged.append(done)
@@ -238,6 +245,21 @@ class TestLatticeRoutes:
             np.testing.assert_allclose(u, dense, rtol=1e-13, atol=1e-300)
             assert model2_fptf_mean(model) == pytest.approx(
                 float(dense @ cdfs) / (rate1 + rate2), rel=1e-13)
+
+    def test_mark_of_many_phases_pads_only_the_series_length(self):
+        # The Erlang(10^7) mark's shift is past every phase of the few-term series.
+        model = CumulativeModel(1.0, 1.0, Erlang(10 ** 7, 1.0), Exponential(1.0), threshold=1.0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            value = model2_fptf_mean(model)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 0.6967346701436794
+        assert elapsed < 0.1
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("mu,rate1,rate2,threshold", [
         (1.0, 1.0, 1.0, 1.0), (2.0, 0.3, 5.0, 25.0), (0.5, 3.0, 1.0, 1400.0),
@@ -304,7 +326,7 @@ class TestStageRoutes:
         for p in self.PROBS:
             for fast_shape in (1, 3):
                 model = _stage_model(shape, p, fast_shape)
-                jumps = cumulative._merged(model, *_mark_pmfs(model, 2.0, n))
+                jumps = _merged_jumps(model, n)
                 stages = cumulative._stages(model)
                 for mean, halvings in ((0.1, 0), (2.0, 0), (499.0, 0), (700.0, 1), (1746.0, 2),
                                        (math.inf, 0)):
@@ -342,6 +364,26 @@ class TestStageRoutes:
         kept = g_ref >= 1e-300
         np.testing.assert_allclose(g[kept], g_ref[kept], rtol=1e-13, atol=0)
         np.testing.assert_allclose(cumulative._stage_renewal(stages, n), u_ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("rates,marks", [
+        ((0.7, 1.9), ((3, 2.0), (1, 2.0))), ((0.7, 1.9), ((2, 2.0), (2, 2.0))),
+        ((1.0, 2.0), ((3, 2.0), (1, 1.0))), ((0.5, 1.5), ((1, 2.0), (2, 1.0))),
+        ((3.0, 0.2), ((12, 0.3), (4, 3.0))), ((1.0, 1.0), ((5, 1e-3), (5, 1.0)))])
+    def test_jumps_are_the_marks_mixed_by_arrival_rate(self, rates, marks, monkeypatch):
+        model = CumulativeModel(*rates, Erlang(*marks[0]), Erlang(*marks[1]), threshold=1.0)
+        for n in (1, 3, 40, 800):
+            expected = _merged_jumps(model, n)
+            normal = expected >= np.finfo(float).tiny
+            jumps = cumulative._stages(model).jumps(n)
+            np.testing.assert_allclose(jumps[normal], expected[normal], rtol=1e-15, atol=0)
+            np.testing.assert_allclose(jumps[~normal], expected[~normal], rtol=0, atol=1e-320)
+        if marks[0][1] == marks[1][1]:  # equal rates: two atoms, no pmf
+
+            def no_mark_pmfs(*args):
+                raise AssertionError("jumps built a mark phase pmf at equal rates")
+
+            monkeypatch.setattr(cumulative, "_phase_pmf", no_mark_pmfs)
+            assert cumulative._stages(model).jumps(800).tobytes() == jumps.tobytes()
 
     @pytest.mark.parametrize("model", [MIXED, MIX])
     def test_stage_routes_build_no_mark_pmf(self, model, monkeypatch):
@@ -815,7 +857,34 @@ class TestGeneralEvaluators:
         assert general_damage_mean(g, 1.0) == pytest.approx(expected, abs=1e-9)
 
 
+class TestUnderflowingRateRatio:
+    """A slower mark rate below the smallest double times the faster one: p = 0."""
+
+    # The Erlang(12, 1e-300) mark takes the dot-loop route, the Erlang(2, 1e-300)
+    # one the stage sums.  Its first shock takes the damage past any level, so
+    # P(D(t) <= x) = exp(-rate1 t) P(Exp(1e300) marks of stream 2 sum to <= x).
+    @pytest.mark.parametrize("shape", [12, 2])
+    def test_damage_cdf_and_curve(self, shape):
+        model = CumulativeModel(0.8, 1.3, Erlang(shape, 1e-300), Exponential(1e300),
+                                threshold=3e-300)
+        ts = [0.1, 1.0, 4.0]
+        _, survival, _ = model2_fptf_curve(model, ts)
+        for t, alive in zip(ts, survival):
+            exact = math.exp(-0.8 * t) * compound_poisson_exponential_cdf(1.3, 1e300, t, 3e-300)
+            assert damage_cdf(model, t, 3e-300) == pytest.approx(exact, abs=2e-10)
+            assert alive == pytest.approx(exact, abs=2e-10)
+        assert math.isfinite(model2_fptf_mean(model))
+
+
 class TestValidation:
+    @pytest.mark.parametrize("field", ["inter1", "inter2", "mag1", "mag2"])
+    def test_general_model_fields_must_be_distributions(self, field):
+        members = dict(inter1=Exponential(1.0), inter2=Exponential(1.0), mag1=Exponential(1.0),
+                       mag2=Exponential(1.0), threshold=1.0)
+        members[field] = 2.0
+        with pytest.raises(ValueError, match=f"{field} must be a Distribution"):
+            GeneralCumulativeModel(**members)
+
     def test_weibull_magnitudes_rejected_at_construction(self):
         with pytest.raises(UnsupportedConvolutionError):
             CumulativeModel(1.0, 1.0, Weibull(2.0, 1.0), Exponential(1.0), threshold=1.0)

@@ -509,6 +509,15 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match="integer"):
             distribution_from_dict({"type": "erlang", "shape": 2.0, "rate": 1.0})
 
+    @pytest.mark.parametrize("bad", [[{"type": "exponential", "rate": 1.0}], "exponential", 2.0])
+    def test_non_object_rejected(self, bad):
+        with pytest.raises(ValueError, match="distribution must be a JSON object"):
+            distribution_from_dict(bad)
+
+    def test_unknown_object_not_encoded(self):
+        with pytest.raises(ValueError, match="not a known distribution"):
+            distribution_to_dict(object())
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown distribution type"):
             distribution_from_dict({"type": "gamma", "shape": 2.5, "rate": 1.0})

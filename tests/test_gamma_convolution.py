@@ -12,7 +12,8 @@ from _oracles import trapezoid_convolution_cdf
 from twoshock.distributions import Erlang, _poisson_tail, erlang_survival
 from twoshock.errors import EqualRatesError
 from twoshock.gamma_convolution import (ErlangProduct, _bernstein_reach, _erlang_cdf_terms,
-                                        convolution_cdf, expand)
+                                        _phase_pmf, _phase_reach, _phase_tail, convolution_cdf,
+                                        expand)
 
 
 def transform(product, coeffs_a, coeffs_b, s):
@@ -235,6 +236,43 @@ class TestErlangCdfTerms:
             assert converged is ref_converged
             assert len(cdfs) == len(ref)
             assert cdfs.tobytes() == ref.tobytes()
+
+
+class TestPhaseKernelEdges:
+    """_phase_pmf, _phase_reach and _phase_tail where a mark is an atom, absent or never done."""
+
+    def test_ratio_that_underflows_to_zero_gives_zero_terms(self):
+        for shape in (1, 3, 12):
+            assert not _phase_pmf(shape, 1e-300, 1e300, 50).any()
+            assert _phase_reach(shape, 1e-300, 1e300, 50) == 0
+            assert _phase_tail(shape, 1e-300, 1e300, 50) == 1.0
+
+    @pytest.mark.parametrize("rate,fast", [(5e-324, 1.0), (1e-310, 2.0)])
+    def test_subnormal_ratio_gives_subnormal_terms(self, rate, fast):
+        # q / p overflows here; every exact term is at most p, itself subnormal.
+        for shape in (1, 3, 12):
+            assert np.all(_phase_pmf(shape, rate, fast, 50) <= rate / fast)
+            assert _phase_reach(shape, rate, fast, 50) in (0, 50)
+            assert _phase_tail(shape, rate, fast, 50) == 1.0
+
+    @pytest.mark.parametrize("shape,length", [(5, 5), (5, 3), (1, 1)])
+    def test_shape_at_or_past_length(self, shape, length):
+        assert not _phase_pmf(shape, 0.5, 1.0, length).any()
+        assert _phase_reach(shape, 0.5, 1.0, length) == 0
+        assert _phase_tail(shape, 0.5, 1.0, length) == 1.0
+
+    @pytest.mark.parametrize("shape", [1, 4])
+    def test_equal_rates_are_one_atom(self, shape):
+        pmf = _phase_pmf(shape, 2.0, 2.0, 10)
+        assert pmf[shape] == 1.0 and pmf.sum() == 1.0
+        assert _phase_reach(shape, 2.0, 2.0, 10) == shape + 1
+        assert _phase_tail(shape, 2.0, 2.0, 10) == 0.0
+
+    @pytest.mark.parametrize("shape,ratio,n", [(1, 0.5, 2), (3, 0.3, 20), (12, 1e-3, 900),
+                                               (40, 0.9, 60), (2, 1.0 - 1e-9, 3)])
+    def test_tail_is_one_minus_the_pmf_head(self, shape, ratio, n):
+        head = math.fsum(_phase_pmf(shape, ratio, 1.0, n))
+        assert _phase_tail(shape, ratio, 1.0, n) == pytest.approx(1.0 - head, rel=1e-12, abs=1e-15)
 
 
 class TestValidation:

@@ -149,6 +149,12 @@ class TestCatastrophicSimulation:
 
 
 class TestDamageSimulation:
+    @pytest.mark.parametrize("simulate,model", [(simulate_cumulative, DAMAGE),
+                                                (simulate_general_cumulative, ERLANG_RENEWALS)])
+    def test_empty_grid_rejected(self, simulate, model):
+        with pytest.raises(ValueError, match="t_grid must contain at least one point"):
+            simulate(model, [], config(n=100))
+
     def test_degenerate_time_zero_grid_point(self):
         sim = simulate_cumulative(DAMAGE, [0.0, 1.0], config(n=10_000))
         assert sim.means[0].mean == 0.0

@@ -486,8 +486,8 @@ def _crossing_index(model: CumulativeModel, x: float, policy: TruncationPolicy):
         visits += alive
         q = np.convolve(q, step)[:n]
         alive = float(q @ cdfs)
-        masses.append(float(q.sum()))
-        if (alive if converged else masses[-1]) < eps / 4.0:
+        masses.append(alive if converged else float(q.sum()))  # what the stop rule reads
+        if masses[-1] < eps / 4.0:
             break
     h.append(alive)
     if converged:

@@ -1,5 +1,7 @@
 """Exceptions shared across the toolkit."""
 
+__all__ = ["NonConvergedError", "EqualRatesError", "UnsupportedConvolutionError"]
+
 
 class NonConvergedError(RuntimeError):
     """A series or quadrature exhausted its budget before meeting tolerance."""

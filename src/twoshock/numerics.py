@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from .errors import NonConvergedError
 
+__all__ = ["QuadraturePolicy"]
+
 _LOG_LIMIT = 708.0  # log t past which t nears the largest double
 _TAIL_CUT = 1e-16  # relative to the running node sum: where the rule's range ends
 _MAX_EVALS = 1_000_000  # integrand evaluations; more raise NonConvergedError

@@ -1,6 +1,7 @@
 """First-failure model tests: factorization, closed-form means, quadrature."""
 
 import math
+import pathlib
 import time
 import tracemalloc
 
@@ -27,6 +28,7 @@ from twoshock.gamma_convolution import _phase_pmf, _phase_reach
 from twoshock import numerics
 from twoshock.numerics import QuadraturePolicy
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 RATES = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
 
@@ -71,8 +73,14 @@ class TestSurvivalProbability:
             survival_probability(model, -1.0)
 
     def test_readme_library_example(self):
-        # The values the README's Library section prints for its `unit` model.
-        unit = CatastrophicModel(Erlang(2, 1.0), Exponential(1.0))
+        # The README's Library block runs as written, imports included, and
+        # its `unit` model gives the values the block prints.
+        section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        names: dict = {}
+        exec(block, names)
+        unit = names["unit"]
+        assert unit == CatastrophicModel(Erlang(2, 1.0), Exponential(1.0))
         assert survival_probability(unit, 1.0) == pytest.approx(2.0 * math.exp(-2.0),
                                                                  abs=1e-16)
         assert mean_fptf(unit) == pytest.approx(0.75, rel=1e-15)

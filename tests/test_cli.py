@@ -1,5 +1,6 @@
 """CLI tests: parsing, report formats, exit codes, byte-stable output."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -12,7 +13,9 @@ import sys
 
 import pytest
 
-from twoshock import catastrophic, cumulative, montecarlo
+import twoshock
+from twoshock import (catastrophic, cumulative, distributions, errors, gamma_convolution,
+                      montecarlo, numerics)
 from twoshock.catastrophic import survival_probability
 from twoshock.cumulative import model2_fptf_curve, model2_fptf_mean
 from twoshock.cli import _build_parser, _render, load_model_file, main, parse_grid, parse_points
@@ -698,6 +701,43 @@ def test_import_loads_neither_mpmath_nor_scipy_stats():
                           timeout=120, env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The package's exports before each module's __all__ became their one source.
+EXPORTED = {
+    "CatastrophicModel", "CumulativeModel", "Distribution", "EqualRatesError", "Erlang",
+    "ErlangProduct", "Exponential", "GeneralCumulativeModel", "NonConvergedError",
+    "PartialFractionExpansion", "QuadraturePolicy", "SimulationConfig", "SimulationEstimate",
+    "TruncationPolicy", "UnsupportedConvolutionError", "Weibull",
+    "compound_poisson_exponential_cdf", "convolution_cdf", "damage_cdf", "damage_mean",
+    "distribution_from_dict", "distribution_to_dict", "expand", "fptf_cdf",
+    "general_damage_cdf", "general_damage_mean", "mean_fptf", "mean_fptf_quadrature",
+    "model2_fptf_cdf", "model2_fptf_curve", "model2_fptf_mean", "simulate_catastrophic",
+    "simulate_cumulative", "simulate_fptf_cumulative", "simulate_general_cumulative",
+    "survival_curve", "survival_probability",
+}
+
+
+def test_package_exports_every_module_all_and_names_none_itself():
+    modules = [catastrophic, cumulative, distributions, errors, gamma_convolution, montecarlo,
+               numerics]
+    assert twoshock.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(twoshock.__all__)) == len(twoshock.__all__) == 42
+    assert set(twoshock.__all__) == EXPORTED | {
+        "erlang_survival", "erlang_cdf", "CatastrophicSimulation", "DamageSimulation",
+        "FptfSimulation"}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(twoshock, name) is getattr(module, name)
+    bound: dict = {}
+    exec("from twoshock import *", bound)
+    assert bound.keys() - {"__builtins__"} == set(twoshock.__all__)
+    init = ast.parse(pathlib.Path(twoshock.__file__).read_text(encoding="utf-8"))
+    written = {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
+    written |= {node.id for node in ast.walk(init) if isinstance(node, ast.Name)}
+    written |= {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not written & set(twoshock.__all__)
 
 
 class TestRepeatedCalls:

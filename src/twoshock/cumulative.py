@@ -642,10 +642,12 @@ def _random_sum_pmf(counts: np.ndarray, shape: int, rate: float, fast: float,
     rate) mark, so term k is counts[k] _phase_pmf(k shape, rate, fast, n), a
     positive pmf with no convolution powers; the terms stop at k shape >= n,
     since k marks take at least k shape phases.  A mark at the fast rate is
-    exactly shape phases, so its sum is counts on the shape-lattice.
+    exactly shape phases, so its sum is counts on the shape-lattice, which
+    ends before shape * len(counts): that pmf may end before n, and reads
+    as 0 past its end.
     """
     if rate == fast:
-        return _on_lattice(counts, shape, n)
+        return _on_lattice(counts, shape, min(n, shape * len(counts)))
     out = np.zeros(n)
     out[0] = counts[0]
     for k, weight in enumerate(counts[1:-(-n // shape)], start=1):

@@ -42,6 +42,12 @@ __all__ = [
 _SERIES_LIMIT = 700.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
+_LN2 = math.log(2.0)
+# A Poisson term below the smallest normal double, e^-708.4, is below e^36.1
+# times 2^_SUBNORMAL_SHIFT: scaled by it, the terms of a sum that rounds to a
+# nonzero double are normal, and none overflows.
+_SUBNORMAL_SHIFT = 1074
 
 
 def _check_positive(value, name: str) -> None:
@@ -231,36 +237,45 @@ def erlang_survival(shape: int, x: float) -> float:
     Evaluates exp(-x) * sum_{l < shape} x^l / l! = P(Poisson(x) < shape)
     with a multiplicative term recurrence; past _SERIES_LIMIT, where that
     overflows, the sum of the Poisson pmf terms near the largest kept one.
-    From shape _ARRAY_SHAPE on, and always past the limit, the sum stops
-    after min(shape, _poisson_reach(x, 1)) terms: past the reach every term
-    is below e^-50 of the largest, so less than half an ulp of the running
-    sum, and leaving it out changes no bit.  So the cost stops growing with
-    the shape past about x + 10 sqrt(x) + 41 terms; past the limit, where the
-    terms below the largest fall as fast, at about 20 sqrt(x) + 80.  At
-    those shapes below the limit the recurrence runs as two sequential numpy
-    passes, a cumulative product of the ratios [1, x/1, x/2, ...] and a
-    cumulative sum of the terms, which round exactly as the loop does.
-    Rounding can carry the sum an ulp past 1; it is clamped there.  Requires
-    shape >= 1; x = 0 gives 1, and a negative or nan x raises ValueError.
+    From shape _ARRAY_SHAPE on, a shape at or past _poisson_reach(x, 1),
+    about x + 10 sqrt(x) + 41, returns 1 with no sum: by Chernoff the tail
+    P(N >= shape) is at most exp(-_deviance(reach, x)), and that deviance
+    exceeds 50 at every x, so the tail is under 2^-72 and 1 is the
+    correctly rounded value.  So the cost stops growing with the shape past
+    the reach.  Below the reach, at those shapes and below the limit, the
+    recurrence runs as two sequential numpy passes, a cumulative product of
+    the ratios [1, x/1, x/2, ...] and a cumulative sum of the terms, which
+    round exactly as the loop does.  Past the limit only about 20 sqrt(x) +
+    80 terms round the largest are summed; when that term is below the
+    smallest normal double they are summed 2^_SUBNORMAL_SHIFT up and scaled
+    back, so they keep shrinking instead of sticking at the smallest
+    subnormal.  Rounding can carry the sum an ulp past 1; it is clamped
+    there.  Requires shape >= 1; x = 0 gives 1, and a negative or nan x
+    raises ValueError.
     """
     if not x > 0.0:
         if x == 0.0:
             return 1.0
         raise ValueError(f"x must be nonnegative, got {x}")
+    if shape >= _ARRAY_SHAPE and x < shape and shape >= _poisson_reach(x, 1):
+        return 1.0
     if x > _SERIES_LIMIT:
         if x == math.inf:
             return 0.0
-        # Terms [low, n) of _poisson_pmf(x, n), from its anchor m and ratios,
-        # so each keeps its bits.  Below m each is at most m/x times the one
-        # above: past min(10 sqrt(x) + 40, 50 / ln(x/m)) steps, under e^-50 t[m].
-        n = min(shape, _poisson_reach(x, 1))
-        m = int(min(x, n - 1))
+        # Terms [low, shape) of _poisson_pmf(x, shape), from its anchor m and
+        # ratios, so each keeps its bits.  Below m each is at most m/x times the
+        # one above: past min(10 sqrt(x) + 40, 50 / ln(x/m)) steps, under e^-50 t[m].
+        m = int(min(x, shape - 1))
         steep = 50.0 / math.log(x / m) if 0 < m < x else math.inf
         low = max(0, m - int(min(10.0 * math.sqrt(x) + 40.0, steep)))
-        ratios = np.arange(low, n, dtype=float)
+        ratios = np.arange(low, shape, dtype=float)
         ratios[1:] = x / ratios[1:]
-        anchor = math.exp(_log_poisson_term(m, x))
-        return min(1.0, float(_recur_outward(ratios, m - low, anchor).sum()))
+        log_anchor = _log_poisson_term(m, x)
+        # A lone term, exp(-x) at shape 1, is rounded once by exp and not scaled.
+        shift = _SUBNORMAL_SHIFT if m and log_anchor < _LOG_MIN else 0
+        anchor = math.exp(log_anchor + shift * _LN2)
+        total = float(_recur_outward(ratios, m - low, anchor).sum())
+        return min(1.0, math.ldexp(total, -shift))
     if shape < _ARRAY_SHAPE:
         term = 1.0
         acc = 1.0
@@ -268,7 +283,7 @@ def erlang_survival(shape: int, x: float) -> float:
             term *= x / l
             acc += term
     else:
-        terms = np.arange(min(shape, _poisson_reach(x, 1)), dtype=float)
+        terms = np.arange(shape, dtype=float)
         terms[1:] = x / terms[1:]
         acc = float(np.add.accumulate(_recur_outward(terms, 0, 1.0))[-1])
     value = math.exp(-x) * acc
@@ -370,29 +385,38 @@ class Erlang(Distribution):
         runs as whole-array steps, times exp(-x) from math.exp point by point
         (numpy's exp can differ from it by an ulp), clamped at 1 as there;
         points past the limit go to erlang_survival one at a time.  The
-        steps stop at min(shape, _poisson_reach(x, 1)) for the largest such
-        x: a point whose own reach is smaller adds only terms below half an
-        ulp of its sum, so every value keeps erlang_survival's bits, and the
-        curve costs at most about 1,000 steps at any shape.
+        steps stop at n = min(shape, _poisson_reach(x, 1)) for the largest
+        such x: a point whose own reach is smaller adds only terms below half
+        an ulp of its sum, so every value keeps erlang_survival's bits, and
+        the curve costs at most about 1,000 steps at any shape.  From shape
+        _ARRAY_SHAPE on, the points whose reach is at most n, so at most the
+        shape, are erlang_survival's exit: they are 1 and take no step.  The
+        reach floor(x) + floor(10 sqrt(x)) + 41 is exact in doubles below the
+        limit, as sqrt and floor round exactly, so it is _poisson_reach's.
         """
         bad = ~(t >= 0.0)  # negative or nan
         if bad.any():
             _check_time(float(t[bad][0]))
         with np.errstate(over="ignore"):
             x = self.rate * t
-        near = x <= _SERIES_LIMIT
+        far = ~(x <= _SERIES_LIMIT)
+        out = np.ones_like(x)
+        out[far] = [erlang_survival(self.shape, v) for v in x[far].tolist()]
+        near = ~far
         xs = x[near]
         n = min(self.shape, _poisson_reach(float(xs.max()), 1)) if xs.size else 1
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for l in range(1, n):
-            term *= xs / l
-            acc += term
-        acc *= np.fromiter(map(math.exp, (-xs).tolist()), float, xs.size)
-        np.minimum(acc, 1.0, out=acc)
-        out = np.empty_like(x)
-        out[near] = acc
-        out[~near] = [erlang_survival(self.shape, v) for v in x[~near].tolist()]
+        if self.shape >= _ARRAY_SHAPE:
+            near[near] = np.floor(xs) + np.floor(10.0 * np.sqrt(xs)) + 41.0 > n
+            xs = x[near]
+        if xs.size:
+            term = np.ones_like(xs)
+            acc = np.ones_like(xs)
+            for l in range(1, n):
+                term *= xs / l
+                acc += term
+            acc *= np.fromiter(map(math.exp, (-xs).tolist()), float, xs.size)
+            np.minimum(acc, 1.0, out=acc)
+            out[near] = acc
         return out
 
     def pdf(self, t: float) -> float:

@@ -117,6 +117,29 @@ def poisson_cdf_decimal(k: int, z: float) -> float:
         return float(total)
 
 
+def poisson_tail_decimal(k: int, z: float) -> float:
+    """P(Poisson(z) >= k) summed at 40 significant digits, for k >= 1 and any z up to ~1e4.
+
+    poisson_cdf_decimal needs min(k, z) >= 300; this series needs no
+    Stirling term.  The terms run up from t[0] = exp(-z) by t[l] = t[l-1] z / l,
+    and the tail sums them from l = k on until, past the mode, a term is at
+    most 1e-45 of the sum.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        zd = Decimal(z)
+        term = (-zd).exp()
+        for l in range(1, k):
+            term = term * zd / l
+        total, l = Decimal(0), k
+        while True:
+            term = term * zd / l
+            total += term
+            if l > z and term <= total * Decimal("1e-45"):
+                return float(total)
+            l += 1
+
+
 def merged_phase_sequences_decimal(rates, marks, mean: float, n: int) -> tuple:
     """(g, U) for s < n at 40 significant digits, as floats: Panjer's pmf and the renewal sequence.
 

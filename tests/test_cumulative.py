@@ -292,7 +292,8 @@ class TestLatticeRoutes:
             power = np.convolve(power, mark)[:n]
             expected += weight * power
         got = _random_sum_pmf(counts, shape, rate, fast, n)
-        assert got.tobytes() == expected.tobytes()
+        assert not expected[len(got):].any()  # a fast-rate lattice may end before n
+        assert got.tobytes() == expected[:len(got)].tobytes()
 
     @pytest.mark.parametrize("model", [
         SYMMETRIC, CumulativeModel(0.7, 1.3, Erlang(2, 1.0), Exponential(1.0), threshold=4.0)])
@@ -681,6 +682,24 @@ class TestGeneralEvaluators:
         with pytest.raises(NonConvergedError):
             general_damage_cdf(g, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
 
+    def test_fast_rate_lattices_convolve_only_their_support(self, monkeypatch):
+        # Equal Exp(1) marks at x = 9,400 give about 9,800 phases, but the
+        # Erlang(2, 1) renewal counts by t = 1 end within 26 counts: the
+        # lattices stop there, and no length-n array is convolved.
+        g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
+                                   Exponential(1.0), Exponential(1.0), threshold=2.0)
+        support = len(_renewal_counts(2, 1.0, 0.0, 10_000))
+        lengths = []
+        convolve = np.convolve
+
+        def recording(a, v, *args, **kwargs):
+            lengths.extend((len(a), len(v)))
+            return convolve(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", recording)
+        assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9400.0) <= 1.0
+        assert lengths and max(lengths) <= support <= 26
+
     @pytest.mark.parametrize("model,t,x", [
         (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(3, 2.0),
                                 Erlang(2, 1.0), Exponential(1.5), threshold=2.0), 2.0, 3.0),
@@ -701,9 +720,11 @@ class TestGeneralEvaluators:
         for inter, mag, mark in zip((model.inter1, model.inter2), (model.mag1, model.mag2), marks):
             shape, rate = _mark_params(inter, "inter")
             counts = _renewal_counts(shape, rate * t, 2.5e-11, 10_000)
-            _assert_close_to_subnormals(
-                _random_sum_pmf(counts, mag.shape, mag.rate, fast, len(cdfs)),
-                _convolution_powers(counts, mark), rtol=1e-14, subnormal_atol=1e-322)
+            got = _random_sum_pmf(counts, mag.shape, mag.rate, fast, len(cdfs))
+            expected = _convolution_powers(counts, mark)
+            assert not expected[len(got):].any()  # a fast-rate lattice may end before n
+            _assert_close_to_subnormals(got, expected[:len(got)], rtol=1e-14,
+                                        subnormal_atol=1e-322)
 
     @pytest.mark.parametrize("shape", [1, 3, 20])
     @pytest.mark.parametrize("ratio", [0.5, 0.05, 1e-3])

@@ -166,6 +166,18 @@ class TestSurvival:
                 assert erlang_survival(shape, x) == pytest.approx(
                     poisson_cdf_decimal(shape - 1, x), rel=1e-12, abs=0.0), (shape, x)
 
+    def test_erlang_survival_with_a_subnormal_largest_term_keeps_its_digits(self):
+        # The terms that carry the sum are subnormal: unscaled they stop
+        # shrinking at the smallest one (2.26e-321 at the first point).
+        x = 34648.58019052398
+        assert erlang_survival(27754, x) == pytest.approx(
+            poisson_cdf_decimal(27753, x), rel=0.0, abs=5e-324)
+        for x, shape in ((5000.0, 2585), (5000.0, 2555), (1e6, 962_294), (1e6, 962_035)):
+            ref = poisson_cdf_decimal(shape - 1, x)
+            assert 0.0 < ref < 2.2250738585072014e-308, (shape, x)
+            assert erlang_survival(shape, x) == pytest.approx(
+                ref, rel=1e-12, abs=5e-324), (shape, x)
+
     @pytest.mark.parametrize("shape", [3, 100])
     @pytest.mark.parametrize("x", [math.nan, -1.0])
     def test_erlang_survival_rejects_nan_and_negative_x(self, shape, x):

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from twoshock.catastrophic import CatastrophicModel, mean_fptf, survival_curve
+from _oracles import poisson_tail_decimal
+from twoshock import distributions
+from twoshock.catastrophic import (
+    CatastrophicModel,
+    mean_fptf,
+    survival_curve,
+    survival_probability,
+)
 from twoshock.cumulative import GeneralCumulativeModel, _renewal_counts, general_damage_mean
 from twoshock.distributions import (
     _ARRAY_SHAPE,
@@ -22,6 +29,7 @@ from twoshock.distributions import (
     Exponential,
     _poisson_reach,
     _poisson_tail,
+    erlang_cdf,
     erlang_survival,
 )
 from twoshock.gamma_convolution import _phase_pmf
@@ -65,15 +73,59 @@ SERIES_XS = sorted({5e-324, 1e-300, 1e-20, 1e-3, 0.2340773591197066, 0.5, 1.0, 3
                     199.0, 200.5, 650.0, math.nextafter(700.0, 0.0)})
 
 
+def _exits(shape: int, x: float) -> bool:
+    """Whether erlang_survival(shape, x) is 1 with no sum: the reach ends before the shape."""
+    return shape >= _ARRAY_SHAPE and x < shape and shape >= _poisson_reach(x, 1)
+
+
 @pytest.mark.parametrize("shape", sorted({47, 48, 49, _ARRAY_SHAPE - 1, _ARRAY_SHAPE,
                                           _ARRAY_SHAPE + 1, 200, 1000}))
 def test_erlang_survival_is_the_plain_series_bit_for_bit(shape):
-    # From shape _ARRAY_SHAPE on the sum stops at the Poisson reach and runs
-    # as numpy accumulates; neither may change a bit of the full loop.
-    got = [erlang_survival(shape, x) for x in SERIES_XS]
-    assert got == [_plain_series(shape, x) for x in SERIES_XS]
-    if shape >= 200:
-        assert any(_poisson_reach(x, 1) < shape for x in SERIES_XS)
+    # Below the reach the sum runs as numpy accumulates from shape
+    # _ARRAY_SHAPE on, which may not change a bit of the full loop.  Past it
+    # the value is exactly 1, the correctly rounded one: the tail is below
+    # 2^-54 (where the full loop can round below 1).
+    exits = [_exits(shape, x) for x in SERIES_XS]
+    for x, exit in zip(SERIES_XS, exits):
+        if exit:
+            assert erlang_survival(shape, x) == 1.0, x
+            assert poisson_tail_decimal(shape, x) < 2.0 ** -54, x
+        else:
+            assert erlang_survival(shape, x) == _plain_series(shape, x), x
+    assert any(exits) == (shape >= _ARRAY_SHAPE) and not all(exits)
+
+
+def test_erlang_survival_past_the_reach_sums_nothing(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("a series was summed past the reach")
+
+    monkeypatch.setattr(distributions, "_recur_outward", no_sum)
+    assert erlang_survival(200, 5.0) == 1.0
+    assert erlang_survival(10 ** 9, 1e3) == 1.0  # past _SERIES_LIMIT
+    grid = np.linspace(0.0, 100.0, 401)
+    assert Erlang(10 ** 9, 1.0).survival_curve(grid).tolist() == [1.0] * grid.size
+
+
+@pytest.mark.parametrize("shape", [_ARRAY_SHAPE, 200, 10 ** 6])
+def test_survival_curve_straddling_the_exit_is_survival_probability(shape):
+    grid = np.concatenate([np.linspace(0.0, 1000.0, 2001), np.linspace(0.985e6, 0.995e6, 201)])
+    exits = [_exits(shape, x) for x in grid.tolist()]
+    assert any(exits) and not all(exits)
+    assert any(exits[:1401]) and any(x > 700.0 for x in grid)  # x = 700 is grid[1400]
+    if shape == 10 ** 6:
+        assert all(exits[:2001])  # exits past 700 too, through the scalar route
+    model = CatastrophicModel(Erlang(shape, 1.0), Exponential(1e-7))
+    got = survival_curve(model, grid)
+    assert got.tolist() == [survival_probability(model, t) for t in grid.tolist()]
+    assert (Erlang(shape, 1.0).survival_curve(grid)[exits] == 1.0).all()
+
+
+def test_erlang_cdf_and_survival_sum_to_one_at_the_exit():
+    points = [(shape, x) for shape in (_ARRAY_SHAPE, 200, 1000, 10 ** 6, 10 ** 9)
+              for x in [*SERIES_XS, 1e3, 5e4] if _exits(shape, x)]
+    assert len(points) > 200 and any(x > 700.0 for _, x in points)
+    for shape, x in points:
+        assert abs(erlang_cdf(shape, x) + erlang_survival(shape, x) - 1.0) <= 2.0 ** -52
 
 
 @pytest.mark.parametrize("shape, x, call", [

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 from twoshock.cumulative import _MAX_TERMS, _STAGE_SHAPE
+from twoshock.distributions import _ARRAY_SHAPE, _SERIES_LIMIT, _poisson_reach
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SWEEP = ROOT / "tools" / "sweep.py"
@@ -45,6 +46,31 @@ def test_inputs_cover_equal_rates_both_stage_routes_and_the_cap():
     assert sum(level > sweep.CAP for level in levels) >= 0.15 * len(models)
     eps = [call["eps"] for call in calls if "eps" in call]
     assert 1e-14 <= min(eps) < 1e-12 and 1e-8 < max(eps) <= 1e-6
+
+
+def test_erlang_survival_inputs_cover_both_sides_of_the_exit_and_the_array_shape():
+    calls = [call for call in sweep.make_calls(1, 100) if call["fn"] == "erlang_survival"]
+    shapes = [call["shape"] for call in calls]
+    assert 1 <= min(shapes) < _ARRAY_SHAPE and 1e6 < max(shapes) <= 1e7
+    big = [call for call in calls if call["shape"] >= _ARRAY_SHAPE]
+    exits = [call["x"] < call["shape"] and call["shape"] >= _poisson_reach(call["x"], 1)
+             for call in big]
+    assert 0.2 * len(big) < sum(exits) < len(big)
+    for far in (False, True):  # on both sides of the exit beyond _SERIES_LIMIT too
+        assert {exit for call, exit in zip(big, exits)
+                if (call["x"] > _SERIES_LIMIT) == far} == {False, True}
+    assert sum(call["x"] > _SERIES_LIMIT for call in calls) >= 0.2 * len(calls)
+
+
+def test_erlang_survival_inputs_leave_the_other_inputs_unchanged(monkeypatch):
+    def other_draws(rng, past_limit):
+        rng.random()  # a draw the Erlang survival inputs did not make
+        return 1, 1.0
+
+    calls = sweep.make_calls(3, 20)
+    monkeypatch.setattr(sweep, "_erlang_survival", other_draws)
+    assert ([call for call in sweep.make_calls(3, 20) if call["fn"] != "erlang_survival"]
+            == [call for call in calls if call["fn"] != "erlang_survival"])
 
 
 def test_working_tree_against_itself_is_bit_identical():

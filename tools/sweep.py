@@ -18,7 +18,11 @@ The inputs cover equal mark rates (a fifth of the cumulative calls), slower
 mark shapes 1-13, on both sides of the stage-sum route's bound, tail_epsilon
 from 1e-14 to 1e-6, and a fifth of the scalar cumulative calls at a damage
 level past the 10,000-term phase cap.  Failure-time curves stay at
-mu_f K <= 2,000, where K is the threshold, to keep runs short.
+mu_f K <= 2,000, where K is the threshold, to keep runs short.  Erlang
+survival takes shapes log-uniform over 1 to 1e7 at x = shape e^U, U uniform
+on (-8, 0.5), with a fifth of its calls past x = 700; its inputs come from a
+generator of their own, so they leave every other function's inputs as they
+were.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import subprocess
 import sys
 
 FUNCTIONS = ("damage_cdf", "model2_fptf_mean", "model2_fptf_curve", "general_damage_cdf",
-             "general_damage_mean", "mean_fptf", "survival_curve", "convolution_cdf")
+             "general_damage_mean", "mean_fptf", "survival_curve", "convolution_cdf",
+             "erlang_survival")
 CAP = 10_000  # the phase cap of the cumulative series
 
 
@@ -111,9 +116,18 @@ def _times(scale: float) -> list[float]:
     return [scale * f for f in (0.0, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0)]
 
 
+def _erlang_survival(rng: random.Random, past_limit: bool) -> tuple[int, float]:
+    """(shape, x): shape log-uniform over 1 to 1e7, x = shape e^U, past x = 700 if past_limit."""
+    u = rng.uniform(-8.0, 0.5)
+    low = math.ceil(700.0 * math.exp(-u)) + 1 if past_limit else 1
+    shape = round(_log_uniform(rng, low, 1e7))
+    return shape, shape * math.exp(u)
+
+
 def make_calls(seed: int, calls: int) -> list[dict]:
-    """calls inputs for each function in FUNCTIONS, from one generator seeded with seed."""
+    """calls inputs for each function in FUNCTIONS, from generators seeded with seed."""
     rng = random.Random(seed)
+    erlang_rng = random.Random(f"{seed} erlang_survival")
     out = []
     for i in range(calls):
         equal, past_cap = i % 5 == 0, i % 5 == 1
@@ -143,6 +157,8 @@ def make_calls(seed: int, calls: int) -> list[dict]:
         rb = ra if equal else _log_uniform(rng, 0.1, 10.0)
         x = (a / ra + b / rb or 1.0) * _log_uniform(rng, 0.1, 3.0)
         out.append({"fn": "convolution_cdf", "product": [a, ra, b, rb], "x": x})
+        shape, x = _erlang_survival(erlang_rng, i % 5 == 1)
+        out.append({"fn": "erlang_survival", "shape": shape, "x": x})
     return out
 
 
@@ -151,6 +167,8 @@ def _evaluate(call: dict) -> list[float]:
     import twoshock as ts
 
     fn = call["fn"]
+    if fn == "erlang_survival":
+        return [ts.erlang_survival(call["shape"], call["x"])]
     if fn == "convolution_cdf":
         return [ts.convolution_cdf(ts.ErlangProduct(*call["product"]), call["x"])]
     model = {name: ts.distribution_from_dict(value) if isinstance(value, dict) else value

@@ -19,11 +19,13 @@ phases, or the slower, Erlang(m, p mu_f), which is m + NegBin(m, p), so for
 m up to _STAGE_SHAPE the recursion runs on m + 1 running stage sums of g
 with positive coefficients p and q = 1 - p (_stage_panjer), and a larger m
 takes one dot product per phase over the merged jump pmf (_Stages.jumps);
-the lattice and stage routes build no mark pmf.  Every series builds its
-Erlang-CDF terms once (_erlang_axis).  Under renewal arrivals g is the
-convolution over the two streams of sum_k P(N_i(t) = k) f_ik, with f_ik
-the phase pmf of Erlang(k m_i, mu_i), the sum of k marks: P(N_i(t) = k) on
-the m_i-lattice at mu_i = mu_f.
+the lattice and stage routes build no mark pmf.  Every series reads its
+Erlang-CDF terms from _erlang_axis, which builds them once per damage level
+and keeps the last _AXIS_CACHE_SIZE levels: only g depends on t, so the
+points of a failure-time curve and its mean share one axis.  Under renewal
+arrivals g is the convolution over the two streams of
+sum_k P(N_i(t) = k) f_ik, with f_ik the phase pmf of Erlang(k m_i, mu_i),
+the sum of k marks: P(N_i(t) = k) on the m_i-lattice at mu_i = mu_f.
 Arrivals are counted in phases too: Erlang(m, r) interarrivals give N_i(t) =
 floor(P / m), P ~ Poisson(r t), whose pmf and mean are sums of Poisson terms.
 The mean failure time uses the renewal sequence of the per-shock phase pmf
@@ -51,6 +53,7 @@ whole sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -93,6 +96,14 @@ _STAGE_SHAPE = 10
 
 # Most phases, Poisson counts or renewal counts any series takes on one axis.
 _MAX_TERMS = 10_000
+
+# Most Erlang-CDF axes _erlang_axis keeps, keyed by (mu_f x, eps, _MAX_TERMS):
+# floats and an int, so no model is kept alive.  An axis is at most the cap
+# plus the Poisson reach, 11,042 doubles (88 KB), so all stay under 1.5 MB.
+# The values are read-only, and each caller still runs its own cut check on
+# them, so no error or warning is kept.
+_AXIS_CACHE_SIZE = 16
+_erlang_cdf_terms = functools.lru_cache(maxsize=_AXIS_CACHE_SIZE)(_erlang_cdf_terms)
 
 
 @dataclass(frozen=True)
@@ -194,9 +205,11 @@ def _erlang_axis(model: CumulativeModel | GeneralCumulativeModel, x: float, eps:
     """(fast, z, cdfs, converged): the Erlang-CDF axis of a phase series at damage level x.
 
     fast is the faster mark rate mu_f, z = mu_f x, and (cdfs, converged) are
-    _erlang_cdf_terms(z, eps, _MAX_TERMS).  A CumulativeModel checks at
-    construction that its marks are Erlang; callers with a
-    GeneralCumulativeModel check them first.
+    _erlang_cdf_terms(z, eps, _MAX_TERMS), read-only.  The axis depends on z
+    and eps alone, so the last _AXIS_CACHE_SIZE of them are kept: points of a
+    curve at one level, and a mean at the threshold, build it once.  A
+    CumulativeModel checks at construction that its marks are Erlang;
+    callers with a GeneralCumulativeModel check them first.
     """
     fast = max(model.mag1.rate, model.mag2.rate)
     z = fast * x

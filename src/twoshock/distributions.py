@@ -216,10 +216,26 @@ def _poisson_tail(z: float, n: int) -> np.ndarray:
 
     Nothing cancels, so small tails keep their relative accuracy.  For n <= z
     each is at least 1/2 (the median is at least z - ln 2): 1 minus the head sums.
+    Terms the recurrence carries below the smallest normal double stop
+    shrinking at the smallest subnormal, so when the last one is that small
+    the terms from the first such one past the mode on are rebuilt
+    2^_SUBNORMAL_SHIFT up, as in erlang_survival, reverse-summed there and
+    scaled back; their sum is carried into the reverse sums of the normal terms.
     """
     if n <= z:
         return np.concatenate(([1.0], 1.0 - np.add.accumulate(_poisson_pmf(z, n)[:-1])))
     pmf = _poisson_pmf(z, _poisson_reach(z, n))
+    if pmf[-1] < sys.float_info.min and z > 0.0:  # z = 0: every term past 0 is exactly 0
+        mode = int(z)  # from here on the terms fall
+        first = mode + int(np.count_nonzero(pmf[mode:] >= sys.float_info.min))
+        ratios = np.arange(first, len(pmf), dtype=float)
+        ratios[1:] = z / ratios[1:]
+        anchor = math.exp(_log_poisson_term(first, z) + _SUBNORMAL_SHIFT * _LN2)
+        small = np.ldexp(np.add.accumulate(_recur_outward(ratios, 0, anchor)[::-1])[::-1],
+                         -_SUBNORMAL_SHIFT)
+        head = pmf[first - 1::-1]  # first > mode: the mode term is normal
+        head[0] += small[0]
+        return np.concatenate((np.add.accumulate(head)[::-1], small))[:n]
     return np.add.accumulate(pmf[::-1])[::-1][:n]
 
 

@@ -213,13 +213,16 @@ def _erlang_cdf_terms(z: float, eps: float, max_terms: float) -> tuple[np.ndarra
     evaluated out to _bernstein_reach.  The values never increase: past the
     unit step they are reverse sums of nonnegative terms, or 1 minus
     nondecreasing sums, and rounding keeps both monotone.  So S, the first
-    index below eps, is the count of values at or above eps.  Returns
-    (values, True); when S would exceed max_terms, or no value built is
-    below eps, returns (the first max_terms values, False).
+    index below eps, is the count of values at or above eps, found by one
+    binary search on the reversed values.  Returns (values, True); when S
+    would exceed max_terms, or no value built is below eps, returns (the
+    first max_terms values, False).  The values are read-only, so a caller
+    may share them (cumulative keeps recent ones).
     """
     cdfs = _poisson_tail(z, int(min(_bernstein_reach(z, eps), max_terms)) + 2)
     cdfs[0] = 1.0
-    stop = np.count_nonzero(cdfs >= eps)
+    cdfs.flags.writeable = False
+    stop = len(cdfs) - int(cdfs[::-1].searchsorted(eps))
     if stop == len(cdfs) or stop > max_terms:
         return cdfs[:int(max_terms)], False
     return cdfs[:stop], True

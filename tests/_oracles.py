@@ -125,19 +125,33 @@ def poisson_tail_decimal(k: int, z: float) -> float:
     and the tail sums them from l = k on until, past the mode, a term is at
     most 1e-45 of the sum.
     """
+    return poisson_tails_decimal(k, k + 1, z)[0]
+
+
+def poisson_tails_decimal(lo: int, hi: int, z: float) -> list:
+    """[P(Poisson(z) >= k) for lo <= k < hi] at 40 digits, from one run of the terms.
+
+    The terms run up from exp(-z) until, past hi and the mode, one is at
+    most 1e-45 of those from hi - 1 on; the tails are their reverse sums.
+    """
     with localcontext() as ctx:
         ctx.prec = 40
         zd = Decimal(z)
-        term = (-zd).exp()
-        for l in range(1, k):
-            term = term * zd / l
-        total, l = Decimal(0), k
+        term, l, terms, rest = (-zd).exp(), 0, [], Decimal(0)
         while True:
-            term = term * zd / l
-            total += term
-            if l > z and term <= total * Decimal("1e-45"):
-                return float(total)
+            if l >= lo:
+                terms.append(term)
+            if l >= hi - 1:
+                rest += term
+                if l > z and term <= rest * Decimal("1e-45"):
+                    break
             l += 1
+            term = term * zd / l
+        tails, total = [], Decimal(0)
+        for term in reversed(terms):
+            total += term
+            tails.append(total)
+        return [float(v) for v in tails[::-1][:hi - lo]]
 
 
 def merged_phase_sequences_decimal(rates, marks, mean: float, n: int) -> tuple:

@@ -2,10 +2,13 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -738,6 +741,21 @@ def test_package_exports_every_module_all_and_names_none_itself():
     written |= {alias.asname or alias.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not written & set(twoshock.__all__)
+
+
+def test_every_module_cache_is_bounded_or_takes_no_arguments():
+    # A long-lived process calls the evaluators on ever new inputs, so a
+    # cache keyed by them must evict; one of a function without arguments
+    # (cli._build_parser) holds a single entry.
+    caches = []
+    for info in pkgutil.iter_modules(twoshock.__path__, "twoshock."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                caches.append(f"{info.name}.{name}")
+                if value.cache_parameters()["maxsize"] is None:
+                    assert not inspect.signature(value).parameters, f"{info.name}.{name}"
+    assert {"twoshock.cli._build_parser", "twoshock.cumulative._erlang_cdf_terms"} <= set(caches)
 
 
 class TestRepeatedCalls:

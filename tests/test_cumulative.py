@@ -430,6 +430,47 @@ def test_each_evaluator_builds_its_erlang_axis_once(model, monkeypatch):
         assert len(calls) == 1
 
 
+AXIS_MEMO = cumulative._erlang_cdf_terms
+
+
+class TestAxisMemo:
+    """_erlang_axis keeps its last axes: one build per level, same values, bounded, read-only."""
+
+    def setup_method(self):
+        AXIS_MEMO.cache_clear()
+
+    def test_points_at_one_level_build_one_axis(self):
+        for t in np.linspace(0.0, 5.0, 100).tolist():
+            model2_fptf_cdf(MIXED, t)
+        assert AXIS_MEMO.cache_info().misses == 1
+
+    def test_each_level_builds_its_axis_and_the_values_do_not_depend_on_the_memo(self):
+        levels = np.linspace(0.5, 40.0, 40).tolist()
+        first = [damage_cdf(MIX, 2.0, x).hex() for x in levels]
+        assert AXIS_MEMO.cache_info().misses == 40
+        AXIS_MEMO.cache_clear()
+        again = [damage_cdf(MIX, 2.0, x).hex() for x in reversed(levels)]
+        assert again[::-1] == first
+
+    def test_a_kept_axis_is_read_only(self):
+        cdfs = _erlang_axis(MIXED, 5.0, 1e-10)[2]
+        with pytest.raises(ValueError, match="read-only"):
+            cdfs[1] = 0.5
+        assert _erlang_axis(MIXED, 5.0, 1e-10)[2] is cdfs
+
+    def test_memo_holds_at_most_its_size_of_the_longest_axes(self):
+        # Near mu_f x = 10,000 an axis is the phase cap plus the Poisson reach.
+        levels = np.linspace(9000.0, 9999.0, 20).tolist()
+        for x in levels:
+            _erlang_axis(SYMMETRIC, x, 1e-10)
+        info = AXIS_MEMO.cache_info()
+        assert info.currsize == cumulative._AXIS_CACHE_SIZE == 16
+        kept = [_erlang_axis(SYMMETRIC, x, 1e-10)[2] for x in levels[-16:]]
+        assert AXIS_MEMO.cache_info().misses == info.misses  # the last 16 were kept
+        held = {id(cdfs.base): cdfs.base.nbytes for cdfs in kept}
+        assert sum(held.values()) <= 16 * 11_042 * 8
+
+
 class TestDamageMean:
     def test_zero_at_origin(self):
         assert damage_mean(MIXED, 0.0) == 0.0

@@ -227,8 +227,8 @@ class TestErlangCdfTerms:
                                    math.inf])
     @pytest.mark.parametrize("eps", [1e-10, 1e-17, 1e-300])
     def test_count_stop_is_the_first_value_below_eps(self, z, eps):
-        # The values never increase, so counting those at or above eps finds
-        # the same stop as a search for the first one below it.
+        # The values never increase, so a binary search for eps on the
+        # reversed values finds the same stop as a scan for the first one below it.
         caps = [10_000] if z == math.inf else [10_000, math.inf]  # convolution_cdf uses inf
         for max_terms in caps:
             cdfs, converged = _erlang_cdf_terms(z, eps, max_terms)

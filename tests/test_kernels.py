@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from _oracles import poisson_tail_decimal
+from _oracles import poisson_tail_decimal, poisson_tails_decimal
 from twoshock import distributions
 from twoshock.catastrophic import (
     CatastrophicModel,
@@ -44,6 +44,17 @@ def test_poisson_tail_matches_gammainc(z):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
     normal = ref > 1e-300  # the damage series stops on tails this small
     np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-11)
+
+
+def test_poisson_tail_keeps_shrinking_below_the_normal_range():
+    # Unscaled, the terms past the mode stop shrinking at the smallest
+    # subnormal, and the tail at 37,327 read 1.82e-320 for a value that rounds to 0.
+    z, lo, hi = 30_000.0, 35_196, 37_328
+    got = _poisson_tail(z, 37_400)[lo:hi]
+    ref = np.array(poisson_tails_decimal(lo, hi, z))
+    assert ref[-1] == 0.0 and np.count_nonzero(ref < 2.2250738585072014e-308) > 500
+    for k, (value, exact) in enumerate(zip(got.tolist(), ref.tolist()), start=lo):
+        assert value == pytest.approx(exact, rel=1e-12, abs=5e-324), k
 
 
 @pytest.mark.parametrize("x", [700.5, 701.0, 800.0, 2000.0, 9400.0])

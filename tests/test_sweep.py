@@ -18,17 +18,34 @@ sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
 
+def _twice(outcomes):
+    """Each outcome as the pair of two evaluations in a row that agree."""
+    return [[outcome, outcome] for outcome in outcomes]
+
+
 def test_report_counts_each_kind_of_change():
     calls = [{"fn": "damage_cdf"}] * 6
     tree = [{"values": [0.5]}, {"values": [0.5]}, {"error": "E: a"}, {"error": "E: a"},
             {"error": "E: b"}, {"values": [math.nan]}]
     parent = [{"values": [0.5]}, {"values": [math.nextafter(0.5, 1.0)]}, {"error": "E: a"},
               {"values": [0.5]}, {"error": "E: c"}, {"values": [0.25]}]
-    row = sweep.compare(calls, tree, parent)["damage_cdf"]
+    row = sweep.compare(calls, _twice(tree), _twice(parent))["damage_cdf"]
     assert row == {"calls": 6, "identical": 2, "max_abs": math.inf, "max_rel": math.inf,
-                   "raised": 2, "raise_one_side": 1, "message_changes": 1}
-    row = sweep.compare(calls[:2], tree[:2], parent[:2])["damage_cdf"]
+                   "raised": 2, "raise_one_side": 1, "message_changes": 1, "repeat_changes": 0}
+    row = sweep.compare(calls[:2], _twice(tree[:2]), _twice(parent[:2]))["damage_cdf"]
     assert (row["max_abs"], row["max_rel"]) == (2.0 ** -53, 2.0 ** -53 / math.nextafter(0.5, 1.0))
+
+
+def test_report_counts_calls_whose_repeat_differs_in_either_tree():
+    calls = [{"fn": "damage_cdf"}] * 5
+    first = [{"values": [0.5]}, {"values": [math.nan]}, {"error": "E: a"}, {"values": [0.5]},
+             {"values": [0.5]}]
+    again = [{"values": [0.5]}, {"values": [math.nan]}, {"error": "E: b"},
+             {"values": [math.nextafter(0.5, 1.0)]}, {"error": "E: a"}]
+    tree = [list(pair) for pair in zip(first, again)]
+    row = sweep.compare(calls, tree, _twice(first))["damage_cdf"]
+    assert (row["identical"], row["repeat_changes"]) == (5, 3)
+    assert sweep.compare(calls, _twice(first), tree)["damage_cdf"]["repeat_changes"] == 3
 
 
 def test_inputs_cover_equal_rates_both_stage_routes_and_the_cap():
@@ -81,4 +98,4 @@ def test_working_tree_against_itself_is_bit_identical():
     assert list(report["functions"]) == list(sweep.FUNCTIONS)
     for fn, row in report["functions"].items():
         assert row["calls"] == row["identical"] == 40, fn
-        assert row["raise_one_side"] == row["message_changes"] == 0, fn
+        assert row["raise_one_side"] == row["message_changes"] == row["repeat_changes"] == 0, fn

@@ -5,14 +5,16 @@
 N calls per function are drawn from one generator seeded with S, and each
 tree evaluates all of them in its own subprocess with PYTHONPATH=<tree>/src.
 With no --parent the tree is run twice, which checks that its values do not
-depend on the process.  Per function the report gives the calls, how many
-have the same outcome in both trees (every value equal bit for bit, or the
-same exception with the same message), the largest absolute and relative
+depend on the process.  Each subprocess evaluates every call twice in a row,
+which checks that a value does not depend on what the process has kept from
+the call before.  Per function the report gives the calls, how many have the
+same outcome in both trees (every value equal bit for bit, or the same
+exception with the same message), the largest absolute and relative
 difference between values, the calls that raise in both trees, those that
-raise in one tree only, and those that raise in both with different
-messages.  The last line of stdout
-is the report as one JSON object.  The exit status is 0 unless a subprocess
-fails.
+raise in one tree only, those that raise in both with different messages,
+and those whose second outcome differs from the first in either tree.  The
+last line of stdout is the report as one JSON object.  The exit status is 0
+unless a subprocess fails.
 
 The inputs cover equal mark rates (a fifth of the cumulative calls), slower
 mark shapes 1-13, on both sides of the stage-sum route's bound, tail_epsilon
@@ -192,20 +194,22 @@ def _evaluate(call: dict) -> list[float]:
             for value in array.tolist()]
 
 
+def _outcome(call: dict) -> dict:
+    """{"values": [...]} of one call, or {"error": "<type>: <message>"} when it raises."""
+    try:
+        return {"values": _evaluate(call)}
+    except Exception as exc:  # the outcome under comparison; the next call still runs
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def evaluate_stdin() -> None:
-    """Read calls as JSON on stdin and write one outcome per call as JSON on stdout."""
+    """Read calls as JSON on stdin; write the outcomes of two evaluations in a row per call."""
     import twoshock
 
     src = pathlib.Path(os.environ["PYTHONPATH"]).resolve()
     if pathlib.Path(twoshock.__file__).resolve().parent != src / "twoshock":
         sys.exit(f"twoshock was imported from {twoshock.__file__}, not from {src}")
-    outcomes = []
-    for call in json.load(sys.stdin):
-        try:
-            outcomes.append({"values": _evaluate(call)})
-        except Exception as exc:  # the outcome under comparison; the next call still runs
-            outcomes.append({"error": f"{type(exc).__name__}: {exc}"})
-    json.dump(outcomes, sys.stdout)
+    json.dump([[_outcome(call), _outcome(call)] for call in json.load(sys.stdin)], sys.stdout)
 
 
 def _run(tree: pathlib.Path, calls: list[dict]) -> list[dict]:
@@ -227,17 +231,30 @@ def _difference(a: float, b: float) -> tuple[float, float]:
     return gap, gap / size if size else 0.0
 
 
-def compare(calls: list[dict], tree: list[dict], parent: list[dict]) -> dict:
-    """The per-function report of two runs' outcomes on the same calls."""
+def _same(a: dict, b: dict) -> bool:
+    """Whether two outcomes are the same exception message, or values equal bit for bit."""
+    if "error" in a or "error" in b:
+        return a == b
+    return [v.hex() for v in a["values"]] == [v.hex() for v in b["values"]]
+
+
+def compare(calls: list[dict], tree: list[list[dict]], parent: list[list[dict]]) -> dict:
+    """The per-function report of two runs' outcome pairs on the same calls.
+
+    The first outcome of each pair is compared across the runs; repeat_changes
+    counts the calls whose second outcome differs from their first in either run.
+    """
     report = {fn: {"calls": 0, "identical": 0, "max_abs": 0.0, "max_rel": 0.0, "raised": 0,
-                   "raise_one_side": 0, "message_changes": 0} for fn in FUNCTIONS}
-    for call, got, base in zip(calls, tree, parent):
+                   "raise_one_side": 0, "message_changes": 0, "repeat_changes": 0}
+              for fn in FUNCTIONS}
+    for call, (got, got_again), (base, base_again) in zip(calls, tree, parent):
         row = report[call["fn"]]
         row["calls"] += 1
+        row["identical"] += _same(got, base)
+        row["repeat_changes"] += not (_same(got, got_again) and _same(base, base_again))
         if "error" in got or "error" in base:
             if "error" in got and "error" in base:
                 row["raised"] += 1
-                row["identical"] += got == base
                 row["message_changes"] += got != base
             else:
                 row["raise_one_side"] += 1
@@ -246,11 +263,10 @@ def compare(calls: list[dict], tree: list[dict], parent: list[dict]) -> dict:
         if len(ours) != len(theirs):
             row["max_abs"] = row["max_rel"] = math.inf
             continue
-        changed = [(a, b) for a, b in zip(ours, theirs) if a.hex() != b.hex()]
-        row["identical"] += not changed
-        for a, b in changed:
-            gap, rel = _difference(a, b)
-            row["max_abs"], row["max_rel"] = max(row["max_abs"], gap), max(row["max_rel"], rel)
+        for a, b in zip(ours, theirs):
+            if a.hex() != b.hex():
+                gap, rel = _difference(a, b)
+                row["max_abs"], row["max_rel"] = max(row["max_abs"], gap), max(row["max_rel"], rel)
     return report
 
 

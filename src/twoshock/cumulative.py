@@ -94,12 +94,14 @@ _PANJER_MAX_MEAN = 500.0
 # 8, 1.0-1.2x at 10, 0.95-1.1x at 11, 0.65-0.85x at 20 and 0.3-0.4x at 50.
 _STAGE_SHAPE = 10
 
-# Most phases, Poisson counts or renewal counts any series takes on one axis.
-_MAX_TERMS = 10_000
+# Most phases, Poisson counts or renewal counts any series takes on one axis:
+# the smallest multiple of 256 at or above 10,219 terms, the longest whole
+# series of any mean a bound on the left-out terms let a 10,000 cap return.
+_MAX_TERMS = 10_240
 
 # Most Erlang-CDF axes _erlang_axis keeps, keyed by (mu_f x, eps, _MAX_TERMS):
 # floats and an int, so no model is kept alive.  An axis is at most the cap
-# plus the Poisson reach, 11,042 doubles (88 KB), so all stay under 1.5 MB.
+# plus the Poisson reach, 11,294 doubles (90 KB), so all stay under 1.5 MB.
 # The values are read-only, and each caller still runs its own cut check on
 # them, so no error or warning is kept.
 _AXIS_CACHE_SIZE = 16
@@ -116,9 +118,8 @@ class TruncationPolicy:
     absolute error below tail_epsilon.  Past _MAX_TERMS terms a probability
     series (damage_cdf, general_damage_cdf, the failure-time curve) is cut
     at the cap when its phase-count mass below it clears 1 - tail_epsilon
-    (_check_cut), model2_fptf_mean when the terms left out are below
-    tail_epsilon of the kept sum, and a count axis (general_damage_mean,
-    compound_poisson_exponential_cdf) never: else NonConvergedError.
+    (_check_cut); model2_fptf_mean and a count axis (general_damage_mean,
+    compound_poisson_exponential_cdf) are never cut: else NonConvergedError.
     """
 
     tail_epsilon: float = 1e-10
@@ -610,17 +611,13 @@ def model2_fptf_mean(model: CumulativeModel,
     The series stops at the first S with P(Erlang(S, mu_f) <= K) < tail_epsilon;
     past S each Erlang CDF is at most mu_f K / (S+1) times the one before,
     so the discarded time is below tail_epsilon (S+1) / ((S+1 - mu_f K) L).
-
-    Past _MAX_TERMS phases the series is cut at n = _MAX_TERMS.  Every mark
-    takes a phase at least, so U(s) <= 1 and the terms left out sum to at
-    most E[(N - n + 1)^+], N ~ Poisson(mu_f K): below mu_f K = n the terms
-    k >= n out to _poisson_reach, from there on (mu_f K - n + 1) plus
-    sum_{k <= n-2} (n - 1 - k) P(N = k), two nonnegative parts of n terms.
-    The cut mean, within tail_epsilon relative, is returned when that bound
-    is below tail_epsilon times the kept sum; else NonConvergedError says so.
+    An S past _MAX_TERMS raises NonConvergedError before U is built.
     """
     eps = (policy or _DEFAULT_POLICY).tail_epsilon
     _, z, cdfs, converged = _erlang_axis(model, model.threshold, eps)
+    if not converged:
+        raise NonConvergedError(f"phase series needs more than {_MAX_TERMS} terms "
+                                f"at rate * x = {z}")
     n = len(cdfs)
     shifts = _phase_shifts(model)
     if shifts is not None:
@@ -633,18 +630,7 @@ def model2_fptf_mean(model: CumulativeModel,
         u[0] = 1.0
         for s in range(1, n):
             u[s] = steps[n - 1 - s:].dot(u[:s])
-    total = float(u @ cdfs)
-    if not converged:
-        if z < n:
-            left_out = _poisson_pmf(z, _poisson_reach(z, n))[n:]
-            bound = float(left_out @ np.arange(1.0, left_out.size + 1.0))
-        else:  # at z = inf too, where every P(N = k) is 0 and the bound is inf
-            bound = z - n + 1 + float(_poisson_pmf(z, n - 1) @ np.arange(n - 1.0, 0.0, -1.0))
-        if not bound < eps * total:
-            raise NonConvergedError(
-                f"phase series needs more than {_MAX_TERMS} terms at rate * x = {z}, "
-                f"and the terms it leaves out may sum to {bound!r}, against {total!r} kept")
-    return total / (model.rate1 + model.rate2)
+    return float(u @ cdfs) / (model.rate1 + model.rate2)
 
 
 def _random_sum_pmf(counts: np.ndarray, shape: int, rate: float, fast: float,
@@ -698,11 +684,12 @@ def general_damage_cdf(model: GeneralCumulativeModel, t: float, x: float,
 
 def general_damage_mean(model: GeneralCumulativeModel, t: float,
                         policy: TruncationPolicy | None = None) -> float:
-    """E(total damage by t) = sum over streams of E(mark) E(N(t)), exact to rounding.
+    """E(total damage by t) = sum over streams of E(mark) E(N(t)).
 
     E(N(t)) = sum_{k>=1} P(P >= k m), P ~ Poisson(r t), for Erlang(m, r)
-    interarrivals, out to _poisson_reach.  It raises NonConvergedError when
-    P(N(t) >= _MAX_TERMS) >= tail_epsilon.
+    interarrivals, exact to rounding out to _poisson_reach(r t, 1), as in
+    _renewal_counts; each tail past it is below 1e-18, and no array grows
+    with m.  It raises NonConvergedError when P(N(t) >= _MAX_TERMS) >= tail_epsilon.
     """
     policy = policy or _DEFAULT_POLICY
     _check_nonneg(t, "t")
@@ -712,7 +699,7 @@ def general_damage_mean(model: GeneralCumulativeModel, t: float,
         shape, rate = _mark_params(inter, name)
         z = rate * t
         if z < shape * _MAX_TERMS:  # else P(N(t) >= cap) >= P(P >= z) > 1e-3
-            tails = _poisson_tail(z, _poisson_reach(z, shape))[shape::shape]
+            tails = _poisson_tail(z, _poisson_reach(z, 1))[shape::shape]
             if np.count_nonzero(tails >= policy.tail_epsilon) < _MAX_TERMS:
                 total += mag.mean() * float(tails.sum())
                 continue

@@ -164,6 +164,19 @@ def _log_poisson_term(k: int, z: float) -> float:
     return -_stirling_error(k) - _deviance(k, z) - _HALF_LOG_2PI - 0.5 * math.log(k)
 
 
+def _scaled_poisson_term(k: int, z: float) -> tuple[float, int]:
+    """(P(N = k) 2^shift, shift), N ~ Poisson(z): the anchor of a sum of falling terms.
+
+    shift is _SUBNORMAL_SHIFT when the term is subnormal, so the terms keep
+    shrinking instead of sticking at the smallest subnormal, and ldexp(sum,
+    -shift) is the sum; else 0.  exp(-z) at k = 0 is summed alone, so it is
+    rounded once by exp and not scaled.
+    """
+    log_term = _log_poisson_term(k, z)
+    shift = _SUBNORMAL_SHIFT if k and log_term < _LOG_MIN else 0
+    return math.exp(log_term + shift * _LN2), shift
+
+
 def _recur_outward(ratios: np.ndarray, m: int, anchor: float) -> np.ndarray:
     """Terms t[m] = anchor, t[k] = t[k-1] * ratios[k]; written over ratios and returned.
 
@@ -286,10 +299,7 @@ def erlang_survival(shape: int, x: float) -> float:
         low = max(0, m - int(min(10.0 * math.sqrt(x) + 40.0, steep)))
         ratios = np.arange(low, shape, dtype=float)
         ratios[1:] = x / ratios[1:]
-        log_anchor = _log_poisson_term(m, x)
-        # A lone term, exp(-x) at shape 1, is rounded once by exp and not scaled.
-        shift = _SUBNORMAL_SHIFT if m and log_anchor < _LOG_MIN else 0
-        anchor = math.exp(log_anchor + shift * _LN2)
+        anchor, shift = _scaled_poisson_term(m, x)
         total = float(_recur_outward(ratios, m - low, anchor).sum())
         return min(1.0, math.ldexp(total, -shift))
     if shape < _ARRAY_SHAPE:
@@ -310,8 +320,9 @@ def erlang_cdf(shape: int, x: float) -> float:
     """CDF of a unit-rate Erlang at x: P(Poisson(x) >= shape), free of cancellation.
 
     Shape 1 is -expm1(-x).  Below x = shape the Poisson terms from shape up
-    fall by a factor x / k each, and are summed from _log_poisson_term at
-    shape until they no longer change the sum.  From x = shape on the
+    fall by a factor x / k each, and are summed from the term at shape
+    until they no longer change the sum, 2^_SUBNORMAL_SHIFT up when that
+    term is subnormal (_scaled_poisson_term).  From x = shape on the
     survival is at most about 1/2, and the CDF is 1 minus it, clamped
     against one-ulp overshoot.  x = 0 gives 0, and a negative or nan x
     raises ValueError, as in erlang_survival.
@@ -324,14 +335,14 @@ def erlang_cdf(shape: int, x: float) -> float:
         return -math.expm1(-x)
     if x >= shape:
         return max(0.0, 1.0 - erlang_survival(shape, x))
-    term = math.exp(_log_poisson_term(shape, x))
+    term, shift = _scaled_poisson_term(shape, x)
     total, k = term, shape
     while True:
         k += 1
         term *= x / k
         step = total + term
         if step == total:
-            return total
+            return math.ldexp(total, -shift)
         total = step
 
 

@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -35,7 +34,7 @@ from twoshock.cumulative import (
     model2_fptf_curve,
     model2_fptf_mean,
 )
-from twoshock.distributions import Erlang, Exponential, Weibull
+from twoshock.distributions import Erlang, Exponential, Weibull, _poisson_reach
 from twoshock.gamma_convolution import _erlang_cdf_terms, _phase_pmf
 from twoshock.errors import NonConvergedError, UnsupportedConvolutionError
 
@@ -98,9 +97,10 @@ class TestDamageCdf:
             assert abs(tiny - loose) <= 1e-15
 
     def test_level_past_phase_cap_cut_by_pmf_mass(self):
-        # mu_f * x = 9400 needs more phases than the default cap; the
+        # mu_f * x = 9800 needs more phases than the default cap; the
         # compound-Poisson pmf (mean 2) has all its mass far below it.
-        value = damage_cdf(SYMMETRIC, 1.0, 9400.0)
+        assert not _erlang_axis(SYMMETRIC, 9800.0, 1e-10)[3]
+        value = damage_cdf(SYMMETRIC, 1.0, 9800.0)
         assert 1.0 - 1e-10 <= value <= 1.0
 
     def test_level_far_past_phase_cap_keeps_arrays_short(self):
@@ -119,7 +119,7 @@ class TestDamageCdf:
 
     def test_level_past_phase_cap_raises_when_mass_cannot_show_bound(self):
         with pytest.raises(NonConvergedError):
-            damage_cdf(SYMMETRIC, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
+            damage_cdf(SYMMETRIC, 1.0, 9800.0, TruncationPolicy(tail_epsilon=1e-300))
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -459,8 +459,10 @@ class TestAxisMemo:
         assert _erlang_axis(MIXED, 5.0, 1e-10)[2] is cdfs
 
     def test_memo_holds_at_most_its_size_of_the_longest_axes(self):
-        # Near mu_f x = 10,000 an axis is the phase cap plus the Poisson reach.
-        levels = np.linspace(9000.0, 9999.0, 20).tolist()
+        # Just below mu_f x = cap an axis is the cap plus the Poisson reach:
+        # cap + 2 values of an array of at most _poisson_reach(cap + 2, cap + 2).
+        cap = cumulative._MAX_TERMS
+        levels = np.linspace(cap - 1000.0, cap - 1.0, 20).tolist()
         for x in levels:
             _erlang_axis(SYMMETRIC, x, 1e-10)
         info = AXIS_MEMO.cache_info()
@@ -468,7 +470,7 @@ class TestAxisMemo:
         kept = [_erlang_axis(SYMMETRIC, x, 1e-10)[2] for x in levels[-16:]]
         assert AXIS_MEMO.cache_info().misses == info.misses  # the last 16 were kept
         held = {id(cdfs.base): cdfs.base.nbytes for cdfs in kept}
-        assert sum(held.values()) <= 16 * 11_042 * 8
+        assert sum(held.values()) <= 16 * _poisson_reach(cap + 2.0, cap + 2) * 8
 
 
 class TestDamageMean:
@@ -529,36 +531,40 @@ class TestModel2Fptf:
         assert model2_fptf_mean(model) == pytest.approx(400.5, rel=1e-9)
 
     def test_mean_past_phase_cap(self):
-        # The series needs more than _MAX_TERMS phases; the terms past the cap
-        # are bounded below tail_epsilon of the mean at K = 9,400, not at 9,500.
+        # Equal Exp(1) marks: E(T) = (1 + K) / L.  At K = 9,500 the series
+        # takes about 10,100 phases, within the cap; at 9,700, and at 9,940
+        # with the loosest tail_epsilon, it needs more.
         model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
-                                threshold=9400.0)
-        assert model2_fptf_mean(model) == pytest.approx(4700.5, rel=1e-12)
-        with pytest.raises(NonConvergedError, match="leaves out"):
-            model2_fptf_mean(CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
-                                             threshold=9500.0))
+                                threshold=9500.0)
+        assert model2_fptf_mean(model) == pytest.approx(4750.5, rel=1e-12)
+        for k, policy in ((9700.0, None), (9940.0, TruncationPolicy(1e-3))):
+            with pytest.raises(NonConvergedError, match=r"^phase series needs more than 10240 "
+                                                        rf"terms at rate \* x = {k}$"):
+                model2_fptf_mean(CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
+                                                 threshold=k), policy)
 
-    @pytest.mark.parametrize("z", [9500.0, 10050.0])
-    def test_mean_cut_bound(self, z):
-        # The bound E[(N - n + 1)^+], n = 10,000, is the sum over k >= n, here
-        # in log space; past z = n it comes from the n terms below n, and
-        # below z = n that identity would cancel to about 1e-12 absolute.
-        n = cumulative._MAX_TERMS
-        expected = math.fsum((k - n + 1) * math.exp(k * math.log(z) - z - math.lgamma(k + 1))
-                             for k in range(n, 12100))
-        with pytest.raises(NonConvergedError, match="leaves out") as err:
-            model2_fptf_mean(CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0),
-                                             threshold=z))
-        bound = float(re.search(r"may sum to (\S+),", str(err.value)).group(1))
-        assert bound == pytest.approx(expected, rel=1e-9, abs=0.0)
+    @pytest.mark.parametrize("k, eps", [(6628.0, 5e-324), (6753.0, 1e-300), (9477.0, 1e-10),
+                                        (9908.0, 1e-3)])
+    def test_mean_converges_wherever_a_cut_at_10000_phases_was_accepted(self, k, eps):
+        # The largest mu_f K at which a 10,000-phase cap, with a bound on the
+        # terms left out, returned a mean.  Equal Exp(1) marks have U = 1,
+        # the largest kept sum, so at any marks the series now stops
+        # within the cap, and the mean is (1 + K) / L within the docstring's
+        # bound eps (S + 1) / ((S + 1 - K) L), or 1e-14 relative for rounding.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=k)
+        _, _, cdfs, converged = _erlang_axis(model, k, eps)
+        assert converged
+        s = len(cdfs)
+        assert model2_fptf_mean(model, TruncationPolicy(eps)) == pytest.approx(
+            (1.0 + k) / 2.0, rel=1e-14, abs=eps * (s + 1) / ((s + 1 - k) * 2.0))
 
     def test_mean_far_past_phase_cap_keeps_arrays_short(self):
-        # mu_f K = 1e12: the bound on the left-out terms takes n Poisson terms,
-        # not an array about 1e12 long.
+        # mu_f K = 1e12: the mean raises from an axis of the cap's length,
+        # not an array about 1e12 long, before it builds U.
         model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=1e12)
         tracemalloc.start()
         try:
-            with pytest.raises(NonConvergedError, match="leaves out"):
+            with pytest.raises(NonConvergedError, match="needs more than 10240 terms"):
                 model2_fptf_mean(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -566,7 +572,7 @@ class TestModel2Fptf:
         assert peak < 2e6
 
     def test_mean_infinite_phase_mean_raises(self):
-        # mu_f K = 1e200 * 1e200 overflows: every Poisson term is 0, the bound inf.
+        # mu_f K = 1e200 * 1e200 overflows: every Poisson term is 0.
         model = CumulativeModel(1.0, 1.0, Exponential(1e200), Exponential(1e200),
                                 threshold=1e200)
         with pytest.raises(NonConvergedError, match=r"rate \* x = inf"):
@@ -643,19 +649,19 @@ class TestFailureTimeCurve:
                 assert column[i] == alone[0]
 
     def test_phase_cap_as_scalar_path(self):
-        # mu K = 9,400 needs about 10,100 phases against a cap of 10,000.
-        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=9400.0)
-        cdf, survival, _ = model2_fptf_curve(model, [1.0, 4000.0, 4650.0])
+        # mu K = 9,800 needs about 10,500 phases against a cap of 10,240.
+        model = CumulativeModel(1.0, 1.0, Exponential(1.0), Exponential(1.0), threshold=9800.0)
+        cdf, survival, _ = model2_fptf_curve(model, [1.0, 4200.0, 4760.0])
         assert np.all(cdf + survival == 1.0)
         assert cdf[1] == pytest.approx(
-            equal_exponential_marks_failure_law(9400.0, 2.0, [4000.0])[0][0], rel=1e-10)
-        for t in (1.0, 4000.0, 4650.0):
+            equal_exponential_marks_failure_law(9800.0, 2.0, [4200.0])[0][0], rel=1e-10)
+        for t in (1.0, 4200.0, 4760.0):
             model2_fptf_cdf(model, t)
         with pytest.raises(NonConvergedError,
-                           match=r"^phase series .* at level x = 9400\.0 and t = 4700\.0, "):
-            model2_fptf_curve(model, [1.0, 4700.0])
+                           match=r"^phase series .* at level x = 9800\.0 and t = 4810\.0, "):
+            model2_fptf_curve(model, [1.0, 4810.0])
         with pytest.raises(NonConvergedError, match="phase series"):
-            model2_fptf_cdf(model, 4700.0)
+            model2_fptf_cdf(model, 4810.0)
 
     def test_negative_or_infinite_time_rejected(self):
         for ts in ([-1.0], [1.0, math.inf], [math.nan]):
@@ -715,16 +721,17 @@ class TestGeneralEvaluators:
         assert general_damage_mean(g, 0.0) == 0.0
 
     def test_level_past_phase_cap_cut_by_pmf_mass(self):
-        # As in damage_cdf: mu_f * x = 9400 needs more phases than the default
+        # As in damage_cdf: mu_f * x = 9800 needs more phases than the default
         # cap, and the phase-count pmf at t = 1 has all its mass far below it.
         g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
                                    Exponential(1.0), Exponential(1.0), threshold=2.0)
-        assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9400.0) <= 1.0
+        assert not _erlang_axis(g, 9800.0, 5e-11)[3]
+        assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9800.0) <= 1.0
         with pytest.raises(NonConvergedError):
-            general_damage_cdf(g, 1.0, 9400.0, TruncationPolicy(tail_epsilon=1e-300))
+            general_damage_cdf(g, 1.0, 9800.0, TruncationPolicy(tail_epsilon=1e-300))
 
     def test_fast_rate_lattices_convolve_only_their_support(self, monkeypatch):
-        # Equal Exp(1) marks at x = 9,400 give about 9,800 phases, but the
+        # Equal Exp(1) marks at x = 9,800 give the cap's 10,240 phases, but the
         # Erlang(2, 1) renewal counts by t = 1 end within 26 counts: the
         # lattices stop there, and no length-n array is convolved.
         g = GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
@@ -738,7 +745,7 @@ class TestGeneralEvaluators:
             return convolve(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np, "convolve", recording)
-        assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9400.0) <= 1.0
+        assert 1.0 - 1e-10 <= general_damage_cdf(g, 1.0, 9800.0) <= 1.0
         assert lengths and max(lengths) <= support <= 26
 
     @pytest.mark.parametrize("model,t,x", [
@@ -748,9 +755,9 @@ class TestGeneralEvaluators:
                                 Erlang(3, 2.0), Erlang(2, 2.0), threshold=2.0), 4.0, 6.0),
         # past the phase cap, with equal and with unequal mark rates
         (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
-                                Exponential(1.0), Exponential(1.0), threshold=2.0), 1.0, 9400.0),
+                                Exponential(1.0), Exponential(1.0), threshold=2.0), 1.0, 9800.0),
         (GeneralCumulativeModel(Erlang(2, 1.0), Erlang(2, 1.0),
-                                Exponential(1.0), Exponential(1.3), threshold=2.0), 1.0, 7300.0),
+                                Exponential(1.0), Exponential(1.3), threshold=2.0), 1.0, 7500.0),
     ])
     def test_random_sum_matches_full_convolutions(self, model, t, x):
         # k marks summed as one Erlang(k m) mark against k full-length convolutions.
@@ -854,9 +861,24 @@ class TestGeneralEvaluators:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_renewal_mean_tails_stop_at_the_poisson_reach(self):
+        # Erlang(1e7, 1) interarrivals by t = 2: tails out to a reach of the
+        # shape were 1e7 Poisson terms (305 MiB at peak, about 0.3 s);
+        # out to the reach of rate * t = 2 they are 57, and none reaches the shape.
+        g = GeneralCumulativeModel(Erlang(10 ** 7, 1.0), Exponential(1.0),
+                                   Exponential(1.0), Erlang(3, 2.0), threshold=2.0)
+        tracemalloc.start()
+        try:
+            value = general_damage_mean(g, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 2.0 * 1.5
+        assert peak < 2**20
+
     def test_renewal_counts_stop_at_the_poisson_reach(self):
-        # Past the phase cap the series length is 10,000 counts, 5e6 Poisson
-        # terms at shape 500 (about 76 MiB of arrays), but only the terms out
+        # Past the phase cap the series length is 10,240 counts, 5.1e6 Poisson
+        # terms at shape 500 (about 78 MiB of arrays), but only the terms out
         # to the Poisson reach of rate * t carry mass.
         g = GeneralCumulativeModel(Erlang(500, 1.0), Exponential(1.0),
                                    Exponential(1.0), Exponential(1.0), threshold=2e4)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from _oracles import poisson_cdf_decimal
+from _oracles import poisson_cdf_decimal, poisson_tail_decimal
 from twoshock.cumulative import (
     CumulativeModel,
     GeneralCumulativeModel,
@@ -177,6 +177,15 @@ class TestSurvival:
             assert 0.0 < ref < 2.2250738585072014e-308, (shape, x)
             assert erlang_survival(shape, x) == pytest.approx(
                 ref, rel=1e-12, abs=5e-324), (shape, x)
+
+    @pytest.mark.parametrize("shape, x", [(7925, 5000.0), (2382, 971.25), (2382, 964.75)])
+    def test_erlang_cdf_with_a_subnormal_first_term_keeps_its_digits(self, shape, x):
+        # Below x = shape the sum starts at the term at shape; when that is
+        # subnormal the terms stop shrinking unscaled (1.457971e-317, 2,043
+        # subnormal units off, at the first point).
+        ref = poisson_tail_decimal(shape, x)
+        assert 0.0 < ref < 2.2250738585072014e-308
+        assert erlang_cdf(shape, x) == pytest.approx(ref, rel=0.0, abs=5e-324)
 
     @pytest.mark.parametrize("shape", [3, 100])
     @pytest.mark.parametrize("x", [math.nan, -1.0])

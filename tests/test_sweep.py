@@ -8,7 +8,8 @@ import subprocess
 import sys
 
 from twoshock.cumulative import _MAX_TERMS, _STAGE_SHAPE
-from twoshock.distributions import _ARRAY_SHAPE, _SERIES_LIMIT, _poisson_reach
+from twoshock.distributions import (_ARRAY_SHAPE, _LOG_MIN, _SERIES_LIMIT, _log_poisson_term,
+                                    _poisson_reach)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SWEEP = ROOT / "tools" / "sweep.py"
@@ -65,6 +66,16 @@ def test_inputs_cover_equal_rates_both_stage_routes_and_the_cap():
     assert 1e-14 <= min(eps) < 1e-12 and 1e-8 < max(eps) <= 1e-6
 
 
+def test_erlang_cdf_inputs_lie_below_the_shape_and_reach_subnormal_first_terms():
+    # Below x = shape erlang_cdf sums its own tail from the term at the
+    # shape; a few of those terms are subnormal but not 0.
+    calls = [call for call in sweep.make_calls(1, 400) if call["fn"] == "erlang_cdf"]
+    assert all(call["x"] < call["shape"] for call in calls)
+    logs = [_log_poisson_term(call["shape"], call["x"]) for call in calls]
+    assert any(math.log(5e-324) < log < _LOG_MIN for log in logs)
+    assert sum(log >= _LOG_MIN for log in logs) >= 0.2 * len(calls)
+
+
 def test_erlang_survival_inputs_cover_both_sides_of_the_exit_and_the_array_shape():
     calls = [call for call in sweep.make_calls(1, 100) if call["fn"] == "erlang_survival"]
     shapes = [call["shape"] for call in calls]
@@ -79,15 +90,16 @@ def test_erlang_survival_inputs_cover_both_sides_of_the_exit_and_the_array_shape
     assert sum(call["x"] > _SERIES_LIMIT for call in calls) >= 0.2 * len(calls)
 
 
-def test_erlang_survival_inputs_leave_the_other_inputs_unchanged(monkeypatch):
-    def other_draws(rng, past_limit):
-        rng.random()  # a draw the Erlang survival inputs did not make
+def test_erlang_inputs_leave_the_other_inputs_unchanged(monkeypatch):
+    def other_draws(rng, top, past_limit=False):
+        rng.random()  # a draw the Erlang survival and CDF inputs did not make
         return 1, 1.0
 
     calls = sweep.make_calls(3, 20)
-    monkeypatch.setattr(sweep, "_erlang_survival", other_draws)
-    assert ([call for call in sweep.make_calls(3, 20) if call["fn"] != "erlang_survival"]
-            == [call for call in calls if call["fn"] != "erlang_survival"])
+    monkeypatch.setattr(sweep, "_erlang_point", other_draws)
+    erlang = {"erlang_survival", "erlang_cdf"}
+    assert ([call for call in sweep.make_calls(3, 20) if call["fn"] not in erlang]
+            == [call for call in calls if call["fn"] not in erlang])
 
 
 def test_working_tree_against_itself_is_bit_identical():

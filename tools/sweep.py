@@ -3,7 +3,12 @@
     python tools/sweep.py --tree DIR [--parent DIR] [--seed S] [--calls N]
 
 N calls per function are drawn from one generator seeded with S, and each
-tree evaluates all of them in its own subprocess with PYTHONPATH=<tree>/src.
+tree evaluates all of them in its own subprocess with PYTHONPATH=<tree>/src
+and OPENBLAS_NUM_THREADS=1: OpenBLAS runs a dot product of more than 10,000
+terms on every core, so a series past 10,000 phases would round by the
+host's core count, and the two subprocesses, run side by side, would
+oversubscribe the cores (a 40-call sweep took 12-47 s instead of 3-4 s on
+2 cores).
 With no --parent the tree is run twice, which checks that its values do not
 depend on the process.  Each subprocess evaluates every call twice in a row,
 which checks that a value does not depend on what the process has kept from
@@ -19,12 +24,13 @@ unless a subprocess fails.
 The inputs cover equal mark rates (a fifth of the cumulative calls), slower
 mark shapes 1-13, on both sides of the stage-sum route's bound, tail_epsilon
 from 1e-14 to 1e-6, and a fifth of the scalar cumulative calls at a damage
-level past the 10,000-term phase cap.  Failure-time curves stay at
+level past the 10,240-term phase cap.  Failure-time curves stay at
 mu_f K <= 2,000, where K is the threshold, to keep runs short.  Erlang
 survival takes shapes log-uniform over 1 to 1e7 at x = shape e^U, U uniform
-on (-8, 0.5), with a fifth of its calls past x = 700; its inputs come from a
-generator of their own, so they leave every other function's inputs as they
-were.
+on (-8, 0.5), with a fifth of its calls past x = 700, and the Erlang CDF the
+same shapes at U uniform on (-8, 0), below the shape, where it sums its own
+tail.  Each of the two draws from a generator of its own, so each leaves
+every other function's inputs as they were.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ import sys
 
 FUNCTIONS = ("damage_cdf", "model2_fptf_mean", "model2_fptf_curve", "general_damage_cdf",
              "general_damage_mean", "mean_fptf", "survival_curve", "convolution_cdf",
-             "erlang_survival")
-CAP = 10_000  # the phase cap of the cumulative series
+             "erlang_survival", "erlang_cdf")
+CAP = 10_240  # the phase cap of the cumulative series
 
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:
@@ -118,9 +124,12 @@ def _times(scale: float) -> list[float]:
     return [scale * f for f in (0.0, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0)]
 
 
-def _erlang_survival(rng: random.Random, past_limit: bool) -> tuple[int, float]:
-    """(shape, x): shape log-uniform over 1 to 1e7, x = shape e^U, past x = 700 if past_limit."""
-    u = rng.uniform(-8.0, 0.5)
+def _erlang_point(rng: random.Random, top: float, past_limit: bool = False) -> tuple[int, float]:
+    """(shape, x): shape log-uniform over 1 to 1e7, x = shape e^U, U uniform on (-8, top).
+
+    With past_limit the shape is drawn so that x is past 700.
+    """
+    u = rng.uniform(-8.0, top)
     low = math.ceil(700.0 * math.exp(-u)) + 1 if past_limit else 1
     shape = round(_log_uniform(rng, low, 1e7))
     return shape, shape * math.exp(u)
@@ -130,6 +139,7 @@ def make_calls(seed: int, calls: int) -> list[dict]:
     """calls inputs for each function in FUNCTIONS, from generators seeded with seed."""
     rng = random.Random(seed)
     erlang_rng = random.Random(f"{seed} erlang_survival")
+    cdf_rng = random.Random(f"{seed} erlang_cdf")
     out = []
     for i in range(calls):
         equal, past_cap = i % 5 == 0, i % 5 == 1
@@ -159,8 +169,10 @@ def make_calls(seed: int, calls: int) -> list[dict]:
         rb = ra if equal else _log_uniform(rng, 0.1, 10.0)
         x = (a / ra + b / rb or 1.0) * _log_uniform(rng, 0.1, 3.0)
         out.append({"fn": "convolution_cdf", "product": [a, ra, b, rb], "x": x})
-        shape, x = _erlang_survival(erlang_rng, i % 5 == 1)
+        shape, x = _erlang_point(erlang_rng, 0.5, i % 5 == 1)
         out.append({"fn": "erlang_survival", "shape": shape, "x": x})
+        shape, x = _erlang_point(cdf_rng, 0.0)
+        out.append({"fn": "erlang_cdf", "shape": shape, "x": x})
     return out
 
 
@@ -171,6 +183,8 @@ def _evaluate(call: dict) -> list[float]:
     fn = call["fn"]
     if fn == "erlang_survival":
         return [ts.erlang_survival(call["shape"], call["x"])]
+    if fn == "erlang_cdf":
+        return [ts.erlang_cdf(call["shape"], call["x"])]
     if fn == "convolution_cdf":
         return [ts.convolution_cdf(ts.ErlangProduct(*call["product"]), call["x"])]
     model = {name: ts.distribution_from_dict(value) if isinstance(value, dict) else value
@@ -213,7 +227,7 @@ def evaluate_stdin() -> None:
 
 
 def _run(tree: pathlib.Path, calls: list[dict]) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", "import sweep; sweep.evaluate_stdin()"],
                           input=json.dumps(calls), capture_output=True, text=True, env=env,
                           cwd=pathlib.Path(__file__).resolve().parent, check=False)
